@@ -42,6 +42,7 @@ from .states import (
     CORRECTION_MATRICES,
     BellLabel,
     FamilyLabel,
+    _check_pairing,
     bell_state,
     bell_tuple_decomposition,
     build_family,
@@ -81,6 +82,46 @@ class RandomTape:
         return value
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _parse_int(value) -> int:
+    if not _is_int(value):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _parse_int_rows(value, width: int) -> tuple[tuple[int, ...], ...]:
+    if not isinstance(value, list) or not all(
+            isinstance(row, list) and len(row) == width and all(map(_is_int, row))
+            for row in value):
+        raise ValueError(f"expected a list of {width}-integer lists, got {value!r}")
+    return tuple(tuple(row) for row in value)
+
+
+def _parse_tape(value) -> str:
+    if not isinstance(value, str) or set(value) - {"0", "1"}:
+        raise ValueError(f"expected a 0/1 string, got {value!r}")
+    return value
+
+
+def _parse_ownership(value) -> dict[int, int]:
+    if not isinstance(value, dict) or not all(
+            q.isdecimal() and _is_int(p) for q, p in value.items()):
+        raise ValueError(f"expected a map from qubit id to party, got {value!r}")
+    return {int(q): p for q, p in value.items()}
+
+
+_HEADER_FIELDS = {
+    "num_parties": _parse_int,
+    "pairing": lambda value: _parse_int_rows(value, 2),
+    "tape": _parse_tape,
+    "initial_ownership": _parse_ownership,
+    "singlets": lambda value: _parse_int_rows(value, 4),
+}
+
+
 @dataclass(frozen=True)
 class ProtocolTranscript:
     """Complete record of one protocol execution."""
@@ -114,16 +155,25 @@ class ProtocolTranscript:
 
     @classmethod
     def from_lines(cls, lines: list[str]) -> "ProtocolTranscript":
+        """Parse a written transcript; malformed input raises ValueError naming the field."""
         rows = [json.loads(line) for line in lines if line.strip()]
-        if not rows or rows[0].get("record") != "header":
+        if not rows or not isinstance(rows[0], dict) or rows[0].get("record") != "header":
             raise ValueError("transcript must start with a header line")
         head = rows[0]
+        fields = {}
+        for name, parse in _HEADER_FIELDS.items():
+            if name not in head:
+                raise ValueError(f"transcript header has no {name!r} field")
+            try:
+                fields[name] = parse(head[name])
+            except ValueError as exc:
+                raise ValueError(f"transcript header field {name!r}: {exc}") from None
         return cls(
-            num_parties=int(head["num_parties"]),
-            pairing=tuple(tuple(p) for p in head["pairing"]),
-            tape_bits=head["tape"],
-            initial_ownership={int(q): p for q, p in head["initial_ownership"].items()},
-            singlets=tuple(tuple(s) for s in head["singlets"]),
+            num_parties=fields["num_parties"],
+            pairing=fields["pairing"],
+            tape_bits=fields["tape"],
+            initial_ownership=fields["initial_ownership"],
+            singlets=fields["singlets"],
             events=tuple(rows[1:]),
         )
 
@@ -198,12 +248,6 @@ class NetworkState:
             singlets=tuple((s.party_a, s.party_b, s.qubit_a, s.qubit_b) for s in self.singlets),
             events=tuple(self.events),
         )
-
-
-def _check_pairing(pairing, num_parties: int) -> None:
-    flat = [p for pair in pairing for p in pair]
-    if any(len(pair) != 2 for pair in pairing) or sorted(flat) != list(range(1, num_parties + 1)):
-        raise ValueError(f"pairing must cover parties 1..{num_parties} in disjoint pairs, got {pairing}")
 
 
 def default_pairing(two_n: int) -> tuple[tuple[int, int], ...]:
@@ -446,23 +490,32 @@ def locc_audit(transcript: ProtocolTranscript) -> list[str]:
 
     Checks that every quantum event touches only qubits its party owns at
     that moment, that generated qubit ids are fresh, that measured qubits
-    stay retired, and that no singlet is consumed twice.
+    stay retired, and that no singlet is consumed twice.  Malformed events
+    (not an object, wrongly typed fields) are reported as violations too.
     """
     violations: list[str] = []
     ownership = dict(transcript.initial_ownership)
     consumed = [False] * len(transcript.singlets)
 
     def check_party(p) -> bool:
-        return isinstance(p, int) and 1 <= p <= transcript.num_parties
+        return _is_int(p) and 1 <= p <= transcript.num_parties
 
     for pos, ev in enumerate(transcript.events):
-        kind = ev.get("kind")
         where = f"event {pos}"
+        if not isinstance(ev, dict):
+            violations.append(f"{where}: not an event object: {ev!r}")
+            continue
+        kind = ev.get("kind")
+        qubits = ev.get("qubits", [])
+        if kind in ("bell-generated", "local-unitary", "local-measurement") and not (
+                isinstance(qubits, list) and all(map(_is_int, qubits))):
+            violations.append(f"{where}: qubits must be a list of qubit ids, got {qubits!r}")
+            continue
         if kind == "bell-generated":
             if not check_party(ev.get("party")):
                 violations.append(f"{where}: unknown party {ev.get('party')}")
                 continue
-            for q in ev.get("qubits", []):
+            for q in qubits:
                 if q in ownership:
                     violations.append(f"{where}: generated qubit {q} already exists")
                 else:
@@ -472,7 +525,7 @@ def locc_audit(transcript: ProtocolTranscript) -> list[str]:
             if not check_party(party):
                 violations.append(f"{where}: unknown party {party}")
                 continue
-            for q in ev.get("qubits", []):
+            for q in qubits:
                 owner = ownership.get(q)
                 if owner is None:
                     violations.append(f"{where}: {kind} on retired or unknown qubit {q}")
@@ -481,7 +534,7 @@ def locc_audit(transcript: ProtocolTranscript) -> list[str]:
                         f"{where}: nonlocal quantum operation, party {party} acted on "
                         f"qubit {q} owned by party {owner}")
             if kind == "local-measurement":
-                for q in ev.get("qubits", []):
+                for q in qubits:
                     ownership.pop(q, None)
         elif kind == "classical-message":
             src, dst = ev.get("from"), ev.get("to")
@@ -489,7 +542,7 @@ def locc_audit(transcript: ProtocolTranscript) -> list[str]:
                 violations.append(f"{where}: bad message endpoints {src} -> {dst}")
         elif kind == "singlet-consumed":
             idx = ev.get("index")
-            if not isinstance(idx, int) or not 0 <= idx < len(transcript.singlets):
+            if not _is_int(idx) or not 0 <= idx < len(transcript.singlets):
                 violations.append(f"{where}: unknown singlet index {idx}")
             elif consumed[idx]:
                 violations.append(
@@ -497,7 +550,7 @@ def locc_audit(transcript: ProtocolTranscript) -> list[str]:
             else:
                 consumed[idx] = True
                 a, b, _, _ = transcript.singlets[idx]
-                if sorted(ev.get("pair", [])) != sorted((a, b)):
+                if _singlet_pair(ev) != tuple(sorted((a, b))):
                     violations.append(
                         f"{where}: consumed pair {ev.get('pair')} does not match registry ({a}, {b})")
         else:
@@ -505,13 +558,28 @@ def locc_audit(transcript: ProtocolTranscript) -> list[str]:
     return violations
 
 
+def _singlet_pair(ev: dict) -> tuple[int, int] | None:
+    """The event's party pair in ascending order, or None if it is not two integers."""
+    pair = ev.get("pair")
+    if isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair)):
+        return tuple(sorted(pair))
+    return None
+
+
 def ebit_accounting(transcript: ProtocolTranscript) -> tuple[int, EdgeWeights]:
-    """Total singlets consumed and the per-pair breakdown."""
+    """Total singlets consumed and the per-pair breakdown.
+
+    Counts the singlet-consumed events whose pair is two distinct parties in
+    range; any other such event is malformed, and locc_audit reports it.
+    """
     weights: dict[tuple[int, int], float] = {}
     total = 0
     for ev in transcript.events:
-        if ev.get("kind") == "singlet-consumed":
-            total += 1
-            i, j = sorted(ev["pair"])
-            weights[(i, j)] = weights.get((i, j), 0.0) + 1.0
+        if not isinstance(ev, dict) or ev.get("kind") != "singlet-consumed":
+            continue
+        pair = _singlet_pair(ev)
+        if pair is None or not 1 <= pair[0] < pair[1] <= transcript.num_parties:
+            continue
+        total += 1
+        weights[pair] = weights.get(pair, 0.0) + 1.0
     return total, EdgeWeights(transcript.num_parties, weights)

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from bcabe.cuts import (
+    NPT_ATOL,
     Cut,
     CutConstraintSet,
     EdgeWeights,
+    _pt_spectrum,
     activation_correction_table,
     activation_distill,
     analyze_cut,
@@ -21,7 +23,15 @@ from bcabe.cuts import (
     one_vs_rest_constraints,
 )
 from bcabe.states import BellLabel, FamilyLabel, bell_state, build_family, recursion_blocks
-from bcabe.tensor import apply_unitary_on_subset, fidelity_with_pure, trace_distance
+from bcabe.tensor import (
+    DensityMatrix,
+    apply_unitary_on_subset,
+    fidelity_with_pure,
+    partial_transpose,
+    trace_distance,
+)
+
+import oracles
 
 ALL_FAMILIES = list(FamilyLabel)
 
@@ -89,12 +99,28 @@ class TestCutEnumeration:
         assert Cut(4, (1,)).label() == "{1}|{2,3,4}"
 
 
+def assert_matches_dense(rho, cut, report, dense_pt):
+    """The closed form against a dense eigensolve of an independent partial transpose.
+
+    The spectrum must agree to 1e-14, and the report fields must be exactly
+    what the dense spectrum gives when read the way analyze_cut reads it.
+    """
+    spectrum = np.linalg.eigvalsh(dense_pt)
+    assert np.abs(_pt_spectrum(rho, cut) - spectrum).max() <= 1e-14
+    negative = spectrum[spectrum < -NPT_ATOL]
+    assert report.min_eigenvalue == float(spectrum[0])
+    assert report.negativity == (float(-negative.sum()) if negative.size else 0.0)
+    assert report.classification == ("NPT" if spectrum[0] < -NPT_ATOL else "PPT")
+
+
 class TestCutSpectra:
     @pytest.mark.parametrize("label", ALL_FAMILIES)
     def test_four_qubit_structure(self, label):
         rho = build_family(4, label)
         for cut in enumerate_cuts(4):
             report = analyze_cut(rho, cut)
+            assert_matches_dense(rho, cut, report,
+                                 oracles.pt_reference(rho.entries, list(cut.side_a), 4))
             if len(cut.side_a) in (1, 3):
                 assert report.classification == "NPT"
                 assert report.min_eigenvalue == pytest.approx(ONE_VS_THREE_MIN_EIG, abs=1e-12)
@@ -105,22 +131,31 @@ class TestCutSpectra:
                 assert report.negativity == 0.0
 
     def test_six_qubit_structure(self):
-        rho = build_family(6, FamilyLabel.RHO_PLUS)
-        for cut in enumerate_cuts(6):
-            report = analyze_cut(rho, cut)
-            small = min(len(cut.side_a), len(cut.side_b))
-            if small == 1:
-                assert report.classification == "NPT"
-                assert report.min_eigenvalue == pytest.approx(-1 / 32, abs=1e-12)
-                assert report.negativity > 0.1
-            elif small == 2:
-                assert report.classification == "PPT"
-                assert report.min_eigenvalue >= -1e-12
-                assert report.negativity == 0.0
-            else:
-                # balanced 3:3 cuts stay NPT; only the 2:4 layer is PPT
-                assert report.classification == "NPT"
-                assert report.min_eigenvalue == pytest.approx(-1 / 32, abs=1e-12)
+        for label in ALL_FAMILIES:
+            rho = build_family(6, label)
+            for cut in enumerate_cuts(6):
+                report = analyze_cut(rho, cut)
+                assert_matches_dense(rho, cut, report,
+                                     oracles.pt_reference(rho.entries, list(cut.side_a), 6))
+                small = min(len(cut.side_a), len(cut.side_b))
+                if small == 1:
+                    assert report.classification == "NPT"
+                    assert report.min_eigenvalue == pytest.approx(-1 / 32, abs=1e-12)
+                    assert report.negativity > 0.1
+                elif small == 2:
+                    assert report.classification == "PPT"
+                    assert report.min_eigenvalue >= -1e-12
+                    assert report.negativity == 0.0
+                else:
+                    # balanced 3:3 cuts stay NPT; only the 2:4 layer is PPT
+                    assert report.classification == "NPT"
+                    assert report.min_eigenvalue == pytest.approx(-1 / 32, abs=1e-12)
+
+    def test_eight_qubit_matches_dense(self):
+        rho = build_family(8, FamilyLabel.RHO_PLUS)
+        for cut in enumerate_cuts(8):
+            assert_matches_dense(rho, cut, analyze_cut(rho, cut),
+                                 partial_transpose(rho, cut.side_a))
 
     def test_negativity_matches_bell_state(self):
         # for [phi+] across 1:1 the negativity is 1/2 and the minimum is -1/2
@@ -143,6 +178,11 @@ class TestCutSpectra:
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
             analyze_cut(build_family(4, FamilyLabel.RHO_PLUS), Cut(6, (1,)))
+
+    def test_non_x_state_rejected(self):
+        rho = DensityMatrix.from_entries(oracles.random_density(16, np.random.default_rng(0)))
+        with pytest.raises(ValueError, match="not an X-state"):
+            analyze_cut(rho, Cut(4, (1,)))
 
 
 class TestActivation:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -264,6 +266,34 @@ class TestTranscript:
     def test_header_required(self):
         with pytest.raises(ValueError):
             ProtocolTranscript.from_lines(['{"kind": "classical-message"}'])
+
+    @pytest.mark.parametrize("field", ["num_parties", "pairing", "tape",
+                                       "initial_ownership", "singlets"])
+    def test_header_field_missing_or_malformed(self, canonical, field):
+        head, *events = canonical.to_lines()
+        header = json.loads(head)
+        without = {k: v for k, v in header.items() if k != field}
+        with pytest.raises(ValueError, match=repr(field)):
+            ProtocolTranscript.from_lines([json.dumps(without)] + events)
+        with pytest.raises(ValueError, match=repr(field)):
+            ProtocolTranscript.from_lines([json.dumps(header | {field: [["x"]]})] + events)
+
+    @pytest.mark.parametrize("event", [
+        {"kind": "local-unitary", "party": 1, "qubits": 5, "name": "Z"},
+        {"kind": "local-unitary", "party": 1, "qubits": [[1]], "name": "Z"},
+        {"kind": "bell-generated", "party": 1, "qubits": [[1]], "label": "phi+"},
+        {"kind": "singlet-consumed", "pair": [1, "a"], "index": 1},
+        {"kind": "singlet-consumed", "pair": 7, "index": 1},
+        ["not", "an", "event"],
+        "singlet-consumed",
+    ])
+    def test_audit_reports_malformed_events(self, canonical, event):
+        doctored = ProtocolTranscript(
+            canonical.num_parties, canonical.pairing, canonical.tape_bits,
+            canonical.initial_ownership, canonical.singlets, canonical.events + (event,))
+        assert len(locc_audit(doctored)) == 1
+        total, weights = ebit_accounting(doctored)
+        assert total == weights.total()
 
     def test_audit_passes(self, canonical):
         assert locc_audit(canonical) == []
