@@ -24,6 +24,7 @@ from .cuts import (
     cost_certificate,
     enumerate_cuts,
 )
+from .protocol import EXACT_MODE_MAX
 from .states import (
     BellLabel,
     FamilyLabel,
@@ -203,8 +204,9 @@ def cmd_cuts(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    if args.mode == "exact" and args.size > 6:
-        print("exact mode supports sizes 4 and 6 only; use --mode sampled", file=sys.stderr)
+    if args.mode == "exact" and args.size > EXACT_MODE_MAX:
+        print(f"exact mode supports sizes up to {EXACT_MODE_MAX} only; use --mode sampled",
+              file=sys.stderr)
         return EXIT_USAGE
     certificate, ensemble, transcript = cost_certificate(
         args.size, args.family, mode=args.mode, seed=args.seed, samples=args.samples)

@@ -25,6 +25,12 @@ never reused, which keeps the live state dimension bounded (at most 2N+2
 qubits) because each pair is generated and teleported before the next.
 locc_audit replays a transcript against the ownership history derived from
 the header and flags any nonlocal quantum operation or singlet double-spend.
+
+prepare_bcabe runs the transcript's execution (row 0) once on a recording
+network, which fixes the qubit order, ownership and events every execution
+shares, then advances the executions as rows of one (rows, 2**n) array: per
+tape keeping all four outcomes (exact), or SAMPLE_BLOCK runs keeping one drawn
+outcome each (sampled).  teleport uses the same kernel, _bell_measure.
 """
 
 from __future__ import annotations
@@ -47,16 +53,16 @@ from .states import (
     bell_tuple_decomposition,
     build_family,
 )
-from .tensor import (
-    STATE_ATOL,
-    ZERO_PROB_ATOL,
-    DensityMatrix,
-    PureState,
-    _apply_to_slots_vector,
-)
+from .tensor import STATE_ATOL, ZERO_PROB_ATOL, DensityMatrix, PureState
 
 PROTOCOL_SIZES = (4, 6, 8)
 EXACT_MODE_MAX = 6  # exact enumeration above this is refused; use sampled
+SAMPLE_BLOCK = 256  # sampled runs advanced together; bounds the block's memory
+
+# per outcome in BELL_ORDER: the ket, the bra as a (2, 2) tensor, the receiver's Pauli fix
+_BELL_KETS = np.array([bell_state(b).amplitudes for b in BELL_ORDER])
+_BELL_BRAS = _BELL_KETS.conj().reshape(4, 2, 2)
+_CORRECTIONS = [CORRECTION_MATRICES[BELL_CORRECTIONS[b]] for b in BELL_ORDER]
 
 
 class ProtocolError(Exception):
@@ -202,7 +208,7 @@ class NetworkState:
 
     num_parties: int
     pairing: tuple[tuple[int, int], ...]
-    amplitudes: np.ndarray                  # joint state of the live qubits
+    amplitudes: np.ndarray                  # live qubits' joint state, or a block of rows
     qubit_order: list[int]                  # qubit id per tensor slot
     ownership: dict[int, int]               # qubit id -> party
     singlets: list[_SingletRecord]
@@ -213,19 +219,10 @@ class NetworkState:
     next_qubit_id: int = 1
 
     def clone(self) -> "NetworkState":
-        return NetworkState(
-            num_parties=self.num_parties,
-            pairing=self.pairing,
-            amplitudes=self.amplitudes.copy(),
-            qubit_order=list(self.qubit_order),
-            ownership=dict(self.ownership),
-            singlets=[replace(s) for s in self.singlets],
-            tape=self.tape,
-            record=self.record,
-            events=list(self.events),
-            initial_ownership=self.initial_ownership,
-            next_qubit_id=self.next_qubit_id,
-        )
+        """A copy that shares only immutable fields and initial_ownership."""
+        return replace(self, amplitudes=self.amplitudes.copy(), tape=replace(self.tape),
+                       qubit_order=list(self.qubit_order), ownership=dict(self.ownership),
+                       singlets=[replace(s) for s in self.singlets], events=list(self.events))
 
     def log(self, event: dict) -> None:
         if self.record:
@@ -300,6 +297,60 @@ def bell_generate(net: NetworkState, party: int, label: BellLabel) -> NetworkSta
     return net
 
 
+def _bell_measure(amps: np.ndarray, slot_q: int, slot_h: int, slot_r: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Bell-measure slots slot_q, slot_h of each row of amps, shape (rows, 2**n).
+
+    Returns the probabilities (rows, 4) and the normalized states corrected
+    on slot_r (counted without the measured slots), (rows, 4, 2**(n-2)), in
+    BELL_ORDER.  Each row's result is bit-identical to measuring it alone.
+    """
+    rows, n = amps.shape[0], amps.shape[1].bit_length() - 1
+    t = amps.reshape((rows,) + (2,) * n)
+    probs, states = np.empty((rows, 4)), np.empty((rows, 4, 2 ** (n - 2)), dtype=complex)
+    for m, bra in enumerate(_BELL_BRAS):
+        reduced = np.tensordot(bra, t, axes=([0, 1], [slot_q + 1, slot_h + 1])).reshape(rows, -1)
+        probs[:, m] = [np.vdot(row, row).real for row in reduced]
+        reduced = reduced / np.sqrt(probs[:, m])[:, None]
+        if m:
+            moved = np.tensordot(_CORRECTIONS[m], reduced.reshape((rows,) + (2,) * (n - 2)),
+                                 axes=([1], [slot_r + 1]))
+            reduced = np.moveaxis(moved, 0, slot_r + 1)
+        states[:, m] = reduced.reshape(rows, -1)
+    return probs, states
+
+
+def _teleport_into(net: NetworkState, sender: int, receiver: int, qubit: int, choose
+                   ) -> tuple[tuple[int, int, int], float]:
+    """Teleport `qubit` on net itself, keeping outcome choose(probs); return slots, prob."""
+    if net.owner_of(qubit) != sender:
+        raise ProtocolError(f"qubit {qubit} is not held by party {sender}")
+    idx = next((i for i, s in enumerate(net.singlets)
+                if not s.consumed and {s.party_a, s.party_b} == {sender, receiver}), None)
+    if idx is None:
+        raise ProtocolError(f"no available singlet between parties {sender} and {receiver}")
+    rec = net.singlets[idx]
+    send_half = rec.qubit_a if rec.party_a == sender else rec.qubit_b
+    recv_half = rec.qubit_b if rec.party_a == sender else rec.qubit_a
+    rest = [q for q in net.qubit_order if q not in (qubit, send_half)]
+    slots = (net.qubit_order.index(qubit), net.qubit_order.index(send_half),
+             rest.index(recv_half))
+    probs, states = _bell_measure(net.amplitudes[None], *slots)
+    m = choose(probs)
+    prob = float(probs[0, m])
+    net.amplitudes, net.qubit_order = states[0, m], rest
+    del net.ownership[qubit], net.ownership[send_half]
+    rec.consumed = True
+    outcome = format(m, "02b")
+    net.log({"kind": "local-measurement", "party": sender, "qubits": [qubit, send_half],
+             "basis": "bell", "outcome": outcome, "probability": prob})
+    net.log({"kind": "singlet-consumed", "pair": [rec.party_a, rec.party_b], "index": idx})
+    net.log({"kind": "classical-message", "from": sender, "to": receiver, "bits": outcome})
+    net.log({"kind": "local-unitary", "party": receiver, "qubits": [recv_half],
+             "name": BELL_CORRECTIONS[BELL_ORDER[m]]})
+    return slots, prob
+
+
 def teleport(net: NetworkState, sender: int, receiver: int, qubit: int
              ) -> list[tuple[float, NetworkState]]:
     """Teleport `qubit` from sender to receiver through their shared singlet.
@@ -311,60 +362,29 @@ def teleport(net: NetworkState, sender: int, receiver: int, qubit: int
     Branches below ZERO_PROB_ATOL are dropped (they cannot occur with a
     phi+ resource, which yields probability 1/4 each).
     """
-    if net.owner_of(qubit) != sender:
-        raise ProtocolError(f"qubit {qubit} is not held by party {sender}")
-    idx = next((i for i, s in enumerate(net.singlets)
-                if not s.consumed and {s.party_a, s.party_b} == {sender, receiver}), None)
-    if idx is None:
-        raise ProtocolError(f"no available singlet between parties {sender} and {receiver}")
-    rec = net.singlets[idx]
-    send_half = rec.qubit_a if rec.party_a == sender else rec.qubit_b
-    recv_half = rec.qubit_b if rec.party_a == sender else rec.qubit_a
-
-    n = len(net.qubit_order)
-    slot_q = net.qubit_order.index(qubit)
-    slot_h = net.qubit_order.index(send_half)
-    t = net.amplitudes.reshape((2,) * n)
     branches: list[tuple[float, NetworkState]] = []
-    for m, bl in enumerate(BELL_ORDER):
-        bra = bell_state(bl).amplitudes.conj().reshape(2, 2)
-        reduced = np.tensordot(bra, t, axes=([0, 1], [slot_q, slot_h]))
-        prob = float(np.vdot(reduced, reduced).real)
-        if prob < ZERO_PROB_ATOL:
-            continue
-        b = net.clone()
-        b.amplitudes = (reduced / np.sqrt(prob)).reshape(-1)
-        b.qubit_order = [q for q in b.qubit_order if q not in (qubit, send_half)]
-        del b.ownership[qubit], b.ownership[send_half]
-        b.singlets[idx].consumed = True
-        outcome = format(m, "02b")
-        correction = BELL_CORRECTIONS[bl]
-        b.log({"kind": "local-measurement", "party": sender, "qubits": [qubit, send_half],
-               "basis": "bell", "outcome": outcome, "probability": prob})
-        b.log({"kind": "singlet-consumed", "pair": [rec.party_a, rec.party_b], "index": idx})
-        b.log({"kind": "classical-message", "from": sender, "to": receiver, "bits": outcome})
-        slot_r = b.qubit_order.index(recv_half)
-        if correction != "I":
-            b.amplitudes = _apply_to_slots_vector(
-                b.amplitudes, len(b.qubit_order), CORRECTION_MATRICES[correction], [slot_r])
-        b.log({"kind": "local-unitary", "party": receiver, "qubits": [recv_half],
-               "name": correction})
-        branches.append((prob, b))
+    for m in range(4):
+        branch = net.clone()
+        _, prob = _teleport_into(branch, sender, receiver, qubit, lambda probs: m)
+        if prob >= ZERO_PROB_ATOL:
+            branches.append((prob, branch))
     return branches
 
 
-def _final_state(net: NetworkState) -> PureState:
-    """Reorder the surviving qubits so slot k holds party k+1's qubit."""
-    holdings: dict[int, int] = {}
-    for q, p in net.ownership.items():
-        if p in holdings:
-            raise ProtocolError(f"party {p} holds more than one qubit at finalization")
-        holdings[p] = q
-    if sorted(holdings) != list(range(1, net.num_parties + 1)):
+def _pick(probs: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Outcome per row, chosen from uniform draws the way Generator.choice(4, p=...) does."""
+    cdf = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
+    cdf /= cdf[:, -1:]
+    return (cdf <= draws[:, None]).sum(axis=1)
+
+
+def _final_state(net: NetworkState) -> np.ndarray:
+    """net.amplitudes as (rows, 2**n), reordered so slot k holds party k+1's qubit."""
+    if sorted(net.ownership.values()) != list(range(1, net.num_parties + 1)):
         raise ProtocolError("finalization requires exactly one qubit per party")
-    src = [net.qubit_order.index(holdings[p]) for p in range(1, net.num_parties + 1)]
-    n = net.num_parties
-    return PureState(n, net.amplitudes.reshape((2,) * n).transpose(src).reshape(-1))
+    src = [net.qubit_order.index(q) + 1 for q in sorted(net.ownership, key=net.ownership.get)]
+    rows = net.amplitudes.reshape((-1,) + (2,) * net.num_parties)
+    return rows.transpose([0] + src).reshape(len(rows), -1)
 
 
 @dataclass(frozen=True)
@@ -389,42 +409,24 @@ def bell_correlated_tuples(two_n: int, label: FamilyLabel,
     return [labels for labels, _ in decomposition]
 
 
-def _run_exact(two_n: int, pairing, tuples, tape_bits: str, record: bool
-               ) -> list[tuple[float, NetworkState]]:
-    tape = RandomTape(tape_bits)
-    net = init_network(two_n, pairing, tape=tape, record=record)
-    chosen = tuples[tape.read(two_n - 2)]
-    live: list[tuple[float, NetworkState]] = [(1.0, net)]
-    for k, (leader, partner) in enumerate(pairing):
-        grown: list[tuple[float, NetworkState]] = []
-        for prob, branch in live:
-            bell_generate(branch, leader, chosen[k])
-            send_qubit = branch.qubit_order[-1]
-            for p, out in teleport(branch, leader, partner, send_qubit):
-                grown.append((prob * p, out))
-        live = grown
-    return live
+def _run(initial: np.ndarray, labels: np.ndarray, slots, draws: np.ndarray | None
+         ) -> tuple[np.ndarray, np.ndarray]:
+    """Advance a block of rows from `initial`; return (weights, amplitudes).
 
-
-def _run_sampled(two_n: int, pairing, tuples, tape_bits: str, record: bool,
-                 rng: np.random.Generator) -> NetworkState:
-    tape = RandomTape(tape_bits)
-    net = init_network(two_n, pairing, tape=tape, record=record)
-    chosen = tuples[tape.read(two_n - 2)]
-    for k, (leader, partner) in enumerate(pairing):
-        bell_generate(net, leader, chosen[k])
-        send_qubit = net.qubit_order[-1]
-        branches = teleport(net, leader, partner, send_qubit)
-        probs = np.array([p for p, _ in branches])
-        pick = rng.choice(len(branches), p=probs / probs.sum())
-        net = branches[pick][1]
-    return net
-
-
-def _mix(branches: list[tuple[float, PureState]], two_n: int) -> DensityMatrix:
-    probs = np.array([p for p, _ in branches])
-    amps = np.array([s.amplitudes for _, s in branches])
-    return DensityMatrix(two_n, np.einsum("b,bi,bj->ij", probs, amps, amps.conj()))
+    labels[r, k] is row r's BELL_ORDER index at pair k (one row serves all).
+    Without draws rows keep all four outcomes, growing x4 per step in order
+    b*4+m, weighted by their probabilities; else row r keeps draws[r, k]'s pick.
+    """
+    amps, weights = initial[None], np.ones(len(labels))
+    for k, slot in enumerate(slots):
+        grown = amps[:, :, None] * _BELL_KETS[labels[:, k]][:, None, :]
+        probs, states = _bell_measure(grown.reshape(len(grown), -1), *slot)
+        if draws is None:
+            weights = (weights[:, None] * probs).reshape(-1)
+            amps = states.reshape(-1, states.shape[2])
+        else:
+            amps = states[np.arange(len(states)), _pick(probs, draws[:, k])]
+    return weights, amps
 
 
 def prepare_bcabe(two_n: int, label: FamilyLabel, mode: str = "exact",
@@ -433,54 +435,51 @@ def prepare_bcabe(two_n: int, label: FamilyLabel, mode: str = "exact",
                   ) -> tuple[EnsembleResult, ProtocolTranscript]:
     """Run the N-singlet preparation of the target family.
 
-    Exact mode (two_n <= 6) enumerates all 2**(2N-2) tape values times 4**N
-    measurement branches and returns the exact ensemble; the transcript is
-    the canonical execution (all-zero tape, first outcome everywhere).
-    Sampled mode draws `samples` independent runs from a generator seeded
-    with tape_or_seed; the transcript is the first run's.
+    Exact mode (two_n <= EXACT_MODE_MAX) enumerates all 2**(2N-2) tape
+    values times 4**N measurement branches and returns the exact ensemble;
+    the transcript is the canonical execution (all-zero tape, first outcome
+    everywhere).  Sampled mode draws `samples` independent runs from a
+    generator seeded with tape_or_seed; the transcript is the first run's.
     """
-    if two_n not in PROTOCOL_SIZES:
-        raise ValueError(f"two_n must be one of {PROTOCOL_SIZES}, got {two_n}")
-    pairing = default_pairing(two_n) if pairing is None else tuple(tuple(p) for p in pairing)
-    _check_pairing(pairing, two_n)
-    tuples = bell_correlated_tuples(two_n, label, pairing)
+    net = init_network(two_n, pairing)  # checks the size and the pairing
     nbits = two_n - 2
-
-    collected: list[tuple[float, PureState]] = []
-    transcript: ProtocolTranscript | None = None
     if mode == "exact":
         if two_n > EXACT_MODE_MAX:
-            raise ValueError(
-                f"exact mode is limited to two_n <= {EXACT_MODE_MAX}; use sampled at {two_n}")
-        tape_weight = 1.0 / 2 ** nbits
-        for idx in range(2 ** nbits):
-            finished = _run_exact(two_n, pairing, tuples, format(idx, f"0{nbits}b"),
-                                  record=idx == 0)
-            for prob, branch in finished:
-                collected.append((prob * tape_weight, _final_state(branch)))
-            if idx == 0:
-                transcript = finished[0][1].build_transcript()
+            raise ValueError(f"exact mode is limited to two_n <= {EXACT_MODE_MAX}; "
+                             f"use sampled at {two_n}")
+        tapes, draws, block = np.arange(2 ** nbits), None, 1
     elif mode == "sampled":
         if samples < 1:
             raise ValueError(f"samples must be positive, got {samples}")
+        # each run draws its tape bits, then one uniform per pair step for the outcome
         rng = np.random.default_rng(tape_or_seed)
-        weight = 1.0 / samples
+        bits, draws = np.empty((samples, nbits), dtype=np.int64), np.empty((samples, two_n // 2))
         for s in range(samples):
-            bits = "".join(str(b) for b in rng.integers(0, 2, nbits))
-            net = _run_sampled(two_n, pairing, tuples, bits, s == 0, rng)
-            collected.append((weight, _final_state(net)))
-            if s == 0:
-                transcript = net.build_transcript()
+            bits[s], draws[s] = rng.integers(0, 2, nbits), rng.random(two_n // 2)
+        tapes, block = bits @ (1 << np.arange(nbits)[::-1]), SAMPLE_BLOCK
     else:
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
+    tuples = bell_correlated_tuples(two_n, label, net.pairing)
+    net.tape = RandomTape(format(int(tapes[0]), f"0{nbits}b"))
+    initial, chosen, slots = net.amplitudes, tuples[net.tape.read(nbits)], []
+    for k, (leader, partner) in enumerate(net.pairing):
+        bell_generate(net, leader, chosen[k])
+        choose = (lambda probs: 0) if draws is None else (
+            lambda probs: int(_pick(probs, draws[0, k:k + 1])[0]))
+        slots.append(_teleport_into(net, leader, partner, net.qubit_order[-1], choose)[0])
 
-    ensemble = EnsembleResult(
-        branches=tuple(collected),
-        mixed=_mix(collected, two_n),
-        singlets_used=two_n // 2,
-    )
-    assert transcript is not None
-    return ensemble, transcript
+    table = np.array([[BELL_ORDER.index(b) for b in labels] for labels in tuples])
+    weights, amps = [], []
+    for start in range(0, len(tapes), block):
+        w, net.amplitudes = _run(initial, table[tapes[start:start + block]], slots,
+                                 None if draws is None else draws[start:start + block])
+        weights.append(w / len(tapes))  # every tape, or every run, is equally likely
+        amps.append(_final_state(net))
+    weights, amps = np.concatenate(weights), np.concatenate(amps)
+    # mix first, so the conjugate copy is gone before the branches copy amps
+    mixed = DensityMatrix(two_n, np.einsum("b,bi,bj->ij", weights, amps, amps.conj()))
+    branches = tuple((w, PureState(two_n, a)) for w, a in zip(weights.tolist(), amps))
+    return EnsembleResult(branches, mixed, singlets_used=two_n // 2), net.build_transcript()
 
 
 # --- transcript consumers ------------------------------------------------------

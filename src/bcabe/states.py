@@ -21,6 +21,7 @@ locked together.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -175,6 +176,7 @@ def ghz_basis(two_n: int) -> list[GhzBasisState]:
     return out
 
 
+@functools.cache  # PureState is frozen and its array read-only, so sharing is safe
 def bell_state(label: BellLabel) -> PureState:
     bits, sign = _BELL_BITS[label]
     return ghz_state(BasisString(bits), sign).state

@@ -121,3 +121,71 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = z @ z.conj().T
     return m / np.trace(m).real
+
+
+# receiver's Pauli fix after each Bell outcome (identity for phi+)
+PAULI_FIX = {
+    "phi-": np.array([[1, 0], [0, -1]], dtype=complex),
+    "psi+": np.array([[0, 1], [1, 0]], dtype=complex),
+    "psi-": np.array([[0, 1], [-1, 0]], dtype=complex),
+}
+
+
+def bell_measure_reference(vec: np.ndarray, order: list[int], sent: int, half: int,
+                           target: int) -> list[tuple[float, np.ndarray]]:
+    """Bell-measure qubits `sent` and `half` of one state vector, outcome by outcome.
+
+    `order` lists the qubit id in each tensor slot.  For phi+, phi-, psi+,
+    psi- in turn: contract the bra, take p from vdot, divide by sqrt(p) and
+    Pauli-fix qubit `target`.  The states keep `order` without the two
+    measured qubits.  This is the arithmetic of a single-branch teleport
+    step, so results can be compared bit for bit.
+    """
+    n = len(order)
+    slot = [q for q in order if q not in (sent, half)].index(target)
+    out = []
+    for outcome in ("phi+", "phi-", "psi+", "psi-"):
+        bra = BELL_VECTORS[outcome].conj().reshape(2, 2)
+        r = np.tensordot(bra, vec.reshape((2,) * n),
+                         axes=([0, 1], [order.index(sent), order.index(half)]))
+        p = float(np.vdot(r, r).real)
+        r = (r / np.sqrt(p)).reshape(-1)
+        if outcome in PAULI_FIX:
+            t = np.tensordot(PAULI_FIX[outcome], r.reshape((2,) * (n - 2)), axes=([1], [slot]))
+            r = np.moveaxis(t, 0, slot).reshape(-1)
+        out.append((p, r))
+    return out
+
+
+def protocol_branches(two_n: int, tuples: list[tuple[str, ...]]) -> list[tuple[float, np.ndarray]]:
+    """Exact preparation ensemble over the default pairing, one branch at a time.
+
+    Each tape value picks one tuple of Bell-label names.  Pair k (parties
+    2k+1, 2k+2, singlet qubits 2k+1, 2k+2) appends its Bell state as fresh
+    qubits f, f+1 and teleports f+1 through the singlet
+    (bell_measure_reference).  Branches come tape by tape, then by outcome
+    with the first pair most significant.
+    """
+    start = np.ones(1, dtype=complex)
+    for _ in range(two_n // 2):
+        start = np.kron(start, BELL_VECTORS["phi+"])
+    # at the end party 2k+1 holds fresh qubit f_k and party 2k+2 its singlet half
+    holders = [q for k in range(two_n // 2) for q in (two_n + 1 + 2 * k, 2 * k + 2)]
+    out = []
+    for labels in tuples:
+        live = [(1.0, start, list(range(1, two_n + 1)))]
+        for k, name in enumerate(labels):
+            fresh, sent = two_n + 1 + 2 * k, two_n + 2 + 2 * k
+            grown = []
+            for prob, vec, order in live:
+                order = order + [fresh, sent]
+                rest = [q for q in order if q not in (sent, 2 * k + 1)]
+                for p, r in bell_measure_reference(np.kron(vec, BELL_VECTORS[name]), order,
+                                                   sent, 2 * k + 1, 2 * k + 2):
+                    grown.append((prob * p, r, rest))
+            live = grown
+        for prob, vec, order in live:
+            src = [order.index(q) for q in holders]
+            final = vec.reshape((2,) * two_n).transpose(src).reshape(-1)
+            out.append((prob * (1.0 / len(tuples)), final))
+    return out

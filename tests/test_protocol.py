@@ -9,6 +9,8 @@ import pytest
 
 from bcabe.protocol import (
     ProtocolError,
+    _bell_measure,
+    _pick,
     ProtocolTranscript,
     RandomTape,
     bell_correlated_tuples,
@@ -83,6 +85,14 @@ class TestNetworkSetup:
         with pytest.raises(ValueError):
             init_network(5)                             # odd size unsupported
 
+    def test_clone_tapes_are_independent(self):
+        net = init_network(4, tape=RandomTape("0110"))
+        bell_generate(net, 1, BellLabel.PHI_PLUS)
+        (_, first), (_, second) = teleport(net, 1, 2, 6)[:2]
+        assert first.tape.read(2) == 1
+        assert second.tape.cursor == 0 and net.tape.cursor == 0
+        assert second.tape.read(3) == 3
+
     def test_bell_generate_is_local(self):
         net = init_network(4)
         bell_generate(net, 3, BellLabel.PSI_MINUS)
@@ -121,6 +131,27 @@ class TestTeleport:
             if slot5 != [5, 2]:
                 want = want.reshape(2, 2).T.reshape(-1)
             assert np.allclose(pair.entries, np.outer(want, want.conj()), atol=1e-12)
+
+    def test_bell_measure_rows_match_reference(self):
+        # generic rows, so every rounding step shows in the last bits; each
+        # row of the block must equal the single-branch arithmetic exactly
+        rng = np.random.default_rng(6)
+        block = rng.normal(size=(5, 2 ** 10)) + 1j * rng.normal(size=(5, 2 ** 10))
+        probs, states = _bell_measure(block, 9, 3, 4)
+        order = list(range(1, 11))
+        for r, row in enumerate(block):
+            want = oracles.bell_measure_reference(row, order, 10, 4, 6)
+            assert probs[r].tolist() == [p for p, _ in want]
+            for m, (_, amps) in enumerate(want):
+                assert states[r, m].tobytes() == amps.tobytes()
+
+    def test_pick_matches_generator_choice(self):
+        rng = np.random.default_rng(8)
+        probs = rng.random((300, 4))
+        draws = np.array([np.random.default_rng(s).random() for s in range(300)])
+        want = [np.random.default_rng(s).choice(4, p=row / row.sum())
+                for s, row in enumerate(probs)]
+        assert _pick(probs, draws).tolist() == want
 
     def test_requires_singlet(self):
         net = init_network(4)
@@ -185,6 +216,44 @@ class TestPreparation:
         assert ensemble.singlets_used == 3
         assert trace_distance(ensemble.mixed, build_family(6, label)) < 1e-12
         assert locc_audit(transcript) == []
+
+    @pytest.mark.parametrize("label", ALL_FAMILIES)
+    def test_exact_four_matches_per_branch_oracle(self, label):
+        ensemble, _ = prepare_bcabe(4, label, mode="exact")
+        tuples = bell_correlated_tuples(4, label, default_pairing(4))
+        want = oracles.protocol_branches(4, [tuple(b.value for b in t) for t in tuples])
+        assert len(ensemble.branches) == len(want)
+        for (prob, state), (want_prob, want_amps) in zip(ensemble.branches, want):
+            assert prob == want_prob
+            assert state.amplitudes.tobytes() == want_amps.tobytes()
+
+    @pytest.mark.parametrize("size, label, transcript_id", [
+        (4, FamilyLabel.RHO_PLUS, "2254ac81a5edb148"),
+        (4, FamilyLabel.RHO_MINUS, "552fd07bafd1f5a9"),
+        (4, FamilyLabel.SIGMA_PLUS, "54ec6c51b8d2842b"),
+        (4, FamilyLabel.SIGMA_MINUS, "229142aaaf2e106c"),
+        (6, FamilyLabel.RHO_PLUS, "48346b3bf9832eea"),
+        (6, FamilyLabel.RHO_MINUS, "ac6769fb73d0d168"),
+        (6, FamilyLabel.SIGMA_PLUS, "da339011e4c50271"),
+        (6, FamilyLabel.SIGMA_MINUS, "370580cf4ee63994"),
+    ])
+    def test_exact_transcript_id_pinned(self, size, label, transcript_id):
+        # recorded from the per-branch engine; the id hashes every event,
+        # including each measurement probability to the last bit
+        _, transcript = prepare_bcabe(size, label, mode="exact")
+        assert transcript.transcript_id == transcript_id
+
+    @pytest.mark.parametrize("size, label, seed, transcript_id, distance", [
+        (4, FamilyLabel.RHO_PLUS, 7, "dcfec776e530cbfa", 0.027000000000000017),
+        (6, FamilyLabel.SIGMA_MINUS, 3, "c9327b616e2e8cf3", 0.028499999999999834),
+    ])
+    def test_sampled_payload_pinned(self, size, label, seed, transcript_id, distance):
+        # recorded from the per-sample engine, whose generator stream (tape
+        # bits, then one choice per pair step) the batched engine must keep
+        ensemble, transcript = prepare_bcabe(size, label, mode="sampled",
+                                             tape_or_seed=seed, samples=2000)
+        assert transcript.transcript_id == transcript_id
+        assert trace_distance(ensemble.mixed, build_family(size, label)) == distance
 
     def test_exact_refused_above_six(self):
         with pytest.raises(ValueError):
