@@ -19,12 +19,9 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .cuts import (
-    analyze_cut,
-    cost_certificate,
-    enumerate_cuts,
-)
-from .protocol import EXACT_MODE_MAX
+from .certify import cost_certificate
+from .cuts import LP_ATOL, NPT_ATOL, analyze_cut, enumerate_cuts
+from .protocol import EXACT_MODE_MAX, PROTOCOL_SIZES
 from .states import (
     BellLabel,
     FamilyLabel,
@@ -36,7 +33,6 @@ from .states import (
     verify_recursion,
 )
 from .tensor import (
-    OPERATOR_ATOL,
     STATE_ATOL,
     DensityMatrix,
     PureState,
@@ -44,7 +40,6 @@ from .tensor import (
     trace_distance,
 )
 
-SIZES = (4, 6, 8)
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
@@ -66,23 +61,6 @@ def write_state_file(path: str, obj: DensityMatrix | PureState) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh)
         fh.write("\n")
-
-
-def read_state_file(path: str) -> DensityMatrix | PureState:
-    with open(path) as fh:
-        payload = json.load(fh)
-    qubits = int(payload["qubits"])
-    data = np.array([complex(re, im) for re, im in payload["data"]])
-    if payload["kind"] == "density":
-        dim = 2 ** qubits
-        if data.size != dim * dim:
-            raise ValueError(f"density file needs {dim * dim} entries, found {data.size}")
-        return DensityMatrix(qubits, data.reshape(dim, dim))
-    if payload["kind"] == "pure":
-        if data.size != 2 ** qubits:
-            raise ValueError(f"pure file needs {2 ** qubits} entries, found {data.size}")
-        return PureState(qubits, data)
-    raise ValueError(f"unknown state kind {payload['kind']!r}")
 
 
 def _write_report(path: str | None, payload: dict) -> None:
@@ -107,6 +85,15 @@ def _family(value: str) -> FamilyLabel:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"family must be one of {[f.value for f in FamilyLabel]}, got {value!r}")
+
+
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than minimum (argparse reports non-integers)."""
+    def integer(value: str) -> int:
+        if int(value) < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {value!r}")
+        return int(value)
+    return integer
 
 
 def _smolin_reference() -> DensityMatrix:
@@ -195,7 +182,7 @@ def cmd_cuts(args) -> int:
     _write_report(args.out, {
         "command": "cuts",
         "parameters": {"size": args.size, "family": args.family.value,
-                       "npt_threshold": -OPERATOR_ATOL},
+                       "npt_threshold": -NPT_ATOL},
         "results": {"cuts": rows},
         "checks": [_check("cut-assertion-failures", float(failures), 0.5)],
         "passed": failures == 0,
@@ -214,7 +201,7 @@ def cmd_certify(args) -> int:
     state_tol = STATE_ATOL if args.mode == "exact" else args.tolerance
     checks = [
         _check("lower-bound-equals-achieved",
-               abs(certificate.lower_bound - certificate.achieved), 1e-9),
+               abs(certificate.lower_bound - certificate.achieved), LP_ATOL),
         _check("prepared-state-distance", distance, state_tol),
     ]
     transcript_path = None
@@ -254,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, family=True, out_required=False):
-        p.add_argument("--size", type=int, choices=SIZES, required=True,
+        p.add_argument("--size", type=int, choices=PROTOCOL_SIZES, required=True,
                        help="total qubit count 2N")
         if family:
             p.add_argument("--family", type=_family, default=FamilyLabel.RHO_PLUS,
@@ -271,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the structural invariant suite")
     common(p_verify, family=False)
-    p_verify.add_argument("--tolerance", type=float, default=1e-12,
-                          help="distance threshold for exact identities (default 1e-12)")
+    p_verify.add_argument("--tolerance", type=float, default=STATE_ATOL,
+                          help=f"distance threshold for exact identities (default {STATE_ATOL:g})")
     p_verify.set_defaults(func=cmd_verify)
 
     p_cuts = sub.add_parser("cuts", help="classify every bipartite cut of a family state")
@@ -282,8 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert = sub.add_parser("certify", help="certify the N-ebit preparation cost")
     common(p_cert)
     p_cert.add_argument("--mode", choices=("exact", "sampled"), default="exact")
-    p_cert.add_argument("--seed", type=int, default=0, help="sampled-mode seed (default 0)")
-    p_cert.add_argument("--samples", type=int, default=10000,
+    p_cert.add_argument("--seed", type=_at_least(0), default=0,
+                        help="sampled-mode seed (default 0)")
+    p_cert.add_argument("--samples", type=_at_least(1), default=10000,
                         help="sampled-mode run count (default 10000)")
     p_cert.add_argument("--tolerance", type=float, default=0.05,
                         help="sampled-mode distance threshold (default 0.05)")

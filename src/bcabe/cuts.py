@@ -1,11 +1,11 @@
-"""Bipartite cut analysis, unlockable-entanglement checks, and cost certificates.
+"""Bipartite cut analysis, unlockable-entanglement checks, and the covering LP.
 
 A cut splits the 2N parties (one qubit each) into side_a / side_b; canonical
 form keeps party 1 in side_a.  For each cut the partial transpose spectrum
 decides PPT vs NPT.  The family states are NPT across every 1:(2N-1) cut and
 PPT across every 2:(2N-2) cut; the single-party cuts each support one
 distillable ebit (witnessed by activation_distill), which feeds a covering LP
-whose optimum N is met exactly by the N-singlet preparation protocol.
+whose optimum N is the lower bound that `certify` matches with the protocol.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .states import (
 )
 from .tensor import (
     OPERATOR_ATOL,
-    STATE_ATOL,
     DensityMatrix,
     Projector,
     QubitSubset,
@@ -119,17 +118,6 @@ class CutConstraintSet:
                 raise ValueError("constraint cut party count mismatch")
             if req < 0:
                 raise ValueError(f"negative requirement {req}")
-
-
-@dataclass(frozen=True)
-class CostCertificate:
-    two_n: int
-    family: FamilyLabel
-    lower_bound: float
-    achieved: int
-    exact: bool
-    witness_weights: EdgeWeights
-    protocol_transcript_id: str
 
 
 def enumerate_cuts(num_parties: int, side_size: int | None = None) -> list[Cut]:
@@ -264,7 +252,7 @@ def activation_distill(two_n: int, label: FamilyLabel,
     return out
 
 
-# --- covering LP and certificates ---------------------------------------------
+# --- covering LP ----------------------------------------------------------------
 
 def one_vs_rest_constraints(num_parties: int, requirement: float = 1.0) -> CutConstraintSet:
     """One crossing-weight requirement per single-party cut."""
@@ -296,46 +284,3 @@ def lp_lower_bound(constraint_set: CutConstraintSet) -> tuple[float, EdgeWeights
     if abs(witness.total() - value) > LP_ATOL:
         raise RuntimeError("witness objective does not match the reported optimum")
     return value, witness
-
-
-def cost_certificate(two_n: int, label: FamilyLabel, mode: str = "exact",
-                     seed: int = 0, samples: int = 10000):
-    """Certify that preparing the family costs exactly N ebits.
-
-    Lower bound: every single-party cut is NPT and activation distills one
-    ebit across it, so each cut requires crossing weight 1; the covering LP
-    over those constraints has optimum N.  Achieved: the preparation protocol
-    consumes N singlets (audited transcript).  Returns
-    (CostCertificate, EnsembleResult, ProtocolTranscript).
-    """
-    from .protocol import ebit_accounting, locc_audit, prepare_bcabe
-
-    for report in npt_one_vs_rest_scan(two_n, label):
-        if report.classification != "NPT":
-            raise RuntimeError(
-                f"cut {report.cut.label()} is not NPT; the per-cut requirement is unjustified")
-    for k in range(1, two_n + 1):
-        partner = k + 1 if k < two_n else k - 1
-        together = [q for q in range(1, two_n + 1) if q not in (k, partner)]
-        for outcome in activation_distill(two_n, label, together).values():
-            if abs(outcome.probability - 0.25) > STATE_ATOL or abs(outcome.fidelity - 1.0) > STATE_ATOL:
-                raise RuntimeError(
-                    f"activation across party {k} failed to distill a clean ebit")
-
-    lower, witness = lp_lower_bound(one_vs_rest_constraints(two_n, 1.0))
-    ensemble, transcript = prepare_bcabe(two_n, label, mode=mode, tape_or_seed=seed,
-                                         samples=samples)
-    violations = locc_audit(transcript)
-    if violations:
-        raise RuntimeError(f"protocol transcript failed the LOCC audit: {violations}")
-    achieved, _ = ebit_accounting(transcript)
-    certificate = CostCertificate(
-        two_n=two_n,
-        family=label,
-        lower_bound=float(lower),
-        achieved=achieved,
-        exact=abs(lower - achieved) <= LP_ATOL,
-        witness_weights=witness,
-        protocol_transcript_id=transcript.transcript_id,
-    )
-    return certificate, ensemble, transcript

@@ -53,7 +53,7 @@ from .states import (
     bell_tuple_decomposition,
     build_family,
 )
-from .tensor import STATE_ATOL, ZERO_PROB_ATOL, DensityMatrix, PureState
+from .tensor import STATE_ATOL, ZERO_PROB_ATOL, DensityMatrix
 
 PROTOCOL_SIZES = (4, 6, 8)
 EXACT_MODE_MAX = 6  # exact enumeration above this is refused; use sampled
@@ -213,7 +213,6 @@ class NetworkState:
     ownership: dict[int, int]               # qubit id -> party
     singlets: list[_SingletRecord]
     tape: RandomTape
-    record: bool = True
     events: list[dict] = field(default_factory=list)
     initial_ownership: dict[int, int] = field(default_factory=dict)
     next_qubit_id: int = 1
@@ -224,10 +223,6 @@ class NetworkState:
                        qubit_order=list(self.qubit_order), ownership=dict(self.ownership),
                        singlets=[replace(s) for s in self.singlets], events=list(self.events))
 
-    def log(self, event: dict) -> None:
-        if self.record:
-            self.events.append(event)
-
     def owner_of(self, qubit: int) -> int:
         try:
             return self.ownership[qubit]
@@ -235,8 +230,6 @@ class NetworkState:
             raise ProtocolError(f"qubit {qubit} is not live") from None
 
     def build_transcript(self) -> ProtocolTranscript:
-        if not self.record:
-            raise ProtocolError("this branch did not record events")
         return ProtocolTranscript(
             num_parties=self.num_parties,
             pairing=self.pairing,
@@ -252,7 +245,7 @@ def default_pairing(two_n: int) -> tuple[tuple[int, int], ...]:
 
 
 def init_network(two_n: int, pairing: tuple[tuple[int, int], ...] | None = None,
-                 tape: RandomTape | None = None, record: bool = True) -> NetworkState:
+                 tape: RandomTape | None = None) -> NetworkState:
     """Network of 2N parties holding one phi+ singlet per pair and nothing else."""
     if two_n not in PROTOCOL_SIZES:
         raise ValueError(f"two_n must be one of {PROTOCOL_SIZES}, got {two_n}")
@@ -277,7 +270,6 @@ def init_network(two_n: int, pairing: tuple[tuple[int, int], ...] | None = None,
         ownership=ownership,
         singlets=singlets,
         tape=tape if tape is not None else RandomTape(""),
-        record=record,
         initial_ownership=dict(ownership),
         next_qubit_id=qid,
     )
@@ -293,7 +285,8 @@ def bell_generate(net: NetworkState, party: int, label: BellLabel) -> NetworkSta
     net.qubit_order += [a, b]
     net.ownership[a] = party
     net.ownership[b] = party
-    net.log({"kind": "bell-generated", "party": party, "qubits": [a, b], "label": label.value})
+    net.events.append({"kind": "bell-generated", "party": party, "qubits": [a, b],
+                       "label": label.value})
     return net
 
 
@@ -341,13 +334,13 @@ def _teleport_into(net: NetworkState, sender: int, receiver: int, qubit: int, ch
     net.amplitudes, net.qubit_order = states[0, m], rest
     del net.ownership[qubit], net.ownership[send_half]
     rec.consumed = True
-    outcome = format(m, "02b")
-    net.log({"kind": "local-measurement", "party": sender, "qubits": [qubit, send_half],
-             "basis": "bell", "outcome": outcome, "probability": prob})
-    net.log({"kind": "singlet-consumed", "pair": [rec.party_a, rec.party_b], "index": idx})
-    net.log({"kind": "classical-message", "from": sender, "to": receiver, "bits": outcome})
-    net.log({"kind": "local-unitary", "party": receiver, "qubits": [recv_half],
-             "name": BELL_CORRECTIONS[BELL_ORDER[m]]})
+    outcome, log = format(m, "02b"), net.events.append
+    log({"kind": "local-measurement", "party": sender, "qubits": [qubit, send_half],
+         "basis": "bell", "outcome": outcome, "probability": prob})
+    log({"kind": "singlet-consumed", "pair": [rec.party_a, rec.party_b], "index": idx})
+    log({"kind": "classical-message", "from": sender, "to": receiver, "bits": outcome})
+    log({"kind": "local-unitary", "party": receiver, "qubits": [recv_half],
+         "name": BELL_CORRECTIONS[BELL_ORDER[m]]})
     return slots, prob
 
 
@@ -389,9 +382,14 @@ def _final_state(net: NetworkState) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Outcome of a full preparation: branch states, their mixture, singlet count."""
+    """Outcome of a full preparation: branch weights and states, their mixture, singlet count.
 
-    branches: tuple[tuple[float, PureState], ...]
+    Read-only weights (branches,) and amplitudes (branches, 2**n), party k+1's
+    qubit in slot k; by tape or run, then (exact) by outcome, first pair first.
+    """
+
+    weights: np.ndarray
+    amplitudes: np.ndarray
     mixed: DensityMatrix
     singlets_used: int
 
@@ -476,10 +474,9 @@ def prepare_bcabe(two_n: int, label: FamilyLabel, mode: str = "exact",
         weights.append(w / len(tapes))  # every tape, or every run, is equally likely
         amps.append(_final_state(net))
     weights, amps = np.concatenate(weights), np.concatenate(amps)
-    # mix first, so the conjugate copy is gone before the branches copy amps
     mixed = DensityMatrix(two_n, np.einsum("b,bi,bj->ij", weights, amps, amps.conj()))
-    branches = tuple((w, PureState(two_n, a)) for w, a in zip(weights.tolist(), amps))
-    return EnsembleResult(branches, mixed, singlets_used=two_n // 2), net.build_transcript()
+    weights.flags.writeable = amps.flags.writeable = False
+    return EnsembleResult(weights, amps, mixed, singlets_used=two_n // 2), net.build_transcript()
 
 
 # --- transcript consumers ------------------------------------------------------

@@ -182,32 +182,35 @@ def bell_state(label: BellLabel) -> PureState:
     return ghz_state(BasisString(bits), sign).state
 
 
+def _cat_sum(two_n: int, label: FamilyLabel) -> np.ndarray:
+    """Sum of the family's cat-state projectors, set entry by entry.
+
+    Each canonical string s sets (s, s), (s_bar, s_bar), (s, s_bar) and (s_bar, s)
+    to the products a dense outer product of its cat vector forms; no two share one.
+    """
+    idx = np.array([s.index for s in _parity_strings(two_n, label.parity_class)])
+    bar = idx ^ (2 ** two_n - 1)
+    a = 1.0 / np.sqrt(2.0)
+    m = np.zeros((2 ** two_n, 2 ** two_n), dtype=complex)
+    m[idx, idx] = m[bar, bar] = a * a
+    m[idx, bar] = m[bar, idx] = (label.sign * a) * a
+    return m
+
+
 def build_family(two_n: int, label: FamilyLabel) -> DensityMatrix:
-    """Uniform mixture of the family's cat-state projectors.
+    """Uniform mixture of the family's 2**(two_n-2) cat-state projectors.
 
     two_n = 2 is allowed as the recursion base and yields the Bell projector
     matching the label (phi+/- for rho+/-, psi+/- for sigma+/-).
     """
     if two_n < 2 or two_n % 2:
         raise ValueError(f"two_n must be even and >= 2, got {two_n}")
-    strings = _parity_strings(two_n, label.parity_class)
-    d = 2 ** two_n
-    m = np.zeros((d, d), dtype=complex)
-    for s in strings:
-        v = ghz_state(s, label.sign).state.amplitudes
-        m += np.outer(v, v.conj())
-    return DensityMatrix(two_n, m / len(strings))
+    return DensityMatrix(two_n, _cat_sum(two_n, label) / 2 ** (two_n - 2))
 
 
 def family_support_projector(two_n: int, label: FamilyLabel) -> Projector:
     """Projector onto the span of the family's cat states (rank 2**(two_n-2))."""
-    strings = _parity_strings(two_n, label.parity_class)
-    d = 2 ** two_n
-    m = np.zeros((d, d), dtype=complex)
-    for s in strings:
-        v = ghz_state(s, label.sign).state.amplitudes
-        m += np.outer(v, v.conj())
-    return Projector(two_n, m)
+    return Projector(two_n, _cat_sum(two_n, label))
 
 
 def recursion_blocks(label: FamilyLabel) -> tuple[tuple[BellLabel, FamilyLabel], ...]:

@@ -9,8 +9,11 @@ Slow is fine; these only run on small systems.
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
+
+from bcabe.tensor import DensityMatrix, PureState
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -189,3 +192,21 @@ def protocol_branches(two_n: int, tuples: list[tuple[str, ...]]) -> list[tuple[f
             final = vec.reshape((2,) * two_n).transpose(src).reshape(-1)
             out.append((prob * (1.0 / len(tuples)), final))
     return out
+
+
+def read_state_file(path):
+    """Read a state file written by bcabe.cli.write_state_file."""
+    with open(path) as fh:
+        payload = json.load(fh)
+    qubits = int(payload["qubits"])
+    data = np.array([complex(re, im) for re, im in payload["data"]])
+    if payload["kind"] == "density":
+        dim = 2 ** qubits
+        if data.size != dim * dim:
+            raise ValueError(f"density file needs {dim * dim} entries, found {data.size}")
+        return DensityMatrix(qubits, data.reshape(dim, dim))
+    if payload["kind"] == "pure":
+        if data.size != 2 ** qubits:
+            raise ValueError(f"pure file needs {2 ** qubits} entries, found {data.size}")
+        return PureState(qubits, data)
+    raise ValueError(f"unknown state kind {payload['kind']!r}")

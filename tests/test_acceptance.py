@@ -14,8 +14,9 @@ import numpy as np
 
 from conftest import record_acceptance
 
-from bcabe.cuts import activation_distill, cost_certificate, enumerate_cuts, analyze_cut, \
-    lp_lower_bound, one_vs_rest_constraints
+from bcabe.certify import cost_certificate
+from bcabe.cuts import activation_distill, enumerate_cuts, analyze_cut, lp_lower_bound, \
+    one_vs_rest_constraints
 from bcabe.protocol import init_network, locc_audit, prepare_bcabe, teleport
 from bcabe.states import (
     FamilyLabel,

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 import bcabe.cli as cli
-from bcabe.cli import main, read_state_file, write_state_file
+from bcabe.cli import main, write_state_file
 from bcabe.states import BasisString, FamilyLabel, build_family, ghz_state
 from bcabe.tensor import DensityMatrix
+
+from oracles import read_state_file
 
 
 def _load(path):
@@ -180,6 +182,17 @@ class TestDeterminismAndExitCodes:
             main(["cuts", "--size", "4", "--family", "tau+"])
         assert exc.value.code == 2
         assert main(["certify", "--size", "8", "--mode", "exact"]) == 2
+
+    @pytest.mark.parametrize("option, value", [
+        ("--samples", "0"), ("--samples", "-3"), ("--samples", "ten"), ("--seed", "-1"),
+    ])
+    def test_bad_sampled_arguments_exit_two(self, option, value, capsys):
+        # refused while parsing, before any cut scan or protocol run
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--size", "4", "--mode", "sampled", option, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}" in err and "Traceback" not in err
 
     def test_io_error_exit_three(self, tmp_path):
         missing = tmp_path / "no-such-dir" / "out.json"

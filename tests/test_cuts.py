@@ -16,12 +16,12 @@ from bcabe.cuts import (
     activation_correction_table,
     activation_distill,
     analyze_cut,
-    cost_certificate,
     enumerate_cuts,
     lp_lower_bound,
     npt_one_vs_rest_scan,
     one_vs_rest_constraints,
 )
+from bcabe.certify import cost_certificate
 from bcabe.states import BellLabel, FamilyLabel, bell_state, build_family, recursion_blocks
 from bcabe.tensor import (
     DensityMatrix,

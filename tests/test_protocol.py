@@ -202,17 +202,20 @@ class TestPreparation:
     @pytest.mark.parametrize("label", ALL_FAMILIES)
     def test_exact_four_qubits(self, label):
         ensemble, transcript = prepare_bcabe(4, label, mode="exact")
-        assert len(ensemble.branches) == 64     # 4 tapes x 4^2 outcomes
+        assert ensemble.weights.shape == (64,)  # 4 tapes x 4^2 outcomes
+        assert ensemble.amplitudes.shape == (64, 16)
         assert ensemble.singlets_used == 2
-        probs = sum(p for p, _ in ensemble.branches)
-        assert probs == pytest.approx(1.0, abs=1e-12)
+        assert ensemble.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(ensemble.amplitudes, axis=1), 1, atol=1e-12)
+        assert not ensemble.weights.flags.writeable and not ensemble.amplitudes.flags.writeable
         assert trace_distance(ensemble.mixed, build_family(4, label)) < 1e-12
         assert locc_audit(transcript) == []
 
     @pytest.mark.parametrize("label", [FamilyLabel.RHO_PLUS, FamilyLabel.SIGMA_MINUS])
     def test_exact_six_qubits(self, label):
         ensemble, transcript = prepare_bcabe(6, label, mode="exact")
-        assert len(ensemble.branches) == 1024   # 16 tapes x 4^3 outcomes
+        assert ensemble.weights.shape == (1024,)  # 16 tapes x 4^3 outcomes
+        assert ensemble.amplitudes.shape == (1024, 64)
         assert ensemble.singlets_used == 3
         assert trace_distance(ensemble.mixed, build_family(6, label)) < 1e-12
         assert locc_audit(transcript) == []
@@ -222,10 +225,10 @@ class TestPreparation:
         ensemble, _ = prepare_bcabe(4, label, mode="exact")
         tuples = bell_correlated_tuples(4, label, default_pairing(4))
         want = oracles.protocol_branches(4, [tuple(b.value for b in t) for t in tuples])
-        assert len(ensemble.branches) == len(want)
-        for (prob, state), (want_prob, want_amps) in zip(ensemble.branches, want):
+        assert len(ensemble.weights) == len(ensemble.amplitudes) == len(want)
+        for prob, amps, (want_prob, want_amps) in zip(ensemble.weights, ensemble.amplitudes, want):
             assert prob == want_prob
-            assert state.amplitudes.tobytes() == want_amps.tobytes()
+            assert amps.tobytes() == want_amps.tobytes()
 
     @pytest.mark.parametrize("size, label, transcript_id", [
         (4, FamilyLabel.RHO_PLUS, "2254ac81a5edb148"),
@@ -262,11 +265,11 @@ class TestPreparation:
     def test_every_branch_is_a_bell_product(self):
         # condition on the tape: the four branches of one tape are identical
         ensemble, _ = prepare_bcabe(4, FamilyLabel.RHO_PLUS, mode="exact")
-        by_tape = [ensemble.branches[i:i + 16] for i in range(0, 64, 16)]
+        by_tape = [ensemble.amplitudes[i:i + 16] for i in range(0, 64, 16)]
         for group in by_tape:
-            first = group[0][1].amplitudes
-            for _, state in group:
-                overlap = abs(np.vdot(first, state.amplitudes))
+            first = group[0]
+            for amps in group:
+                overlap = abs(np.vdot(first, amps))
                 assert overlap == pytest.approx(1.0, abs=1e-12)
 
     def test_sampled_converges(self):

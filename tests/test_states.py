@@ -131,12 +131,15 @@ class TestBuildFamily:
         want = oracles.proj(oracles.BELL_VECTORS[BASE_CASE[label]])
         assert trace_distance(got.entries, want) < 1e-12
 
-    @pytest.mark.parametrize("two_n", [4, 6])
+    @pytest.mark.parametrize("two_n", [4, 6, 8])
     @pytest.mark.parametrize("label", list(FamilyLabel))
     def test_matches_direct_mixture_oracle(self, two_n, label):
+        # the index-array cat sum forms the same products as the dense sum
         cls, sign = FAMILY_TO_ORACLE[label]
         want = oracles.family_reference(two_n, cls, sign)
-        assert trace_distance(build_family(two_n, label).entries, want) < 1e-12
+        assert np.array_equal(build_family(two_n, label).entries, want)
+        count = 2 ** (two_n - 2)
+        assert np.array_equal(family_support_projector(two_n, label).entries, want * count)
 
     def test_smolin_equivalence(self):
         # rho+ at four qubits is the equal mixture of doubled Bell pairs
