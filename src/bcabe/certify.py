@@ -56,7 +56,7 @@ def cost_certificate(two_n: int, label: FamilyLabel, mode: str = "exact",
         family=label,
         lower_bound=float(lower),
         achieved=achieved,
-        exact=abs(lower - achieved) <= LP_ATOL,
+        exact=abs(lower - achieved) < LP_ATOL,
         witness_weights=witness,
         protocol_transcript_id=transcript.transcript_id,
     )

@@ -29,8 +29,9 @@ the header and flags any nonlocal quantum operation or singlet double-spend.
 prepare_bcabe runs the transcript's execution (row 0) once on a recording
 network, which fixes the qubit order, ownership and events every execution
 shares, then advances the executions as rows of one (rows, 2**n) array: per
-tape keeping all four outcomes (exact), or SAMPLE_BLOCK runs keeping one drawn
-outcome each (sampled).  teleport uses the same kernel, _bell_measure.
+tape keeping all four outcomes (exact, at every size in PROTOCOL_SIZES), or
+SAMPLE_BLOCK runs keeping one drawn outcome each (sampled).  teleport uses the
+same kernel, _bell_measure.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from .states import (
 from .tensor import STATE_ATOL, ZERO_PROB_ATOL, DensityMatrix
 
 PROTOCOL_SIZES = (4, 6, 8)
-EXACT_MODE_MAX = 6  # exact enumeration above this is refused; use sampled
 SAMPLE_BLOCK = 256  # sampled runs advanced together; bounds the block's memory
 
 # per outcome in BELL_ORDER: the ket, the bra as a (2, 2) tensor, the receiver's Pauli fix
@@ -67,25 +67,6 @@ _CORRECTIONS = [CORRECTION_MATRICES[BELL_CORRECTIONS[b]] for b in BELL_ORDER]
 
 class ProtocolError(Exception):
     """A protocol step was invalid: missing singlet, foreign qubit, bad schedule."""
-
-
-@dataclass
-class RandomTape:
-    """Finite classical bit string consumed left to right."""
-
-    bits: str
-    cursor: int = 0
-
-    def __post_init__(self):
-        if set(self.bits) - {"0", "1"}:
-            raise ValueError(f"tape must be a 0/1 string, got {self.bits!r}")
-
-    def read(self, count: int) -> int:
-        if self.cursor + count > len(self.bits):
-            raise ValueError(f"tape exhausted: need {count} bits at cursor {self.cursor}")
-        value = int(self.bits[self.cursor:self.cursor + count] or "0", 2)
-        self.cursor += count
-        return value
 
 
 def _is_int(value) -> bool:
@@ -212,14 +193,14 @@ class NetworkState:
     qubit_order: list[int]                  # qubit id per tensor slot
     ownership: dict[int, int]               # qubit id -> party
     singlets: list[_SingletRecord]
-    tape: RandomTape
+    tape: str = ""                          # pre-shared bits that chose the Bell tuple
     events: list[dict] = field(default_factory=list)
     initial_ownership: dict[int, int] = field(default_factory=dict)
     next_qubit_id: int = 1
 
     def clone(self) -> "NetworkState":
         """A copy that shares only immutable fields and initial_ownership."""
-        return replace(self, amplitudes=self.amplitudes.copy(), tape=replace(self.tape),
+        return replace(self, amplitudes=self.amplitudes.copy(),
                        qubit_order=list(self.qubit_order), ownership=dict(self.ownership),
                        singlets=[replace(s) for s in self.singlets], events=list(self.events))
 
@@ -233,7 +214,7 @@ class NetworkState:
         return ProtocolTranscript(
             num_parties=self.num_parties,
             pairing=self.pairing,
-            tape_bits=self.tape.bits,
+            tape_bits=self.tape,
             initial_ownership=dict(self.initial_ownership),
             singlets=tuple((s.party_a, s.party_b, s.qubit_a, s.qubit_b) for s in self.singlets),
             events=tuple(self.events),
@@ -244,8 +225,7 @@ def default_pairing(two_n: int) -> tuple[tuple[int, int], ...]:
     return tuple((k, k + 1) for k in range(1, two_n, 2))
 
 
-def init_network(two_n: int, pairing: tuple[tuple[int, int], ...] | None = None,
-                 tape: RandomTape | None = None) -> NetworkState:
+def init_network(two_n: int, pairing: tuple[tuple[int, int], ...] | None = None) -> NetworkState:
     """Network of 2N parties holding one phi+ singlet per pair and nothing else."""
     if two_n not in PROTOCOL_SIZES:
         raise ValueError(f"two_n must be one of {PROTOCOL_SIZES}, got {two_n}")
@@ -269,7 +249,6 @@ def init_network(two_n: int, pairing: tuple[tuple[int, int], ...] | None = None,
         qubit_order=list(range(1, qid)),
         ownership=ownership,
         singlets=singlets,
-        tape=tape if tape is not None else RandomTape(""),
         initial_ownership=dict(ownership),
         next_qubit_id=qid,
     )
@@ -433,18 +412,16 @@ def prepare_bcabe(two_n: int, label: FamilyLabel, mode: str = "exact",
                   ) -> tuple[EnsembleResult, ProtocolTranscript]:
     """Run the N-singlet preparation of the target family.
 
-    Exact mode (two_n <= EXACT_MODE_MAX) enumerates all 2**(2N-2) tape
-    values times 4**N measurement branches and returns the exact ensemble;
-    the transcript is the canonical execution (all-zero tape, first outcome
-    everywhere).  Sampled mode draws `samples` independent runs from a
-    generator seeded with tape_or_seed; the transcript is the first run's.
+    Exact mode enumerates all 2**(2N-2) tape values times 4**N measurement
+    branches and returns the exact ensemble, at every size in PROTOCOL_SIZES
+    (16,384 branches at 8); the transcript is the canonical execution
+    (all-zero tape, first outcome everywhere).  Sampled mode draws `samples`
+    independent runs from a generator seeded with tape_or_seed; the
+    transcript is the first run's.
     """
     net = init_network(two_n, pairing)  # checks the size and the pairing
     nbits = two_n - 2
     if mode == "exact":
-        if two_n > EXACT_MODE_MAX:
-            raise ValueError(f"exact mode is limited to two_n <= {EXACT_MODE_MAX}; "
-                             f"use sampled at {two_n}")
         tapes, draws, block = np.arange(2 ** nbits), None, 1
     elif mode == "sampled":
         if samples < 1:
@@ -458,8 +435,8 @@ def prepare_bcabe(two_n: int, label: FamilyLabel, mode: str = "exact",
     else:
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
     tuples = bell_correlated_tuples(two_n, label, net.pairing)
-    net.tape = RandomTape(format(int(tapes[0]), f"0{nbits}b"))
-    initial, chosen, slots = net.amplitudes, tuples[net.tape.read(nbits)], []
+    net.tape = format(int(tapes[0]), f"0{nbits}b")
+    initial, chosen, slots = net.amplitudes, tuples[int(tapes[0])], []
     for k, (leader, partner) in enumerate(net.pairing):
         bell_generate(net, leader, chosen[k])
         choose = (lambda probs: 0) if draws is None else (

@@ -181,10 +181,14 @@ class TestDeterminismAndExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["cuts", "--size", "4", "--family", "tau+"])
         assert exc.value.code == 2
-        assert main(["certify", "--size", "8", "--mode", "exact"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--size", "10"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("option, value", [
         ("--samples", "0"), ("--samples", "-3"), ("--samples", "ten"), ("--seed", "-1"),
+        ("--tolerance", "inf"), ("--tolerance", "nan"), ("--tolerance", "0"),
+        ("--tolerance", "-1"),
     ])
     def test_bad_sampled_arguments_exit_two(self, option, value, capsys):
         # refused while parsing, before any cut scan or protocol run

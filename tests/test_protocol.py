@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -12,7 +13,6 @@ from bcabe.protocol import (
     _bell_measure,
     _pick,
     ProtocolTranscript,
-    RandomTape,
     bell_correlated_tuples,
     bell_generate,
     default_pairing,
@@ -50,16 +50,12 @@ def _teleport_roundtrip(payload: np.ndarray) -> list[tuple[float, np.ndarray]]:
 
 
 class TestTape:
-    def test_reads_left_to_right(self):
-        tape = RandomTape("1011")
-        assert tape.read(2) == 2
-        assert tape.read(2) == 3
-        with pytest.raises(ValueError):
-            tape.read(1)
-
-    def test_rejects_non_bits(self):
-        with pytest.raises(ValueError):
-            RandomTape("10x1")
+    def test_rejects_non_bits(self, canonical):
+        # a tape from outside arrives only through a transcript header
+        head, *events = canonical.to_lines()
+        header = json.loads(head) | {"tape": "10x1"}
+        with pytest.raises(ValueError, match="'tape'"):
+            ProtocolTranscript.from_lines([json.dumps(header)] + events)
 
 
 class TestNetworkSetup:
@@ -86,12 +82,13 @@ class TestNetworkSetup:
             init_network(5)                             # odd size unsupported
 
     def test_clone_tapes_are_independent(self):
-        net = init_network(4, tape=RandomTape("0110"))
+        net = init_network(4)
+        net.tape = "0110"
         bell_generate(net, 1, BellLabel.PHI_PLUS)
-        (_, first), (_, second) = teleport(net, 1, 2, 6)[:2]
-        assert first.tape.read(2) == 1
-        assert second.tape.cursor == 0 and net.tape.cursor == 0
-        assert second.tape.read(3) == 3
+        branches = teleport(net, 1, 2, 6)
+        assert len(branches) == 4
+        for _, branch in branches:
+            assert branch.build_transcript().tape_bits == "0110"
 
     def test_bell_generate_is_local(self):
         net = init_network(4)
@@ -258,9 +255,29 @@ class TestPreparation:
         assert transcript.transcript_id == transcript_id
         assert trace_distance(ensemble.mixed, build_family(size, label)) == distance
 
-    def test_exact_refused_above_six(self):
-        with pytest.raises(ValueError):
-            prepare_bcabe(8, FamilyLabel.RHO_PLUS, mode="exact")
+    @pytest.mark.parametrize("size, label, digest", [
+        (4, FamilyLabel.RHO_PLUS, "3159c0c395be065e55b8ff37d2fd072ff39ee87eab086d89415a9f0e2500ebd4"),
+        (4, FamilyLabel.RHO_MINUS, "6c215c95bad29c8151b81f99767c0fb6e40de02b3826a415528f7d9feb7e42dd"),
+        (4, FamilyLabel.SIGMA_PLUS, "c5303bce4fbd589631763507106c932b255a130cca2c6d9ef47d07feed6a1587"),
+        (4, FamilyLabel.SIGMA_MINUS, "f7e804ac34a93dd7622104d0dc45dd8ca96512f3ff0e9a85db72cfd58ed3bf2c"),
+        (6, FamilyLabel.RHO_PLUS, "3df99cc3c58d042e2092ccb86d7af3a0401c69a534ec6a0911880199cf5ce5c1"),
+        (6, FamilyLabel.RHO_MINUS, "7553d79fbea46a588b2f79a25bfe654e7758b19a46ff3227c841ab8e55baeffa"),
+        (6, FamilyLabel.SIGMA_PLUS, "8d5b3382e4d315bd50a253b031dfb234d7d326649b00788522aa8f21077928c4"),
+        (6, FamilyLabel.SIGMA_MINUS, "99c320b656ebefbf05f0621ad3ffd1a8997638532a770b07b7804f418aafbdbf"),
+    ])
+    def test_exact_mixture_pinned(self, size, label, digest):
+        # every bit of the exact mixture, so a change to how the branches are
+        # mixed shows here even where the distance to the target does not move
+        ensemble, _ = prepare_bcabe(size, label, mode="exact")
+        assert hashlib.sha256(ensemble.mixed.entries.tobytes()).hexdigest() == digest
+
+    def test_exact_eight_qubits(self):
+        ensemble, transcript = prepare_bcabe(8, FamilyLabel.RHO_PLUS, mode="exact")
+        assert ensemble.weights.shape == (16384,)  # 64 tapes x 4^4 outcomes
+        assert ensemble.amplitudes.shape == (16384, 256)
+        assert ensemble.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert trace_distance(ensemble.mixed, build_family(8, FamilyLabel.RHO_PLUS)) < 1e-12
+        assert locc_audit(transcript) == []
 
     def test_every_branch_is_a_bell_product(self):
         # condition on the tape: the four branches of one tape are identical
