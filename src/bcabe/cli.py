@@ -196,10 +196,14 @@ def cmd_cuts(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    given = [f"--{name}" for name in ("seed", "samples", "tolerance") if getattr(args, name) is not None]
+    if given and args.mode == "exact":
+        args.usage_error(f"{', '.join(given)}: only with --mode sampled")
+    seed, samples = args.seed or 0, args.samples or 10000  # the defaults, also in exact payloads
     certificate, ensemble, transcript = cost_certificate(
-        args.size, args.family, mode=args.mode, seed=args.seed, samples=args.samples)
+        args.size, args.family, mode=args.mode, seed=seed, samples=samples)
     distance = trace_distance(ensemble.mixed, build_family(args.size, args.family))
-    state_tol = STATE_ATOL if args.mode == "exact" else args.tolerance
+    state_tol = STATE_ATOL if args.mode == "exact" else args.tolerance or 0.05
     checks = [
         _check("lower-bound-equals-achieved",
                abs(certificate.lower_bound - certificate.achieved), LP_ATOL),
@@ -217,7 +221,7 @@ def cmd_certify(args) -> int:
     _write_report(args.out, {
         "command": "certify",
         "parameters": {"size": args.size, "family": args.family.value, "mode": args.mode,
-                       "seed": args.seed, "samples": args.samples},
+                       "seed": seed, "samples": samples},
         "results": {
             "lower_bound": certificate.lower_bound,
             "achieved": certificate.achieved,
@@ -268,13 +272,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert = sub.add_parser("certify", help="certify the N-ebit preparation cost")
     common(p_cert)
     p_cert.add_argument("--mode", choices=("exact", "sampled"), default="exact")
-    p_cert.add_argument("--seed", type=_at_least(0), default=0,
+    p_cert.add_argument("--seed", type=_at_least(0),
                         help="sampled-mode seed (default 0)")
-    p_cert.add_argument("--samples", type=_at_least(1), default=10000,
+    p_cert.add_argument("--samples", type=_at_least(1),
                         help="sampled-mode run count (default 10000)")
-    p_cert.add_argument("--tolerance", type=_positive_float, default=0.05,
+    p_cert.add_argument("--tolerance", type=_positive_float,
                         help="sampled-mode distance threshold (default 0.05)")
-    p_cert.set_defaults(func=cmd_certify)
+    p_cert.set_defaults(func=cmd_certify, usage_error=p_cert.error)
     return parser
 
 

@@ -30,8 +30,9 @@ prepare_bcabe runs the transcript's execution (row 0) once on a recording
 network, which fixes the qubit order, ownership and events every execution
 shares, then advances the executions as rows of one (rows, 2**n) array: per
 tape keeping all four outcomes (exact, at every size in PROTOCOL_SIZES), or
-SAMPLE_BLOCK runs keeping one drawn outcome each (sampled).  teleport uses the
-same kernel, _bell_measure.
+ROW_BLOCK runs keeping one drawn outcome each (sampled); teleport uses the
+same kernel, _bell_measure.  Each row ends as a Bell product (2**N nonzeros
+of 2**(2N)), and _mix sums only the rows' nonzero terms, in row order.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .states import (
 from .tensor import STATE_ATOL, ZERO_PROB_ATOL, DensityMatrix
 
 PROTOCOL_SIZES = (4, 6, 8)
-SAMPLE_BLOCK = 256  # sampled runs advanced together; bounds the block's memory
+ROW_BLOCK = 256  # sampled runs advanced, or rows mixed, together; bounds a block's memory
 
 # per outcome in BELL_ORDER: the ket, the bra as a (2, 2) tensor, the receiver's Pauli fix
 _BELL_KETS = np.array([bell_state(b).amplitudes for b in BELL_ORDER])
@@ -406,6 +407,24 @@ def _run(initial: np.ndarray, labels: np.ndarray, slots, draws: np.ndarray | Non
     return weights, amps
 
 
+def _mix(weights: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """Sum of weights[b] * |amps[b]><amps[b]| over each row's nonzeros, rows added in order.
+
+    Every row of a ROW_BLOCK block takes as many columns as its densest row: zero terms
+    leave a sum unchanged, so this equals the dense row-ordered sum bit for bit.
+    """
+    dim = amps.shape[1]
+    out = np.zeros(dim * dim, dtype=complex)
+    for start in range(0, len(amps), ROW_BLOCK):
+        block = amps[start:start + ROW_BLOCK]
+        width = np.count_nonzero(block, axis=1).max()
+        cols = np.argpartition(block == 0, width - 1, axis=1)[:, :width]  # nonzeros first
+        vals = np.take_along_axis(block, cols, axis=1)
+        terms = (weights[start:start + len(block), None] * vals)[:, :, None] * vals[:, None, :].conj()
+        np.add.at(out, (cols[:, :, None] * dim + cols[:, None, :]).ravel(), terms.ravel())
+    return out.reshape(dim, dim)
+
+
 def prepare_bcabe(two_n: int, label: FamilyLabel, mode: str = "exact",
                   tape_or_seed: int = 0, samples: int = 10000,
                   pairing: tuple[tuple[int, int], ...] | None = None
@@ -416,8 +435,8 @@ def prepare_bcabe(two_n: int, label: FamilyLabel, mode: str = "exact",
     branches and returns the exact ensemble, at every size in PROTOCOL_SIZES
     (16,384 branches at 8); the transcript is the canonical execution
     (all-zero tape, first outcome everywhere).  Sampled mode draws `samples`
-    independent runs from a generator seeded with tape_or_seed; the
-    transcript is the first run's.
+    independent runs seeded with tape_or_seed; the transcript is the first
+    run's.  The mixture sums only each branch's nonzero terms, in row order.
     """
     net = init_network(two_n, pairing)  # checks the size and the pairing
     nbits = two_n - 2
@@ -431,7 +450,7 @@ def prepare_bcabe(two_n: int, label: FamilyLabel, mode: str = "exact",
         bits, draws = np.empty((samples, nbits), dtype=np.int64), np.empty((samples, two_n // 2))
         for s in range(samples):
             bits[s], draws[s] = rng.integers(0, 2, nbits), rng.random(two_n // 2)
-        tapes, block = bits @ (1 << np.arange(nbits)[::-1]), SAMPLE_BLOCK
+        tapes, block = bits @ (1 << np.arange(nbits)[::-1]), ROW_BLOCK
     else:
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
     tuples = bell_correlated_tuples(two_n, label, net.pairing)
@@ -444,14 +463,14 @@ def prepare_bcabe(two_n: int, label: FamilyLabel, mode: str = "exact",
         slots.append(_teleport_into(net, leader, partner, net.qubit_order[-1], choose)[0])
 
     table = np.array([[BELL_ORDER.index(b) for b in labels] for labels in tuples])
-    weights, amps = [], []
+    per = 4 ** len(slots) if draws is None else 1  # rows per tape (exact) or per run
+    weights, amps = np.empty(len(tapes) * per), np.empty((len(tapes) * per, 2 ** two_n), dtype=complex)
     for start in range(0, len(tapes), block):
         w, net.amplitudes = _run(initial, table[tapes[start:start + block]], slots,
                                  None if draws is None else draws[start:start + block])
-        weights.append(w / len(tapes))  # every tape, or every run, is equally likely
-        amps.append(_final_state(net))
-    weights, amps = np.concatenate(weights), np.concatenate(amps)
-    mixed = DensityMatrix(two_n, np.einsum("b,bi,bj->ij", weights, amps, amps.conj()))
+        weights[start * per:(start + block) * per] = w / len(tapes)  # every tape, or run, equally likely
+        amps[start * per:(start + block) * per] = _final_state(net)
+    mixed = DensityMatrix(two_n, _mix(weights, amps))
     weights.flags.writeable = amps.flags.writeable = False
     return EnsembleResult(weights, amps, mixed, singlets_used=two_n // 2), net.build_transcript()
 

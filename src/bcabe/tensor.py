@@ -152,11 +152,6 @@ class DensityMatrix:
         m = np.asarray(entries)
         return cls(_qubit_count_for(m.shape[0]), m)
 
-    @classmethod
-    def maximally_mixed(cls, num_qubits: int) -> "DensityMatrix":
-        d = 2 ** num_qubits
-        return cls(num_qubits, np.eye(d, dtype=complex) / d)
-
 
 @dataclass(frozen=True)
 class Projector:
@@ -329,6 +324,8 @@ def trace_distance(a, b) -> float:
     mb = b.entries if isinstance(b, DensityMatrix) else np.asarray(b, dtype=complex)
     if ma.shape != mb.shape:
         raise ValueError(f"shape mismatch {ma.shape} vs {mb.shape}")
+    if np.array_equal(ma, mb):  # the eigensolve of the zero difference gives exactly 0.0
+        return 0.0
     return float(0.5 * np.abs(np.linalg.eigvalsh(ma - mb)).sum())
 
 

@@ -194,6 +194,15 @@ def protocol_branches(two_n: int, tuples: list[tuple[str, ...]]) -> list[tuple[f
     return out
 
 
+def mix_reference(weights: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """Dense mixture sum_b weights[b] |amps[b]><amps[b]| over every entry of every row.
+
+    numpy's einsum adds the rows one after another, so the sparse mix in
+    bcabe.protocol must match this bit for bit.
+    """
+    return np.einsum("b,bi,bj->ij", weights, amps, amps.conj())
+
+
 def read_state_file(path):
     """Read a state file written by bcabe.cli.write_state_file."""
     with open(path) as fh:

@@ -116,6 +116,9 @@ class TestCertifyCommand:
         assert main(["certify", "--size", "4", "--family", "rho+",
                      "--out", str(out)]) == 0
         report = _load(out)
+        # exact mode reads neither value, but the payload keeps the defaults
+        assert report["parameters"] == {"size": 4, "family": "rho+", "mode": "exact",
+                                        "seed": 0, "samples": 10000}
         results = report["results"]
         assert results["lower_bound"] == 2.0
         assert results["achieved"] == 2
@@ -197,6 +200,18 @@ class TestDeterminismAndExitCodes:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {option}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("mode", [[], ["--mode", "exact"]])
+    @pytest.mark.parametrize("option, value", [
+        ("--seed", "0"), ("--samples", "10000"), ("--tolerance", "0.05"),
+    ])
+    def test_sampled_arguments_refused_in_exact_mode(self, option, value, mode, capsys):
+        # exact mode would ignore them, so even their default values are refused
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--size", "4"] + mode + [option, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{option}: only with --mode sampled" in err and "Traceback" not in err
 
     def test_io_error_exit_three(self, tmp_path):
         missing = tmp_path / "no-such-dir" / "out.json"

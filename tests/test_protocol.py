@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from bcabe.protocol import (
+    ROW_BLOCK,
     ProtocolError,
     _bell_measure,
+    _mix,
     _pick,
     ProtocolTranscript,
     bell_correlated_tuples,
@@ -264,12 +266,49 @@ class TestPreparation:
         (6, FamilyLabel.RHO_MINUS, "7553d79fbea46a588b2f79a25bfe654e7758b19a46ff3227c841ab8e55baeffa"),
         (6, FamilyLabel.SIGMA_PLUS, "8d5b3382e4d315bd50a253b031dfb234d7d326649b00788522aa8f21077928c4"),
         (6, FamilyLabel.SIGMA_MINUS, "99c320b656ebefbf05f0621ad3ffd1a8997638532a770b07b7804f418aafbdbf"),
+        # recorded from the dense einsum mix, before the sparse one replaced it
+        (8, FamilyLabel.RHO_PLUS, "e3a9529f61615ddb9aa1d186398c706177e2abcfa06658a8fbaf1c494f2d435f"),
+        (8, FamilyLabel.RHO_MINUS, "11e45f10efc1c4d5972a1f5a5f47e015facf72eef2631a1f903b29cdb0699ef1"),
+        (8, FamilyLabel.SIGMA_PLUS, "88b32d897ed5efc30ac6edd020dff07f4019d0093d2ddb252009ff126f62344f"),
+        (8, FamilyLabel.SIGMA_MINUS, "01682cc58f3a696fefb2b65a0016d79cdb09a22aee07b82804e2c87422c3c2d2"),
     ])
     def test_exact_mixture_pinned(self, size, label, digest):
         # every bit of the exact mixture, so a change to how the branches are
         # mixed shows here even where the distance to the target does not move
         ensemble, _ = prepare_bcabe(size, label, mode="exact")
         assert hashlib.sha256(ensemble.mixed.entries.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("size", [4, 6])
+    @pytest.mark.parametrize("label", ALL_FAMILIES)
+    def test_mix_matches_dense_reference_exact(self, size, label):
+        ensemble, _ = prepare_bcabe(size, label, mode="exact")
+        mixed = _mix(ensemble.weights, ensemble.amplitudes)
+        assert mixed.tobytes() == oracles.mix_reference(ensemble.weights, ensemble.amplitudes).tobytes()
+        assert mixed.tobytes() == ensemble.mixed.entries.tobytes()
+
+    @pytest.mark.parametrize("size, label, seed", [
+        (4, FamilyLabel.RHO_MINUS, 11),
+        (6, FamilyLabel.SIGMA_PLUS, 12),
+        (8, FamilyLabel.SIGMA_MINUS, 13),
+    ])
+    def test_mix_matches_dense_reference_sampled(self, size, label, seed):
+        # more than one block, the last one partly filled
+        ensemble, _ = prepare_bcabe(size, label, mode="sampled", tape_or_seed=seed,
+                                    samples=ROW_BLOCK + 44)
+        mixed = _mix(ensemble.weights, ensemble.amplitudes)
+        assert mixed.tobytes() == oracles.mix_reference(ensemble.weights, ensemble.amplitudes).tobytes()
+
+    @pytest.mark.parametrize("sparse_row", [0, 1, ROW_BLOCK - 1, ROW_BLOCK])
+    def test_mix_of_rows_with_unequal_nonzero_counts(self, sparse_row):
+        # Bell products by hand, then one extra exact zero in one row of a block
+        names = list(oracles.BELL_VECTORS)
+        rng = np.random.default_rng(sparse_row)
+        amps = np.array([np.kron(oracles.BELL_VECTORS[names[a]], oracles.BELL_VECTORS[names[b]])
+                         for a, b in rng.integers(0, 4, (ROW_BLOCK + 8, 2))])
+        amps[sparse_row, np.flatnonzero(amps[sparse_row])[1]] = 0.0
+        weights = rng.random(len(amps))
+        weights /= weights.sum()
+        assert _mix(weights, amps).tobytes() == oracles.mix_reference(weights, amps).tobytes()
 
     def test_exact_eight_qubits(self):
         ensemble, transcript = prepare_bcabe(8, FamilyLabel.RHO_PLUS, mode="exact")

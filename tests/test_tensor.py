@@ -198,6 +198,20 @@ class TestEigenvaluesAndDistances:
     def test_trace_distance_self_is_zero(self):
         assert trace_distance(phi_plus(), phi_plus()) == 0.0
 
+    def test_trace_distance_eigensolves_only_unequal_inputs(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+        x = random_density(8, np.random.default_rng(3))
+        assert trace_distance(x, x.copy()) == 0.0
+        assert calls == []
+        near = x.copy()
+        near[0, 0] += 1e-15
+        near[1, 1] -= 1e-15
+        distance = trace_distance(x, near)
+        assert len(calls) == 1
+        assert 0.0 < distance == pytest.approx(0.5 * np.abs(np.diag(near - x)).sum())
+
     def test_fidelity_with_pure(self):
         rho = phi_plus()
         assert fidelity_with_pure(rho, PureState.from_amplitudes(BELL_VECTORS["phi+"])) == pytest.approx(1.0, abs=1e-12)
