@@ -65,81 +65,13 @@ from .tensor import (
     Projector,
     PureState,
     QubitSubset,
-    ZeroProbabilityBranch,
     apply_unitary_on_subset,
-    embed_operator,
     fidelity_with_pure,
     hermitian_eigenvalues,
     partial_trace,
     partial_transpose,
-    project_and_renormalize,
     tensor_product,
     trace_distance,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "MAX_QUBITS",
-    "OPERATOR_ATOL",
-    "STATE_ATOL",
-    "ZERO_PROB_ATOL",
-    "BELL_CORRECTIONS",
-    "BELL_ORDER",
-    "ActivationOutcome",
-    "BasisString",
-    "BellLabel",
-    "CostCertificate",
-    "Cut",
-    "CutConstraintSet",
-    "CutReport",
-    "DensityMatrix",
-    "EdgeWeights",
-    "EnsembleResult",
-    "FamilyLabel",
-    "GhzBasisState",
-    "NetworkState",
-    "NotBellCorrelated",
-    "Projector",
-    "ProtocolError",
-    "ProtocolTranscript",
-    "PureState",
-    "QubitSubset",
-    "ZeroProbabilityBranch",
-    "activation_correction_table",
-    "activation_distill",
-    "analyze_cut",
-    "apply_unitary_on_subset",
-    "bell_generate",
-    "bell_product_state",
-    "bell_state",
-    "bell_tuple_decomposition",
-    "build_family",
-    "complement",
-    "cost_certificate",
-    "default_pairing",
-    "ebit_accounting",
-    "embed_operator",
-    "enumerate_cuts",
-    "enumerate_parity_strings",
-    "family_support_projector",
-    "fidelity_with_pure",
-    "ghz_basis",
-    "ghz_state",
-    "hermitian_eigenvalues",
-    "init_network",
-    "locc_audit",
-    "lp_lower_bound",
-    "npt_one_vs_rest_scan",
-    "one_vs_rest_constraints",
-    "partial_trace",
-    "partial_transpose",
-    "pauli_connection_search",
-    "permutation_invariance_check",
-    "prepare_bcabe",
-    "project_and_renormalize",
-    "recursion_blocks",
-    "tensor_product",
-    "trace_distance",
-    "verify_recursion",
-]

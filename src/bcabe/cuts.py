@@ -30,13 +30,9 @@ from .states import (
 from .tensor import (
     OPERATOR_ATOL,
     DensityMatrix,
-    Projector,
     QubitSubset,
     apply_unitary_on_subset,
-    embed_operator,
     fidelity_with_pure,
-    partial_trace,
-    project_and_renormalize,
 )
 
 NPT_ATOL = OPERATOR_ATOL  # eigenvalues below -NPT_ATOL count as genuinely negative
@@ -224,6 +220,11 @@ def activation_distill(two_n: int, label: FamilyLabel,
     leaves the two excluded qubits in a Bell state fixed by the outcome; the
     tabulated single-qubit Pauli on the lower-indexed residual qubit turns it
     into phi+ exactly.
+
+    An outcome's unnormalized residual is Tr_T[(P x I) rho], one tensordot of
+    the support projector P with the family tensor over the gathered qubits T;
+    it equals Tr_T[(P x I) rho (P x I)] because P acts on T only.  Its trace
+    is the outcome probability, and no 2^n x 2^n operator is formed.
     """
     if two_n < 4 or two_n % 2:
         raise ValueError(f"two_n must be even and >= 4, got {two_n}")
@@ -232,17 +233,21 @@ def activation_distill(two_n: int, label: FamilyLabel,
     if len(together) != two_n - 2:
         raise ValueError(f"together must gather {two_n - 2} qubits, got {len(together)}")
 
-    rho = build_family(two_n, label)
+    k = two_n - 2
+    rho = build_family(two_n, label).entries.reshape((2,) * (2 * two_n))
+    gathered = [q - 1 for q in together]
+    # P[t, s] rho[(s, a), (t, b)] summed over s and t; the residual axes a, b keep their order
+    axes = (list(range(k, 2 * k)) + list(range(k)), gathered + [two_n + q for q in gathered])
     table = activation_correction_table(label)
     phi_plus = bell_state(BellLabel.PHI_PLUS)
     out: dict[FamilyLabel, ActivationOutcome] = {}
     for outcome in FamilyLabel:
-        support = family_support_projector(two_n - 2, outcome)
-        projector = Projector(two_n, embed_operator(support.entries, together, two_n))
-        post, prob = project_and_renormalize(rho, projector)
-        residual_state = partial_trace(post, together)
+        support = family_support_projector(k, outcome).entries.reshape((2,) * (2 * k))
+        residual = np.tensordot(support, rho, axes=axes).reshape(4, 4)
+        prob = float(np.trace(residual).real)
         correction = table[outcome]
-        corrected = apply_unitary_on_subset(residual_state, CORRECTION_MATRICES[correction], [1])
+        corrected = apply_unitary_on_subset(DensityMatrix(2, residual / prob),
+                                            CORRECTION_MATRICES[correction], [1])
         out[outcome] = ActivationOutcome(
             probability=prob,
             correction=correction,

@@ -38,6 +38,7 @@ of 2**(2N)), and _mix sums only the rows' nonzero terms, in row order.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field, replace
 
@@ -52,10 +53,8 @@ from .states import (
     FamilyLabel,
     _check_pairing,
     bell_state,
-    bell_tuple_decomposition,
-    build_family,
 )
-from .tensor import STATE_ATOL, ZERO_PROB_ATOL, DensityMatrix
+from .tensor import ZERO_PROB_ATOL, DensityMatrix
 
 PROTOCOL_SIZES = (4, 6, 8)
 ROW_BLOCK = 256  # sampled runs advanced, or rows mixed, together; bounds a block's memory
@@ -374,17 +373,22 @@ class EnsembleResult:
     singlets_used: int
 
 
-def bell_correlated_tuples(two_n: int, label: FamilyLabel,
-                           pairing: tuple[tuple[int, int], ...]) -> list[tuple[BellLabel, ...]]:
-    """The family's Bell-tuple support over the pairing, uniform by construction."""
-    decomposition = bell_tuple_decomposition(build_family(two_n, label), pairing)
-    expected = 2 ** (two_n - 2)
-    if len(decomposition) != expected:
-        raise RuntimeError(f"expected {expected} tuples, found {len(decomposition)}")
-    for labels, weight in decomposition:
-        if abs(weight - 1.0 / expected) > STATE_ATOL:
-            raise RuntimeError(f"tuple {labels} has non-uniform weight {weight}")
-    return [labels for labels, _ in decomposition]
+def bell_correlated_tuples(two_n: int, label: FamilyLabel) -> list[tuple[BellLabel, ...]]:
+    """The family's Bell-tuple support, in BELL_ORDER enumeration order, for any pairing.
+
+    A Bell product's strings have as many 0s, mod 2, as it has psi labels, and
+    each string s meets its complement with the sign (-1)**(minus labels).  So
+    a tuple is in the support exactly when its psi count is odd for the "q"
+    class and its minus count is odd for the minus sign: 2**(two_n-2) tuples.
+    """
+    if two_n < 2 or two_n % 2:
+        raise ValueError(f"two_n must be even and >= 2, got {two_n}")
+    psi = {BellLabel.PSI_PLUS, BellLabel.PSI_MINUS}
+    minus = {BellLabel.PHI_MINUS, BellLabel.PSI_MINUS}
+    odd_psi, odd_minus = label.parity_class == "q", label.sign == -1
+    return [labels for labels in itertools.product(BELL_ORDER, repeat=two_n // 2)
+            if sum(b in psi for b in labels) % 2 == odd_psi
+            and sum(b in minus for b in labels) % 2 == odd_minus]
 
 
 def _run(initial: np.ndarray, labels: np.ndarray, slots, draws: np.ndarray | None
@@ -453,7 +457,7 @@ def prepare_bcabe(two_n: int, label: FamilyLabel, mode: str = "exact",
         tapes, block = bits @ (1 << np.arange(nbits)[::-1]), ROW_BLOCK
     else:
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
-    tuples = bell_correlated_tuples(two_n, label, net.pairing)
+    tuples = bell_correlated_tuples(two_n, label)
     net.tape = format(int(tapes[0]), f"0{nbits}b")
     initial, chosen, slots = net.amplitudes, tuples[int(tapes[0])], []
     for k, (leader, partner) in enumerate(net.pairing):

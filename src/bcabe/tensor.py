@@ -20,21 +20,13 @@ MAX_QUBITS = 12
 
 STATE_ATOL = 1e-12      # state equality, norms, traces
 OPERATOR_ATOL = 1e-10   # PSD floor, idempotence, unitarity, hermiticity
-ZERO_PROB_ATOL = 1e-14  # branches below this probability are not renormalized
+ZERO_PROB_ATOL = 1e-14  # teleport drops branches below this probability
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
-
-
-class ZeroProbabilityBranch(Exception):
-    """A projective measurement branch has probability below ZERO_PROB_ATOL."""
-
-    def __init__(self, probability: float):
-        super().__init__(f"zero-probability branch (p = {probability:.3e})")
-        self.probability = probability
 
 
 def _qubit_count_for(dim: int) -> int:
@@ -100,6 +92,8 @@ class PureState:
         n = _qubit_count_for(a.size)
         if n != self.num_qubits:
             raise ValueError(f"amplitude length {a.size} does not match {self.num_qubits} qubits")
+        if not np.isfinite(a).all():
+            raise ValueError("amplitudes must be finite")
         norm = float(np.linalg.norm(a))
         if abs(norm - 1.0) > STATE_ATOL:
             raise ValueError(f"state norm {norm} deviates from 1 by more than {STATE_ATOL}")
@@ -137,6 +131,8 @@ class DensityMatrix:
         n = _qubit_count_for(m.shape[0])
         if n != self.num_qubits:
             raise ValueError(f"matrix dimension {m.shape[0]} does not match {self.num_qubits} qubits")
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix entries must be finite")
         if np.abs(m - m.conj().T).max() > STATE_ATOL:
             raise ValueError("density matrix is not Hermitian within tolerance")
         tr = complex(np.trace(m))
@@ -167,6 +163,8 @@ class Projector:
         n = _qubit_count_for(m.shape[0])
         if n != self.num_qubits:
             raise ValueError(f"matrix dimension {m.shape[0]} does not match {self.num_qubits} qubits")
+        if not np.isfinite(m).all():
+            raise ValueError("projector entries must be finite")
         if np.abs(m - m.conj().T).max() > OPERATOR_ATOL:
             raise ValueError("projector is not Hermitian within tolerance")
         if np.abs(m @ m - m).max() > OPERATOR_ATOL:
@@ -201,28 +199,6 @@ def permute_qubits_matrix(entries: np.ndarray, perm: Iterable[int]) -> np.ndarra
     axes = [p - 1 for p in perm]
     t = m.reshape((2,) * (2 * n)).transpose(axes + [n + x for x in axes])
     return t.reshape(m.shape)
-
-
-def embed_operator(op: np.ndarray, positions: Iterable[int], num_qubits: int) -> np.ndarray:
-    """Extend an operator on the listed qubit positions by identity elsewhere.
-
-    positions are 1-based and strictly increasing; the k-th tensor slot of op
-    acts on positions[k].
-    """
-    subset = QubitSubset.of(positions)
-    subset.check_range(num_qubits)
-    k = len(subset)
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (2 ** k, 2 ** k):
-        raise ValueError(f"operator shape {op.shape} does not match {k} qubits")
-    rest = [q for q in range(1, num_qubits + 1) if q not in subset.indices]
-    order = list(subset.indices) + rest
-    full = np.kron(op, np.eye(2 ** len(rest), dtype=complex))
-    # slot i of `full` is physical qubit order[i]; transpose back to 1..n
-    src = [order.index(q) for q in range(1, num_qubits + 1)]
-    t = full.reshape((2,) * (2 * num_qubits))
-    t = t.transpose(src + [num_qubits + s for s in src])
-    return t.reshape(2 ** num_qubits, 2 ** num_qubits)
 
 
 def _apply_to_slots_vector(a: np.ndarray, n: int, u: np.ndarray, slots: list[int]) -> np.ndarray:
@@ -348,18 +324,3 @@ def apply_unitary_on_subset(state: State, u: np.ndarray,
         return DensityMatrix(state.num_qubits,
                              _apply_to_slots_matrix(state.entries, state.num_qubits, u, slots))
     raise TypeError(f"unsupported state kind {type(state).__name__}")
-
-
-def project_and_renormalize(rho: DensityMatrix, p: Projector) -> tuple[DensityMatrix, float]:
-    """Condition rho on projector p, returning (normalized state, probability).
-
-    Raises ZeroProbabilityBranch instead of dividing when the branch
-    probability falls below ZERO_PROB_ATOL.
-    """
-    if rho.num_qubits != p.num_qubits:
-        raise ValueError("projector size does not match state")
-    post = p.entries @ rho.entries @ p.entries
-    prob = float(np.trace(post).real)
-    if prob < ZERO_PROB_ATOL:
-        raise ZeroProbabilityBranch(prob)
-    return DensityMatrix(rho.num_qubits, post / prob), prob

@@ -113,6 +113,45 @@ def ptrace_reference(rho: np.ndarray, keep: list[int], n: int) -> np.ndarray:
     return out
 
 
+def embed_reference(op: np.ndarray, positions: list[int], n: int) -> np.ndarray:
+    """op on the 1-based qubits `positions` (slot k on positions[k]), identity elsewhere.
+
+    Entry (i, j) is op's entry for the bits of i and j on `positions`, when i
+    and j agree on every other qubit, and 0 otherwise.
+    """
+    rest = [q for q in range(1, n + 1) if q not in positions]
+    d = 2 ** n
+    out = np.zeros((d, d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            ib = format(i, f"0{n}b")
+            jb = format(j, f"0{n}b")
+            if all(ib[q - 1] == jb[q - 1] for q in rest):
+                si = "".join(ib[q - 1] for q in positions)
+                sj = "".join(jb[q - 1] for q in positions)
+                out[i, j] = op[int(si, 2), int(sj, 2)]
+    return out
+
+
+def activation_reference(rho: np.ndarray, support: np.ndarray, together: list[int], n: int,
+                         correction: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """One activation outcome by dense projection: (probability, corrected pair, fidelity).
+
+    Embeds the support projector P on `together` as P x I, forms P rho P and
+    its trace p, traces the gathered qubits out of P rho P / p, applies
+    `correction` to the lower residual qubit and takes the overlap with phi+.
+    """
+    big = embed_reference(support, together, n)
+    post = big @ rho @ big
+    prob = float(np.trace(post).real)
+    keep = [q for q in range(1, n + 1) if q not in together]
+    pair = ptrace_reference(post / prob, keep, n)
+    fix = np.kron(correction, np.eye(2))
+    corrected = fix @ pair @ fix.conj().T
+    phi = BELL_VECTORS["phi+"]
+    return prob, corrected, float(np.real(phi.conj() @ corrected @ phi))
+
+
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish unitary from the QR decomposition of a complex Gaussian."""
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

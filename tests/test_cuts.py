@@ -22,9 +22,11 @@ from bcabe.cuts import (
     one_vs_rest_constraints,
 )
 from bcabe.certify import cost_certificate
-from bcabe.states import BellLabel, FamilyLabel, bell_state, build_family, recursion_blocks
+from bcabe.states import (CORRECTION_MATRICES, BellLabel, FamilyLabel, bell_state, build_family,
+                          family_support_projector, recursion_blocks)
 from bcabe.tensor import (
     DensityMatrix,
+    Projector,
     apply_unitary_on_subset,
     fidelity_with_pure,
     partial_transpose,
@@ -218,6 +220,22 @@ class TestActivation:
             assert outcome.probability == pytest.approx(0.25, abs=1e-12)
             assert outcome.fidelity == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("label", ALL_FAMILIES)
+    @pytest.mark.parametrize("two_n, residual", [
+        *((4, pair) for pair in itertools.combinations(range(1, 5), 2)),
+        (6, (1, 2)), (6, (2, 3)), (6, (1, 6)),
+    ])
+    def test_matches_dense_reference(self, label, two_n, residual):
+        together = [q for q in range(1, two_n + 1) if q not in residual]
+        rho = build_family(two_n, label).entries
+        for outcome, got in activation_distill(two_n, label, together).items():
+            support = family_support_projector(two_n - 2, outcome).entries
+            prob, corrected, fidelity = oracles.activation_reference(
+                rho, support, together, two_n, CORRECTION_MATRICES[got.correction])
+            assert abs(got.probability - prob) <= 1e-14
+            assert np.abs(got.corrected_state.entries - corrected).max() <= 1e-14
+            assert abs(got.fidelity - fidelity) <= 1e-14
+
     def test_corrections_derived_independently(self):
         # search over single-qubit Paulis for the unique fix of each raw residual
         z = np.diag([1.0, -1.0]).astype(complex)
@@ -232,6 +250,13 @@ class TestActivation:
                      if abs(fidelity_with_pure(apply_unitary_on_subset(raw, matrix, [1]),
                                                phi_plus) - 1.0) < 1e-10]
             assert found == [outcome.correction]
+
+    def test_zero_probability_outcome_raises_value_error(self, monkeypatch):
+        # a zero support gives the residual 0 / 0; the finiteness check rejects it
+        monkeypatch.setattr("bcabe.cuts.family_support_projector",
+                            lambda k, outcome: Projector(k, np.zeros((2 ** k, 2 ** k))))
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            activation_distill(4, FamilyLabel.RHO_PLUS, [3, 4])
 
     def test_bad_gather_sets(self):
         with pytest.raises(ValueError):

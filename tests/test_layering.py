@@ -1,4 +1,4 @@
-"""The package's module graph runs one way: each module imports only lower layers."""
+"""The package's module graph runs one way, and no module imports a name it never uses."""
 
 from __future__ import annotations
 
@@ -62,3 +62,32 @@ def test_parser_sees_nested_and_bare_relative_imports():
               "    from .protocol import prepare_bcabe\n"
               "import bcabe.cli\n")
     assert sorted(_package_imports(source)) == [(1, "simplex"), (3, "protocol"), (4, "cli")]
+
+
+def _unused_imports(source: str) -> list[str]:
+    """'line N: name' for every name the source imports and never references."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name.split(".")[0], node.lineno)
+                            for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in sorted(imported.items()) if name not in used]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    assert _unused_imports((SRC / f"{module}.py").read_text()) == []
+
+
+def test_unused_import_finder():
+    source = ("from __future__ import annotations\n"
+              "import numpy as np\n"
+              "import os.path\n"
+              "from .tensor import DensityMatrix, embed_operator\n"
+              "def f(m: DensityMatrix):\n"
+              "    return np.trace(m.entries)\n")
+    assert _unused_imports(source) == ["line 4: embed_operator", "line 3: os"]

@@ -24,7 +24,7 @@ from bcabe.protocol import (
     prepare_bcabe,
     teleport,
 )
-from bcabe.states import BellLabel, FamilyLabel, build_family
+from bcabe.states import BellLabel, FamilyLabel, bell_tuple_decomposition, build_family
 from bcabe.tensor import PureState, partial_trace, trace_distance
 
 import oracles
@@ -187,14 +187,24 @@ class TestTeleport:
 
 class TestTupleSupport:
     def test_smolin_tuples(self):
-        tuples = bell_correlated_tuples(4, FamilyLabel.RHO_PLUS, default_pairing(4))
+        tuples = bell_correlated_tuples(4, FamilyLabel.RHO_PLUS)
         assert len(tuples) == 4
         assert set(tuples) == {(b, b) for b in BellLabel}
 
     def test_six_qubit_count(self):
-        tuples = bell_correlated_tuples(6, FamilyLabel.SIGMA_PLUS, default_pairing(6))
+        tuples = bell_correlated_tuples(6, FamilyLabel.SIGMA_PLUS)
         assert len(tuples) == 16
         assert len(set(tuples)) == 16
+
+    @pytest.mark.parametrize("label", ALL_FAMILIES)
+    @pytest.mark.parametrize("two_n", [4, 6, 8])
+    def test_parity_rule_matches_decomposition(self, two_n, label):
+        # the dense decomposition finds the same support, in the same order, for any pairing
+        rho = build_family(two_n, label)
+        want = bell_correlated_tuples(two_n, label)
+        half = two_n // 2
+        for pairing in (default_pairing(two_n), tuple((k, k + half) for k in range(1, half + 1))):
+            assert [labels for labels, _ in bell_tuple_decomposition(rho, pairing)] == want
 
 
 class TestPreparation:
@@ -222,7 +232,7 @@ class TestPreparation:
     @pytest.mark.parametrize("label", ALL_FAMILIES)
     def test_exact_four_matches_per_branch_oracle(self, label):
         ensemble, _ = prepare_bcabe(4, label, mode="exact")
-        tuples = bell_correlated_tuples(4, label, default_pairing(4))
+        tuples = bell_correlated_tuples(4, label)
         want = oracles.protocol_branches(4, [tuple(b.value for b in t) for t in tuples])
         assert len(ensemble.weights) == len(ensemble.amplitudes) == len(want)
         for prob, amps, (want_prob, want_amps) in zip(ensemble.weights, ensemble.amplitudes, want):
@@ -346,13 +356,14 @@ class TestPreparation:
         assert locc_audit(transcript) == []
 
     def test_nontrivial_pairing(self):
-        pairing = ((1, 3), (2, 4))
-        ensemble, transcript = prepare_bcabe(4, FamilyLabel.RHO_PLUS, mode="exact",
-                                             pairing=pairing)
-        assert trace_distance(ensemble.mixed, build_family(4, FamilyLabel.RHO_PLUS)) < 1e-12
-        total, weights = ebit_accounting(transcript)
-        assert total == 2
-        assert set(weights.weights) == {(1, 3), (2, 4)}
+        for two_n, pairing in ((4, ((1, 3), (2, 4))), (6, ((1, 4), (2, 6), (3, 5)))):
+            ensemble, transcript = prepare_bcabe(two_n, FamilyLabel.RHO_PLUS, mode="exact",
+                                                 pairing=pairing)
+            target = build_family(two_n, FamilyLabel.RHO_PLUS)
+            assert trace_distance(ensemble.mixed, target) < 1e-12
+            total, weights = ebit_accounting(transcript)
+            assert total == two_n // 2
+            assert set(weights.weights) == set(pairing)
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
