@@ -28,11 +28,13 @@ the header and flags any nonlocal quantum operation or singlet double-spend.
 
 prepare_bcabe runs the transcript's execution (row 0) once on a recording
 network, which fixes the qubit order, ownership and events every execution
-shares, then advances the executions as rows of one (rows, 2**n) array: per
-tape keeping all four outcomes (exact, at every size in PROTOCOL_SIZES), or
-ROW_BLOCK runs keeping one drawn outcome each (sampled); teleport uses the
-same kernel, _bell_measure.  Each row ends as a Bell product (2**N nonzeros
-of 2**(2N)), and _mix sums only the rows' nonzero terms, in row order.
+shares, then advances the executions in blocks of rows of one (rows, 2**n)
+array: per tape keeping all four outcomes (exact, at every size in
+PROTOCOL_SIZES), or ROW_BLOCK runs keeping one drawn outcome each (sampled);
+teleport uses the same kernel, _bell_measure.  Each row ends as a Bell
+product (2**N nonzeros of 2**(2N)), and _mix adds each block's nonzero terms
+into the mixture as soon as the block is made, rows in order; no table of
+all branches is kept.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .states import (
 from .tensor import ZERO_PROB_ATOL, DensityMatrix
 
 PROTOCOL_SIZES = (4, 6, 8)
-ROW_BLOCK = 256  # sampled runs advanced, or rows mixed, together; bounds a block's memory
+ROW_BLOCK = 256  # sampled runs advanced and mixed together; bounds a sampled block's memory
 
 # per outcome in BELL_ORDER: the ket, the bra as a (2, 2) tensor, the receiver's Pauli fix
 _BELL_KETS = np.array([bell_state(b).amplitudes for b in BELL_ORDER])
@@ -361,14 +363,8 @@ def _final_state(net: NetworkState) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Outcome of a full preparation: branch weights and states, their mixture, singlet count.
+    """Outcome of a full preparation: the branches' mixture and the singlets consumed."""
 
-    Read-only weights (branches,) and amplitudes (branches, 2**n), party k+1's
-    qubit in slot k; by tape or run, then (exact) by outcome, first pair first.
-    """
-
-    weights: np.ndarray
-    amplitudes: np.ndarray
     mixed: DensityMatrix
     singlets_used: int
 
@@ -411,22 +407,19 @@ def _run(initial: np.ndarray, labels: np.ndarray, slots, draws: np.ndarray | Non
     return weights, amps
 
 
-def _mix(weights: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """Sum of weights[b] * |amps[b]><amps[b]| over each row's nonzeros, rows added in order.
+def _mix(out: np.ndarray, weights: np.ndarray, amps: np.ndarray) -> None:
+    """Add weights[b] * |amps[b]><amps[b]| over each row's nonzeros into flat out, rows in order.
 
-    Every row of a ROW_BLOCK block takes as many columns as its densest row: zero terms
-    leave a sum unchanged, so this equals the dense row-ordered sum bit for bit.
+    Every row of the block takes as many columns as its densest row: zero terms
+    leave a sum unchanged, so blocks mixed one after another into an out that
+    starts at +0.0 equal the dense row-ordered sum bit for bit.
     """
     dim = amps.shape[1]
-    out = np.zeros(dim * dim, dtype=complex)
-    for start in range(0, len(amps), ROW_BLOCK):
-        block = amps[start:start + ROW_BLOCK]
-        width = np.count_nonzero(block, axis=1).max()
-        cols = np.argpartition(block == 0, width - 1, axis=1)[:, :width]  # nonzeros first
-        vals = np.take_along_axis(block, cols, axis=1)
-        terms = (weights[start:start + len(block), None] * vals)[:, :, None] * vals[:, None, :].conj()
-        np.add.at(out, (cols[:, :, None] * dim + cols[:, None, :]).ravel(), terms.ravel())
-    return out.reshape(dim, dim)
+    width = np.count_nonzero(amps, axis=1).max()
+    cols = np.argpartition(amps == 0, width - 1, axis=1)[:, :width]  # nonzeros first
+    vals = np.take_along_axis(amps, cols, axis=1)
+    terms = (weights[:, None] * vals)[:, :, None] * vals[:, None, :].conj()
+    np.add.at(out, (cols[:, :, None] * dim + cols[:, None, :]).ravel(), terms.ravel())
 
 
 def prepare_bcabe(two_n: int, label: FamilyLabel, mode: str = "exact",
@@ -440,7 +433,9 @@ def prepare_bcabe(two_n: int, label: FamilyLabel, mode: str = "exact",
     (16,384 branches at 8); the transcript is the canonical execution
     (all-zero tape, first outcome everywhere).  Sampled mode draws `samples`
     independent runs seeded with tape_or_seed; the transcript is the first
-    run's.  The mixture sums only each branch's nonzero terms, in row order.
+    run's.  Each block of branches (one tape, or ROW_BLOCK runs) is mixed as
+    soon as it is made, only its nonzero terms, in row order; singlets_used
+    counts the singlets the recording network consumed.
     """
     net = init_network(two_n, pairing)  # checks the size and the pairing
     nbits = two_n - 2
@@ -467,16 +462,14 @@ def prepare_bcabe(two_n: int, label: FamilyLabel, mode: str = "exact",
         slots.append(_teleport_into(net, leader, partner, net.qubit_order[-1], choose)[0])
 
     table = np.array([[BELL_ORDER.index(b) for b in labels] for labels in tuples])
-    per = 4 ** len(slots) if draws is None else 1  # rows per tape (exact) or per run
-    weights, amps = np.empty(len(tapes) * per), np.empty((len(tapes) * per, 2 ** two_n), dtype=complex)
+    out = np.zeros(4 ** two_n, dtype=complex)
     for start in range(0, len(tapes), block):
         w, net.amplitudes = _run(initial, table[tapes[start:start + block]], slots,
                                  None if draws is None else draws[start:start + block])
-        weights[start * per:(start + block) * per] = w / len(tapes)  # every tape, or run, equally likely
-        amps[start * per:(start + block) * per] = _final_state(net)
-    mixed = DensityMatrix(two_n, _mix(weights, amps))
-    weights.flags.writeable = amps.flags.writeable = False
-    return EnsembleResult(weights, amps, mixed, singlets_used=two_n // 2), net.build_transcript()
+        _mix(out, w / len(tapes), _final_state(net))  # every tape, or run, equally likely
+    mixed = DensityMatrix(two_n, out.reshape(2 ** two_n, -1))
+    singlets_used = sum(s.consumed for s in net.singlets)
+    return EnsembleResult(mixed, singlets_used), net.build_transcript()
 
 
 # --- transcript consumers ------------------------------------------------------

@@ -99,20 +99,6 @@ class PureState:
             raise ValueError(f"state norm {norm} deviates from 1 by more than {STATE_ATOL}")
         object.__setattr__(self, "amplitudes", _frozen(a))
 
-    @classmethod
-    def from_amplitudes(cls, amplitudes: Iterable[complex]) -> "PureState":
-        a = np.asarray(list(amplitudes) if not isinstance(amplitudes, np.ndarray) else amplitudes)
-        return cls(_qubit_count_for(a.size), a)
-
-    @classmethod
-    def basis(cls, bits: str) -> "PureState":
-        """Computational-basis state |bits>, bits read qubit 1 first."""
-        if not bits or set(bits) - {"0", "1"}:
-            raise ValueError(f"bits must be a nonempty 0/1 string, got {bits!r}")
-        a = np.zeros(2 ** len(bits), dtype=complex)
-        a[int(bits, 2)] = 1.0
-        return cls(len(bits), a)
-
     def to_density(self) -> "DensityMatrix":
         return DensityMatrix(self.num_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
 
@@ -143,11 +129,6 @@ class DensityMatrix:
             raise ValueError(f"matrix has eigenvalue {lo} below the -{OPERATOR_ATOL} PSD floor")
         object.__setattr__(self, "entries", _frozen(m))
 
-    @classmethod
-    def from_entries(cls, entries: np.ndarray) -> "DensityMatrix":
-        m = np.asarray(entries)
-        return cls(_qubit_count_for(m.shape[0]), m)
-
 
 @dataclass(frozen=True)
 class Projector:
@@ -170,10 +151,6 @@ class Projector:
         if np.abs(m @ m - m).max() > OPERATOR_ATOL:
             raise ValueError("projector is not idempotent within tolerance")
         object.__setattr__(self, "entries", _frozen(m))
-
-    @property
-    def rank(self) -> int:
-        return int(round(float(np.trace(self.entries).real)))
 
 
 # --- low-level reshape helpers -------------------------------------------------

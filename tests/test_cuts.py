@@ -182,7 +182,7 @@ class TestCutSpectra:
             analyze_cut(build_family(4, FamilyLabel.RHO_PLUS), Cut(6, (1,)))
 
     def test_non_x_state_rejected(self):
-        rho = DensityMatrix.from_entries(oracles.random_density(16, np.random.default_rng(0)))
+        rho = DensityMatrix(4, oracles.random_density(16, np.random.default_rng(0)))
         with pytest.raises(ValueError, match="not an X-state"):
             analyze_cut(rho, Cut(4, (1,)))
 

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from bcabe import protocol
 from bcabe.protocol import (
     ROW_BLOCK,
     ProtocolError,
@@ -49,6 +51,25 @@ def _teleport_roundtrip(payload: np.ndarray) -> list[tuple[float, np.ndarray]]:
         reduced = partial_trace(state.to_density(), discard)
         out.append((prob, reduced.entries))
     return out
+
+
+def _prepare_capturing(*args, **kwargs):
+    """prepare_bcabe, plus every branch it mixed: (ensemble, transcript, weights, amps).
+
+    Wraps protocol._mix and keeps a copy of each block it is handed, so the
+    branches are read through the one production path; rows in mixing order.
+    """
+    blocks, mix = [], protocol._mix
+
+    def capture(out, weights, amps):
+        blocks.append((weights.copy(), amps.copy()))
+        mix(out, weights, amps)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocol, "_mix", capture)
+        ensemble, transcript = prepare_bcabe(*args, **kwargs)
+    weights, amps = (np.concatenate(parts) for parts in zip(*blocks))
+    return ensemble, transcript, weights, amps
 
 
 class TestTape:
@@ -210,34 +231,35 @@ class TestTupleSupport:
 class TestPreparation:
     @pytest.mark.parametrize("label", ALL_FAMILIES)
     def test_exact_four_qubits(self, label):
-        ensemble, transcript = prepare_bcabe(4, label, mode="exact")
-        assert ensemble.weights.shape == (64,)  # 4 tapes x 4^2 outcomes
-        assert ensemble.amplitudes.shape == (64, 16)
+        ensemble, transcript, weights, amps = _prepare_capturing(4, label, mode="exact")
+        assert weights.shape == (64,)  # 4 tapes x 4^2 outcomes
+        assert amps.shape == (64, 16)
         assert ensemble.singlets_used == 2
-        assert ensemble.weights.sum() == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(np.linalg.norm(ensemble.amplitudes, axis=1), 1, atol=1e-12)
-        assert not ensemble.weights.flags.writeable and not ensemble.amplitudes.flags.writeable
+        assert ensemble.singlets_used == ebit_accounting(transcript)[0]
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(amps, axis=1), 1, atol=1e-12)
         assert trace_distance(ensemble.mixed, build_family(4, label)) < 1e-12
         assert locc_audit(transcript) == []
 
     @pytest.mark.parametrize("label", [FamilyLabel.RHO_PLUS, FamilyLabel.SIGMA_MINUS])
     def test_exact_six_qubits(self, label):
-        ensemble, transcript = prepare_bcabe(6, label, mode="exact")
-        assert ensemble.weights.shape == (1024,)  # 16 tapes x 4^3 outcomes
-        assert ensemble.amplitudes.shape == (1024, 64)
+        ensemble, transcript, weights, amps = _prepare_capturing(6, label, mode="exact")
+        assert weights.shape == (1024,)  # 16 tapes x 4^3 outcomes
+        assert amps.shape == (1024, 64)
         assert ensemble.singlets_used == 3
+        assert ensemble.singlets_used == ebit_accounting(transcript)[0]
         assert trace_distance(ensemble.mixed, build_family(6, label)) < 1e-12
         assert locc_audit(transcript) == []
 
     @pytest.mark.parametrize("label", ALL_FAMILIES)
     def test_exact_four_matches_per_branch_oracle(self, label):
-        ensemble, _ = prepare_bcabe(4, label, mode="exact")
+        _, _, weights, amps = _prepare_capturing(4, label, mode="exact")
         tuples = bell_correlated_tuples(4, label)
         want = oracles.protocol_branches(4, [tuple(b.value for b in t) for t in tuples])
-        assert len(ensemble.weights) == len(ensemble.amplitudes) == len(want)
-        for prob, amps, (want_prob, want_amps) in zip(ensemble.weights, ensemble.amplitudes, want):
+        assert len(weights) == len(amps) == len(want)
+        for prob, row, (want_prob, want_amps) in zip(weights, amps, want):
             assert prob == want_prob
-            assert amps.tobytes() == want_amps.tobytes()
+            assert row.tobytes() == want_amps.tobytes()
 
     @pytest.mark.parametrize("size, label, transcript_id", [
         (4, FamilyLabel.RHO_PLUS, "2254ac81a5edb148"),
@@ -291,10 +313,8 @@ class TestPreparation:
     @pytest.mark.parametrize("size", [4, 6])
     @pytest.mark.parametrize("label", ALL_FAMILIES)
     def test_mix_matches_dense_reference_exact(self, size, label):
-        ensemble, _ = prepare_bcabe(size, label, mode="exact")
-        mixed = _mix(ensemble.weights, ensemble.amplitudes)
-        assert mixed.tobytes() == oracles.mix_reference(ensemble.weights, ensemble.amplitudes).tobytes()
-        assert mixed.tobytes() == ensemble.mixed.entries.tobytes()
+        ensemble, _, weights, amps = _prepare_capturing(size, label, mode="exact")
+        assert oracles.mix_reference(weights, amps).tobytes() == ensemble.mixed.entries.tobytes()
 
     @pytest.mark.parametrize("size, label, seed", [
         (4, FamilyLabel.RHO_MINUS, 11),
@@ -303,14 +323,15 @@ class TestPreparation:
     ])
     def test_mix_matches_dense_reference_sampled(self, size, label, seed):
         # more than one block, the last one partly filled
-        ensemble, _ = prepare_bcabe(size, label, mode="sampled", tape_or_seed=seed,
-                                    samples=ROW_BLOCK + 44)
-        mixed = _mix(ensemble.weights, ensemble.amplitudes)
-        assert mixed.tobytes() == oracles.mix_reference(ensemble.weights, ensemble.amplitudes).tobytes()
+        ensemble, _, weights, amps = _prepare_capturing(size, label, mode="sampled",
+                                                        tape_or_seed=seed, samples=ROW_BLOCK + 44)
+        assert len(amps) == ROW_BLOCK + 44
+        assert oracles.mix_reference(weights, amps).tobytes() == ensemble.mixed.entries.tobytes()
 
     @pytest.mark.parametrize("sparse_row", [0, 1, ROW_BLOCK - 1, ROW_BLOCK])
     def test_mix_of_rows_with_unequal_nonzero_counts(self, sparse_row):
-        # Bell products by hand, then one extra exact zero in one row of a block
+        # Bell products by hand, then one extra exact zero in one row; mixed as
+        # production does, one block of ROW_BLOCK rows and then the rest
         names = list(oracles.BELL_VECTORS)
         rng = np.random.default_rng(sparse_row)
         amps = np.array([np.kron(oracles.BELL_VECTORS[names[a]], oracles.BELL_VECTORS[names[b]])
@@ -318,24 +339,38 @@ class TestPreparation:
         amps[sparse_row, np.flatnonzero(amps[sparse_row])[1]] = 0.0
         weights = rng.random(len(amps))
         weights /= weights.sum()
-        assert _mix(weights, amps).tobytes() == oracles.mix_reference(weights, amps).tobytes()
+        out = np.zeros(amps.shape[1] ** 2, dtype=complex)
+        _mix(out, weights[:ROW_BLOCK], amps[:ROW_BLOCK])
+        _mix(out, weights[ROW_BLOCK:], amps[ROW_BLOCK:])
+        assert out.tobytes() == oracles.mix_reference(weights, amps).tobytes()
 
     def test_exact_eight_qubits(self):
-        ensemble, transcript = prepare_bcabe(8, FamilyLabel.RHO_PLUS, mode="exact")
-        assert ensemble.weights.shape == (16384,)  # 64 tapes x 4^4 outcomes
-        assert ensemble.amplitudes.shape == (16384, 256)
-        assert ensemble.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        # mixed block by block, the preparation never holds a table of all the branches
+        two_n = 8
+        table_bytes = 2 ** (two_n - 2) * 4 ** (two_n // 2) * 2 ** two_n * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            prepare_bcabe(two_n, FamilyLabel.RHO_PLUS, mode="exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table_bytes / 4
+        ensemble, transcript, weights, amps = _prepare_capturing(two_n, FamilyLabel.RHO_PLUS,
+                                                                 mode="exact")
+        assert weights.shape == (16384,)  # 64 tapes x 4^4 outcomes
+        assert amps.shape == (16384, 256)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert trace_distance(ensemble.mixed, build_family(8, FamilyLabel.RHO_PLUS)) < 1e-12
         assert locc_audit(transcript) == []
 
     def test_every_branch_is_a_bell_product(self):
         # condition on the tape: the four branches of one tape are identical
-        ensemble, _ = prepare_bcabe(4, FamilyLabel.RHO_PLUS, mode="exact")
-        by_tape = [ensemble.amplitudes[i:i + 16] for i in range(0, 64, 16)]
+        _, _, _, amps = _prepare_capturing(4, FamilyLabel.RHO_PLUS, mode="exact")
+        by_tape = [amps[i:i + 16] for i in range(0, 64, 16)]
         for group in by_tape:
             first = group[0]
-            for amps in group:
-                overlap = abs(np.vdot(first, amps))
+            for row in group:
+                overlap = abs(np.vdot(first, row))
                 assert overlap == pytest.approx(1.0, abs=1e-12)
 
     def test_sampled_converges(self):

@@ -172,7 +172,7 @@ class TestBuildFamily:
 
     def test_support_projector(self):
         p = family_support_projector(4, FamilyLabel.SIGMA_MINUS)
-        assert p.rank == 4
+        assert np.trace(p.entries).real == pytest.approx(4, abs=1e-12)
         rho = build_family(4, FamilyLabel.SIGMA_MINUS)
         np.testing.assert_allclose(p.entries @ rho.entries, rho.entries, atol=1e-12)
 
@@ -268,7 +268,7 @@ class TestBellTupleDecomposition:
         assert sum(w for _, w in got) == pytest.approx(1.0, abs=1e-12)
 
     def test_non_bell_correlated_state_raises(self):
-        rho = PureState.basis("0000").to_density()
+        rho = PureState(4, oracles.ket("0000")).to_density()
         with pytest.raises(NotBellCorrelated):
             bell_tuple_decomposition(rho, ((1, 2), (3, 4)))
 

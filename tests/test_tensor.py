@@ -26,6 +26,7 @@ from bcabe.tensor import (
 from oracles import (
     BELL_VECTORS,
     embed_reference,
+    ket,
     pt_reference,
     ptrace_reference,
     random_density,
@@ -44,17 +45,13 @@ PHI_PLUS_PT_SPECTRUM = np.array([-0.5, 0.5, 0.5, 0.5])
 
 
 def phi_plus() -> DensityMatrix:
-    return PureState.from_amplitudes(BELL_VECTORS["phi+"]).to_density()
+    return PureState(2, BELL_VECTORS["phi+"]).to_density()
 
 
 class TestContainers:
     def test_pure_state_norm_enforced(self):
         with pytest.raises(ValueError, match="norm"):
             PureState(1, np.array([1.0, 1.0]))
-
-    def test_basis_state_reads_qubit_one_first(self):
-        s = PureState.basis("01")
-        assert s.amplitudes[1] == 1.0
 
     def test_density_requires_unit_trace(self):
         with pytest.raises(ValueError, match="trace"):
@@ -86,10 +83,10 @@ class TestContainers:
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="cap"):
-            PureState.from_amplitudes(np.zeros(2 ** (MAX_QUBITS + 1)))
+            PureState(MAX_QUBITS + 1, np.zeros(2 ** (MAX_QUBITS + 1)))
 
     def test_arrays_are_frozen(self):
-        s = PureState.basis("0")
+        s = PureState(1, ket("0"))
         with pytest.raises(ValueError):
             s.amplitudes[0] = 0.0
 
@@ -102,23 +99,23 @@ class TestContainers:
 class TestTensorProduct:
     def test_pure_kron_order(self):
         # operand a occupies the lower-numbered (most significant) qubits
-        s = tensor_product(PureState.basis("0"), PureState.basis("1"))
+        s = tensor_product(PureState(1, ket("0")), PureState(1, ket("1")))
         assert s.amplitudes[int("01", 2)] == 1.0
 
     def test_density_kron_matches_numpy(self):
-        a = DensityMatrix.from_entries(np.diag([0.25, 0.75]).astype(complex))
+        a = DensityMatrix(1, np.diag([0.25, 0.75]).astype(complex))
         b = phi_plus()
         out = tensor_product(a, b)
         np.testing.assert_allclose(out.entries, np.kron(a.entries, b.entries))
 
     def test_mixed_kinds_rejected(self):
         with pytest.raises(TypeError):
-            tensor_product(PureState.basis("0"), phi_plus())
+            tensor_product(PureState(1, ket("0")), phi_plus())
 
     def test_partial_trace_inverts_tensor_product(self):
         rng = np.random.default_rng(7)
-        a = DensityMatrix.from_entries(random_density(4, rng))
-        b = DensityMatrix.from_entries(random_density(2, rng))
+        a = DensityMatrix(2, random_density(4, rng))
+        b = DensityMatrix(1, random_density(2, rng))
         joint = tensor_product(a, b)
         back_a = partial_trace(joint, [3])
         back_b = partial_trace(joint, [1, 2])
@@ -129,7 +126,7 @@ class TestTensorProduct:
 class TestPartialTrace:
     def test_matches_reference_on_random_state(self):
         rng = np.random.default_rng(3)
-        rho = DensityMatrix.from_entries(random_density(8, rng))
+        rho = DensityMatrix(3, random_density(8, rng))
         got = partial_trace(rho, [2]).entries
         want = ptrace_reference(rho.entries, [1, 3], 3)
         np.testing.assert_allclose(got, want, atol=1e-14)
@@ -155,7 +152,7 @@ class TestPartialTranspose:
 
     def test_matches_reference_on_random_state(self):
         rng = np.random.default_rng(11)
-        rho = DensityMatrix.from_entries(random_density(8, rng))
+        rho = DensityMatrix(3, random_density(8, rng))
         for subset in ([1], [2], [3], [1, 3], [2, 3]):
             got = partial_transpose(rho, subset)
             want = pt_reference(rho.entries, subset, 3)
@@ -165,7 +162,7 @@ class TestPartialTranspose:
         # applying the same partial transpose twice must return the input
         # entry-for-entry, no tolerance
         rng = np.random.default_rng(13)
-        rho = DensityMatrix.from_entries(random_density(8, rng))
+        rho = DensityMatrix(3, random_density(8, rng))
         for subset in ([2], [1, 3]):
             pt = partial_transpose(rho, subset)
             twice = pt_reference(pt, subset, 3)
@@ -173,7 +170,7 @@ class TestPartialTranspose:
 
     def test_trace_preserved_exactly(self):
         rng = np.random.default_rng(17)
-        rho = DensityMatrix.from_entries(random_density(4, rng))
+        rho = DensityMatrix(2, random_density(4, rng))
         pt = partial_transpose(rho, [1])
         assert np.trace(pt) == np.trace(rho.entries)
 
@@ -197,8 +194,8 @@ class TestEigenvaluesAndDistances:
             assert np.linalg.norm(m @ v - lam * v) <= 1e-9 * norm
 
     def test_trace_distance_orthogonal_pure_states(self):
-        a = PureState.basis("00").to_density()
-        b = PureState.basis("11").to_density()
+        a = PureState(2, ket("00")).to_density()
+        b = PureState(2, ket("11")).to_density()
         assert trace_distance(a, b) == pytest.approx(1.0, abs=1e-12)
 
     def test_trace_distance_self_is_zero(self):
@@ -220,22 +217,22 @@ class TestEigenvaluesAndDistances:
 
     def test_fidelity_with_pure(self):
         rho = phi_plus()
-        assert fidelity_with_pure(rho, PureState.from_amplitudes(BELL_VECTORS["phi+"])) == pytest.approx(1.0, abs=1e-12)
-        assert fidelity_with_pure(rho, PureState.basis("01")) == pytest.approx(0.0, abs=1e-12)
+        assert fidelity_with_pure(rho, PureState(2, BELL_VECTORS["phi+"])) == pytest.approx(1.0, abs=1e-12)
+        assert fidelity_with_pure(rho, PureState(2, ket("01"))) == pytest.approx(0.0, abs=1e-12)
         # consistency: fidelity = 1 - trace distance when rho is the projector
-        psi = PureState.from_amplitudes(BELL_VECTORS["psi-"])
+        psi = PureState(2, BELL_VECTORS["psi-"])
         rho2 = psi.to_density()
         assert fidelity_with_pure(rho2, psi) == pytest.approx(1.0 - trace_distance(rho2, rho2), abs=1e-12)
 
 
 class TestApplyUnitary:
     def test_single_qubit_flip(self):
-        s = apply_unitary_on_subset(PureState.basis("00"), PAULI_X, [2])
+        s = apply_unitary_on_subset(PureState(2, ket("00")), PAULI_X, [2])
         assert s.amplitudes[int("01", 2)] == pytest.approx(1.0)
 
     def test_matches_embedded_matrix_on_density(self):
         rng = np.random.default_rng(29)
-        rho = DensityMatrix.from_entries(random_density(8, rng))
+        rho = DensityMatrix(3, random_density(8, rng))
         u = random_unitary(4, rng)
         got = apply_unitary_on_subset(rho, u, [1, 3])
         big = embed_reference(u, [1, 3], 3)
@@ -244,7 +241,7 @@ class TestApplyUnitary:
 
     def test_spectrum_preserved(self):
         rng = np.random.default_rng(31)
-        rho = DensityMatrix.from_entries(random_density(8, rng))
+        rho = DensityMatrix(3, random_density(8, rng))
         u = random_unitary(2, rng)
         before = hermitian_eigenvalues(rho.entries)
         after = hermitian_eigenvalues(apply_unitary_on_subset(rho, u, [2]).entries)
@@ -252,12 +249,12 @@ class TestApplyUnitary:
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
-            apply_unitary_on_subset(PureState.basis("0"), np.array([[1, 0], [0, 2.0]]), [1])
+            apply_unitary_on_subset(PureState(1, ket("0")), np.array([[1, 0], [0, 2.0]]), [1])
 
 
 class TestPermutations:
     def test_vector_swap(self):
-        v = PureState.basis("01").amplitudes
+        v = PureState(2, ket("01")).amplitudes
         out = permute_qubits_vector(v, [2, 1])
         assert out[int("10", 2)] == 1.0
 
