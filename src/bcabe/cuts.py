@@ -33,6 +33,7 @@ from .tensor import (
     QubitSubset,
     apply_unitary_on_subset,
     fidelity_with_pure,
+    x_spectrum,
 )
 
 NPT_ATOL = OPERATOR_ATOL  # eigenvalues below -NPT_ATOL count as genuinely negative
@@ -134,24 +135,14 @@ def enumerate_cuts(num_parties: int, side_size: int | None = None) -> list[Cut]:
 
 
 def _pt_spectrum(rho: DensityMatrix, cut: Cut) -> np.ndarray:
-    """Ascending partial-transpose spectrum of an X-state across the cut."""
+    """Ascending partial-transpose spectrum of an X-state across the cut, off rho.x_parts."""
     if rho.num_qubits != cut.num_parties:
         raise ValueError("state size does not match cut")
-    m = np.ascontiguousarray(rho.entries)
-    dim = m.shape[0]
-    diagonal = np.diagonal(m)
-    # count real and imaginary parts apart: exact, and faster than complex count_nonzero
-    x_entries = np.concatenate([diagonal, np.fliplr(m).diagonal()])
-    if np.count_nonzero(m.view(np.float64)) != np.count_nonzero(x_entries.view(np.float64)):
+    if rho.x_parts is None:
         raise ValueError("state is not an X-state: it has nonzero entries off the diagonal "
                          "and anti-diagonal, so its cut spectrum has no 2x2-block form")
-    k = np.arange(dim // 2)
-    k_bar = k ^ (dim - 1)
     mask = sum(1 << (cut.num_parties - q) for q in cut.side_a)
-    d1, d2 = diagonal[k].real, diagonal[k_bar].real
-    mid = (d1 + d2) / 2
-    radius = np.hypot((d1 - d2) / 2, np.abs(m[k ^ mask, k_bar ^ mask]))
-    return np.sort(np.concatenate([mid - radius, mid + radius]))
+    return x_spectrum(*rho.x_parts, mask)
 
 
 def analyze_cut(rho: DensityMatrix, cut: Cut) -> CutReport:
@@ -159,17 +150,16 @@ def analyze_cut(rho: DensityMatrix, cut: Cut) -> CutReport:
 
     rho must be an X-state: every nonzero entry sits at rho[k, k] or
     rho[k, ~k], with ~k the bitwise complement of k.  GHZ-diagonal states,
-    the four families included, have this shape.  Transposing side_a keeps
-    it, so the partial transpose splits into 2x2 blocks on {k, ~k}: diagonal
-    (rho[k, k], rho[~k, ~k]), off-diagonal rho[k ^ A, ~k ^ A], where A is the
-    bitmask of side_a and qubit q sets bit 1 << (n - q).  Each block has
-    eigenvalues mid +/- hypot((d1 - d2) / 2, |c|), mid the mean of its
-    diagonal (Dur & Cirac, PRA 61, 042314 (2000)), so a cut costs O(2^n)
-    instead of a 2^n x 2^n eigensolve.
+    the four families included, have this shape.  DensityMatrix finds the
+    shape once, when it is built, and keeps the two diagonals as x_parts;
+    tensor.x_spectrum reads the cut's spectrum off them, with side_a as the
+    transposed bits, in O(2^n) and without scanning rho, instead of a
+    2^n x 2^n eigensolve.
 
-    Raises ValueError on any nonzero entry off the X pattern.  The test is
-    exact zero, not a tolerance: dropping entries of size t could move
-    eigenvalues by up to t, more than NPT_ATOL for t above it.
+    Raises ValueError when rho.x_parts is None, i.e. on any nonzero entry
+    off the X pattern.  The test is exact zero, not a tolerance: dropping
+    entries of size t could move eigenvalues by up to t, more than NPT_ATOL
+    for t above it.
     """
     spectrum = _pt_spectrum(rho, cut)
     lo = float(spectrum[0])

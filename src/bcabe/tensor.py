@@ -5,13 +5,18 @@ computational-basis index, so a basis label |a1 a2 ... an> reads left to
 right.  Everything is dense complex128 and sized for desk-scale systems;
 dimensions are capped at 2**MAX_QUBITS per object.
 
+An X-shaped DensityMatrix (nonzero entries only on the diagonal and the
+anti-diagonal, as in every GHZ-diagonal state) keeps both diagonals as
+x_parts.  x_spectrum gives its spectrum and those of its partial transposes
+in closed form, and is its PSD check; only other states are eigensolved.
+
 All operations are pure functions: inputs are never mutated and the wrapped
 numpy arrays are marked read-only on construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 import numpy as np
@@ -80,7 +85,7 @@ class QubitSubset:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Unit-norm state vector over num_qubits qubits."""
 
@@ -103,12 +108,17 @@ class PureState:
         return DensityMatrix(self.num_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, unit-trace, PSD (within tolerance) operator on num_qubits qubits."""
+    """Hermitian, unit-trace, PSD (within tolerance) operator on num_qubits qubits.
+
+    x_parts is read-only (diagonal, anti), anti[k] = entries[k, ~k], found once
+    here when every other entry is exactly zero, and None otherwise.
+    """
 
     num_qubits: int
     entries: np.ndarray
+    x_parts: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)
@@ -124,13 +134,22 @@ class DensityMatrix:
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > STATE_ATOL:
             raise ValueError(f"trace {tr} deviates from 1 by more than {STATE_ATOL}")
-        lo = float(np.linalg.eigvalsh(m)[0])
+        m = _frozen(m)
+        diagonal, anti = _frozen(np.diagonal(m)), _frozen(np.fliplr(m).diagonal())
+        # count real and imaginary parts apart: exact, and faster than complex count_nonzero;
+        # at dim 1 the two diagonals are one entry counted twice, so the dense path runs
+        x_shaped = (np.count_nonzero(np.ascontiguousarray(m).view(np.float64))
+                    == np.count_nonzero(diagonal.view(np.float64))
+                    + np.count_nonzero(anti.view(np.float64)))
+        x_parts = (diagonal, anti) if x_shaped else None
+        lo = float(x_spectrum(*x_parts)[0] if x_parts else np.linalg.eigvalsh(m)[0])
         if lo < -OPERATOR_ATOL:
             raise ValueError(f"matrix has eigenvalue {lo} below the -{OPERATOR_ATOL} PSD floor")
-        object.__setattr__(self, "entries", _frozen(m))
+        object.__setattr__(self, "entries", m)
+        object.__setattr__(self, "x_parts", x_parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Projector:
     """Hermitian idempotent operator (within OPERATOR_ATOL) on num_qubits qubits."""
 
@@ -261,6 +280,24 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     if np.abs(m - m.conj().T).max() > OPERATOR_ATOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     return np.linalg.eigvalsh(m)
+
+
+def x_spectrum(diagonal: np.ndarray, anti: np.ndarray, mask: int = 0) -> np.ndarray:
+    """Ascending spectrum of an X-shaped matrix partially transposed on the bits in mask.
+
+    diagonal[k] = m[k, k] and anti[k] = m[k, ~k] hold every nonzero entry of
+    a Hermitian X-shaped matrix m.  Transposing the qubits in mask (qubit q
+    of n sets bit 1 << (n - q)) keeps the shape, and the result splits into
+    2x2 blocks on {k, ~k}: diagonal (m[k, k], m[~k, ~k]), off-diagonal
+    m[k ^ mask, ~k ^ mask] = anti[k ^ mask].  Each block has eigenvalues
+    mid +/- hypot((d1 - d2) / 2, |c|), mid the mean of its diagonal (Dur &
+    Cirac, PRA 61, 042314 (2000)).  mask = 0 gives the spectrum of m itself.
+    """
+    half = diagonal.shape[0] // 2
+    d1, d2 = diagonal[:half].real, diagonal[::-1][:half].real  # k and ~k = dim - 1 - k
+    mid = (d1 + d2) / 2
+    radius = np.hypot((d1 - d2) / 2, np.abs(anti[np.arange(half) ^ mask]))
+    return np.sort(np.concatenate([mid - radius, mid + radius]))
 
 
 def fidelity_with_pure(rho: DensityMatrix, psi: PureState) -> float:

@@ -181,6 +181,17 @@ class TestCutSpectra:
         with pytest.raises(ValueError):
             analyze_cut(build_family(4, FamilyLabel.RHO_PLUS), Cut(6, (1,)))
 
+    def test_cuts_scan_no_entries(self, monkeypatch):
+        # the X shape is found once, when the state is built, not again on every cut
+        rho = build_family(8, FamilyLabel.RHO_PLUS)
+        calls = []
+        count_nonzero = np.count_nonzero
+        monkeypatch.setattr(np, "count_nonzero",
+                            lambda *args, **kwargs: calls.append(1) or count_nonzero(*args, **kwargs))
+        reports = [analyze_cut(rho, cut) for cut in enumerate_cuts(8)]
+        assert len(reports) == 127
+        assert calls == []
+
     def test_non_x_state_rejected(self):
         rho = DensityMatrix(4, oracles.random_density(16, np.random.default_rng(0)))
         with pytest.raises(ValueError, match="not an X-state"):
@@ -257,6 +268,15 @@ class TestActivation:
                             lambda k, outcome: Projector(k, np.zeros((2 ** k, 2 ** k))))
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
             activation_distill(4, FamilyLabel.RHO_PLUS, [3, 4])
+
+    def test_outcomes_compare_without_raising(self):
+        first = activation_distill(4, FamilyLabel.RHO_PLUS, [1, 2])
+        again = activation_distill(4, FamilyLabel.RHO_PLUS, [1, 2])
+        outcome = first[FamilyLabel.RHO_PLUS]
+        assert outcome == outcome
+        # the corrected states are distinct objects, and states compare by identity
+        assert (outcome == again[FamilyLabel.RHO_PLUS]) is False
+        assert len(set(first.values())) == 4
 
     def test_bad_gather_sets(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import pytest
 
 from bcabe.tensor import (
     MAX_QUBITS,
+    OPERATOR_ATOL,
     PAULI_X,
     DensityMatrix,
     Projector,
@@ -21,7 +22,9 @@ from bcabe.tensor import (
     permute_qubits_vector,
     tensor_product,
     trace_distance,
+    x_spectrum,
 )
+from bcabe.states import FamilyLabel, build_family
 
 from oracles import (
     BELL_VECTORS,
@@ -89,6 +92,16 @@ class TestContainers:
         s = PureState(1, ket("0"))
         with pytest.raises(ValueError):
             s.amplitudes[0] = 0.0
+
+    def test_equality_is_identity(self):
+        # the generated eq and hash over ndarray fields raised; the containers compare by identity
+        for make in (lambda: PureState(1, ket("0")),
+                     lambda: DensityMatrix(1, np.eye(2) / 2),
+                     lambda: Projector(1, np.eye(2))):
+            a, b = make(), make()
+            assert (a == b) is False
+            assert a == a
+            assert len({a, b, a}) == 2
 
     def test_qubit_subset_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -273,3 +286,60 @@ class TestPermutations:
                 nj = jb[1] + jb[2] + jb[0]
                 want[int(ni, 2), int(nj, 2)] = rho[i, j]
         np.testing.assert_allclose(got, want, atol=0)
+
+
+def random_x_matrix(n: int, scale: float, rng: np.random.Generator) -> np.ndarray:
+    """Hermitian, unit-trace X-shaped matrix; anti-diagonal magnitudes grow with scale."""
+    dim = 2 ** n
+    m = np.zeros((dim, dim), dtype=complex)
+    m[np.diag_indices(dim)] = rng.uniform(0.0, 1.0, dim)
+    k = np.arange(dim // 2)
+    c = scale * (rng.normal(size=k.size) + 1j * rng.normal(size=k.size))
+    m[k, k ^ (dim - 1)] = c
+    m[k ^ (dim - 1), k] = c.conj()
+    return m / np.trace(m).real
+
+
+class TestXShapedValidation:
+    def test_closed_form_agrees_with_dense_rule(self):
+        # draws within 1e-12 of the PSD floor are left out: there the closed form, which reads
+        # m[k, ~k], and eigvalsh, which reads the lower triangle, may round to opposite sides
+        rng = np.random.default_rng(2024)
+        accepted = rejected = 0
+        for n in range(1, 7):
+            for scale in (0.0, 0.05, 0.2, 0.5, 1.0) * 4:
+                m = random_x_matrix(n, scale, rng)
+                dense = np.linalg.eigvalsh(m)
+                assert np.abs(x_spectrum(np.diagonal(m), np.fliplr(m).diagonal()) - dense).max() <= 1e-14
+                if abs(dense[0] + OPERATOR_ATOL) < 1e-12:
+                    continue
+                if dense[0] >= -OPERATOR_ATOL:
+                    assert DensityMatrix(n, m).x_parts is not None
+                    accepted += 1
+                else:
+                    assert dense[0] < -100 * OPERATOR_ATOL  # well below the floor, not at its edge
+                    with pytest.raises(ValueError, match="PSD"):
+                        DensityMatrix(n, m)
+                    rejected += 1
+        assert accepted >= 30 and rejected >= 30
+
+    def test_x_parts_are_frozen_diagonals(self):
+        rho = build_family(4, FamilyLabel.SIGMA_PLUS)
+        diagonal, anti = rho.x_parts
+        assert np.array_equal(diagonal, np.diagonal(rho.entries))
+        assert np.array_equal(anti, rho.entries[np.arange(16), np.arange(16) ^ 15])
+        with pytest.raises(ValueError):
+            anti[0] = 0.0
+        assert DensityMatrix(3, random_density(8, np.random.default_rng(5))).x_parts is None
+        assert DensityMatrix(0, np.array([[1.0]])).x_parts is None
+
+    def test_validation_eigensolves_only_dense_inputs(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+        build_family(8, FamilyLabel.RHO_PLUS)
+        assert len(calls) == 0
+        DensityMatrix(4, random_density(16, np.random.default_rng(7)))
+        assert len(calls) == 1
+        DensityMatrix(0, np.array([[1.0]]))
+        assert len(calls) == 2
