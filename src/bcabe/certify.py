@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from .cuts import (LP_ATOL, EdgeWeights, activation_distill, lp_lower_bound,
                    npt_one_vs_rest_scan, one_vs_rest_constraints)
 from .protocol import ebit_accounting, locc_audit, prepare_bcabe
-from .states import FamilyLabel
-from .tensor import STATE_ATOL
+from .states import FamilyLabel, build_family, family_support_projector
+from .tensor import STATE_ATOL, DensityMatrix
 
 
 @dataclass(frozen=True)
@@ -20,6 +20,7 @@ class CostCertificate:
     exact: bool
     witness_weights: EdgeWeights
     protocol_transcript_id: str
+    target: DensityMatrix  # the family state the cuts and activations were checked on
 
 
 def cost_certificate(two_n: int, label: FamilyLabel, mode: str = "exact",
@@ -29,17 +30,21 @@ def cost_certificate(two_n: int, label: FamilyLabel, mode: str = "exact",
     Lower bound: every single-party cut is NPT and activation distills one
     ebit across it, so each cut requires crossing weight 1; the covering LP
     over those constraints has optimum N.  Achieved: the preparation protocol
-    consumes N singlets (audited transcript).  Returns
+    consumes N singlets (audited transcript).  The family state and the four
+    (2N-2)-qubit support projectors are built once, for every check, and the
+    state is kept as certificate.target.  Returns
     (CostCertificate, EnsembleResult, ProtocolTranscript).
     """
-    for report in npt_one_vs_rest_scan(two_n, label):
+    rho = build_family(two_n, label)
+    supports = {f: family_support_projector(two_n - 2, f) for f in FamilyLabel}
+    for report in npt_one_vs_rest_scan(rho):
         if report.classification != "NPT":
             raise RuntimeError(
                 f"cut {report.cut.label()} is not NPT; the per-cut requirement is unjustified")
     for k in range(1, two_n + 1):
         partner = k + 1 if k < two_n else k - 1
         together = [q for q in range(1, two_n + 1) if q not in (k, partner)]
-        for outcome in activation_distill(two_n, label, together).values():
+        for outcome in activation_distill(rho, label, together, supports).values():
             if abs(outcome.probability - 0.25) > STATE_ATOL or abs(outcome.fidelity - 1.0) > STATE_ATOL:
                 raise RuntimeError(
                     f"activation across party {k} failed to distill a clean ebit")
@@ -59,5 +64,6 @@ def cost_certificate(two_n: int, label: FamilyLabel, mode: str = "exact",
         exact=abs(lower - achieved) < LP_ATOL,
         witness_weights=witness,
         protocol_transcript_id=transcript.transcript_id,
+        target=rho,
     )
     return certificate, ensemble, transcript

@@ -202,7 +202,7 @@ def cmd_certify(args) -> int:
     seed, samples = args.seed or 0, args.samples or 10000  # the defaults, also in exact payloads
     certificate, ensemble, transcript = cost_certificate(
         args.size, args.family, mode=args.mode, seed=seed, samples=samples)
-    distance = trace_distance(ensemble.mixed, build_family(args.size, args.family))
+    distance = trace_distance(ensemble.mixed, certificate.target)
     state_tol = STATE_ATOL if args.mode == "exact" else args.tolerance or 0.05
     checks = [
         _check("lower-bound-equals-achieved",

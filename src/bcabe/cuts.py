@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Mapping, Union
 
 import numpy as np
 
@@ -23,15 +23,13 @@ from .states import (
     BellLabel,
     FamilyLabel,
     bell_state,
-    build_family,
-    family_support_projector,
     recursion_blocks,
 )
 from .tensor import (
     OPERATOR_ATOL,
     DensityMatrix,
+    Projector,
     QubitSubset,
-    apply_unitary_on_subset,
     fidelity_with_pure,
     x_spectrum,
 )
@@ -173,10 +171,9 @@ def analyze_cut(rho: DensityMatrix, cut: Cut) -> CutReport:
     )
 
 
-def npt_one_vs_rest_scan(two_n: int, label: FamilyLabel) -> list[CutReport]:
-    """Reports for every single-party cut of the family state."""
-    rho = build_family(two_n, label)
-    return [analyze_cut(rho, cut) for cut in enumerate_cuts(two_n, side_size=1)]
+def npt_one_vs_rest_scan(rho: DensityMatrix) -> list[CutReport]:
+    """Reports for every single-party cut of rho."""
+    return [analyze_cut(rho, cut) for cut in enumerate_cuts(rho.num_qubits, side_size=1)]
 
 
 # --- activation ---------------------------------------------------------------
@@ -201,30 +198,36 @@ class ActivationOutcome:
     fidelity: float                 # with phi+
 
 
-def activation_distill(two_n: int, label: FamilyLabel,
-                       together: Union[QubitSubset, Iterable[int]]) -> dict[FamilyLabel, ActivationOutcome]:
-    """Measure the family supports on 2N-2 gathered qubits; read out a Bell pair.
+def activation_distill(rho: DensityMatrix, label: FamilyLabel,
+                       together: Union[QubitSubset, Iterable[int]],
+                       supports: Mapping[FamilyLabel, Projector]
+                       ) -> dict[FamilyLabel, ActivationOutcome]:
+    """Measure the family supports on 2N-2 gathered qubits of rho; read out a Bell pair.
 
-    The gathered parties project onto the four (2N-2)-qubit family supports
-    (these sum to identity).  Each outcome occurs with probability 1/4 and
-    leaves the two excluded qubits in a Bell state fixed by the outcome; the
-    tabulated single-qubit Pauli on the lower-indexed residual qubit turns it
-    into phi+ exactly.
+    supports[f] is the projector onto family f's (2N-2)-qubit support; the
+    four sum to identity.  When rho is the 2N-qubit family `label`, each
+    outcome occurs with probability 1/4 and leaves the two excluded qubits in
+    a Bell state fixed by the outcome; the tabulated single-qubit Pauli C on
+    the lower-indexed residual qubit turns it into phi+ exactly.
 
     An outcome's unnormalized residual is Tr_T[(P x I) rho], one tensordot of
-    the support projector P with the family tensor over the gathered qubits T;
+    the support projector P with the rho tensor over the gathered qubits T;
     it equals Tr_T[(P x I) rho (P x I)] because P acts on T only.  Its trace
-    is the outcome probability, and no 2^n x 2^n operator is formed.
+    is the outcome probability, and no 2^n x 2^n operator is formed.  The
+    correction is one 4x4 conjugation by kron(C, I).
     """
+    two_n = rho.num_qubits
     if two_n < 4 or two_n % 2:
         raise ValueError(f"two_n must be even and >= 4, got {two_n}")
     together = QubitSubset.of(together)
     together.check_range(two_n)
     if len(together) != two_n - 2:
         raise ValueError(f"together must gather {two_n - 2} qubits, got {len(together)}")
-
     k = two_n - 2
-    rho = build_family(two_n, label).entries.reshape((2,) * (2 * two_n))
+    if any(supports[f].num_qubits != k for f in FamilyLabel):
+        raise ValueError(f"supports must act on {k} qubits")
+
+    tensor = rho.entries.reshape((2,) * (2 * two_n))
     gathered = [q - 1 for q in together]
     # P[t, s] rho[(s, a), (t, b)] summed over s and t; the residual axes a, b keep their order
     axes = (list(range(k, 2 * k)) + list(range(k)), gathered + [two_n + q for q in gathered])
@@ -232,12 +235,12 @@ def activation_distill(two_n: int, label: FamilyLabel,
     phi_plus = bell_state(BellLabel.PHI_PLUS)
     out: dict[FamilyLabel, ActivationOutcome] = {}
     for outcome in FamilyLabel:
-        support = family_support_projector(k, outcome).entries.reshape((2,) * (2 * k))
-        residual = np.tensordot(support, rho, axes=axes).reshape(4, 4)
+        support = supports[outcome].entries.reshape((2,) * (2 * k))
+        residual = np.tensordot(support, tensor, axes=axes).reshape(4, 4)
         prob = float(np.trace(residual).real)
         correction = table[outcome]
-        corrected = apply_unitary_on_subset(DensityMatrix(2, residual / prob),
-                                            CORRECTION_MATRICES[correction], [1])
+        fix = np.kron(CORRECTION_MATRICES[correction], np.eye(2))
+        corrected = DensityMatrix(2, fix @ (residual / prob) @ fix.conj().T)
         out[outcome] = ActivationOutcome(
             probability=prob,
             correction=correction,

@@ -29,12 +29,13 @@ the header and flags any nonlocal quantum operation or singlet double-spend.
 prepare_bcabe runs the transcript's execution (row 0) once on a recording
 network, which fixes the qubit order, ownership and events every execution
 shares, then advances the executions in blocks of rows of one (rows, 2**n)
-array: per tape keeping all four outcomes (exact, at every size in
-PROTOCOL_SIZES), or ROW_BLOCK runs keeping one drawn outcome each (sampled);
-teleport uses the same kernel, _bell_measure.  Each row ends as a Bell
-product (2**N nonzeros of 2**(2N)), and _mix adds each block's nonzero terms
-into the mixture as soon as the block is made, rows in order; no table of
-all branches is kept.
+array, each block ending as ROW_BLOCK final rows or fewer: ROW_BLOCK // 4**N
+tapes keeping all four outcomes at every step (exact; one tape at size 8,
+where 4**N = ROW_BLOCK), or ROW_BLOCK runs keeping one drawn outcome each
+(sampled); teleport uses the same kernel, _bell_measure.  Each row ends as a
+Bell product (2**N nonzeros of 2**(2N)), and _mix adds each block's nonzero
+terms into the mixture as soon as the block is made, rows in order; no table
+of all branches is kept.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .states import (
 from .tensor import ZERO_PROB_ATOL, DensityMatrix
 
 PROTOCOL_SIZES = (4, 6, 8)
-ROW_BLOCK = 256  # sampled runs advanced and mixed together; bounds a sampled block's memory
+ROW_BLOCK = 256  # final rows advanced and mixed together, in either mode; bounds a block's memory
 
 # per outcome in BELL_ORDER: the ket, the bra as a (2, 2) tensor, the receiver's Pauli fix
 _BELL_KETS = np.array([bell_state(b).amplitudes for b in BELL_ORDER])
@@ -185,7 +186,7 @@ class _SingletRecord:
     consumed: bool = False
 
 
-@dataclass
+@dataclass(eq=False)
 class NetworkState:
     """Mutable simulation state for one protocol branch."""
 
@@ -389,19 +390,20 @@ def bell_correlated_tuples(two_n: int, label: FamilyLabel) -> list[tuple[BellLab
 
 def _run(initial: np.ndarray, labels: np.ndarray, slots, draws: np.ndarray | None
          ) -> tuple[np.ndarray, np.ndarray]:
-    """Advance a block of rows from `initial`; return (weights, amplitudes).
+    """Advance a block of executions from `initial`; return (weights, amplitudes).
 
-    labels[r, k] is row r's BELL_ORDER index at pair k (one row serves all).
-    Without draws rows keep all four outcomes, growing x4 per step in order
-    b*4+m, weighted by their probabilities; else row r keeps draws[r, k]'s pick.
+    labels[e, k] is execution e's BELL_ORDER index at pair k.  Without draws
+    each execution (a tape) keeps all four outcomes, its rows growing x4 per
+    step in order b*4+m, weighted by their probabilities, executions one after
+    another; else execution e is one row that keeps draws[e, k]'s pick.
     """
-    amps, weights = initial[None], np.ones(len(labels))
+    amps, weights, owner = initial[None], np.ones(len(labels)), np.arange(len(labels))
     for k, slot in enumerate(slots):
-        grown = amps[:, :, None] * _BELL_KETS[labels[:, k]][:, None, :]
+        grown = amps[:, :, None] * _BELL_KETS[labels[owner, k]][:, None, :]
         probs, states = _bell_measure(grown.reshape(len(grown), -1), *slot)
         if draws is None:
             weights = (weights[:, None] * probs).reshape(-1)
-            amps = states.reshape(-1, states.shape[2])
+            amps, owner = states.reshape(-1, states.shape[2]), np.repeat(owner, 4)
         else:
             amps = states[np.arange(len(states)), _pick(probs, draws[:, k])]
     return weights, amps
@@ -433,14 +435,16 @@ def prepare_bcabe(two_n: int, label: FamilyLabel, mode: str = "exact",
     (16,384 branches at 8); the transcript is the canonical execution
     (all-zero tape, first outcome everywhere).  Sampled mode draws `samples`
     independent runs seeded with tape_or_seed; the transcript is the first
-    run's.  Each block of branches (one tape, or ROW_BLOCK runs) is mixed as
-    soon as it is made, only its nonzero terms, in row order; singlets_used
-    counts the singlets the recording network consumed.
+    run's.  Each block of branches (ROW_BLOCK // 4**N tapes but at least
+    one, or ROW_BLOCK runs; at most ROW_BLOCK rows at every size in
+    PROTOCOL_SIZES) is mixed as soon as it is made, only its nonzero terms,
+    in row order; singlets_used counts the singlets the recording network
+    consumed.
     """
     net = init_network(two_n, pairing)  # checks the size and the pairing
     nbits = two_n - 2
     if mode == "exact":
-        tapes, draws, block = np.arange(2 ** nbits), None, 1
+        tapes, draws, block = np.arange(2 ** nbits), None, max(1, ROW_BLOCK // 4 ** (two_n // 2))
     elif mode == "sampled":
         if samples < 1:
             raise ValueError(f"samples must be positive, got {samples}")

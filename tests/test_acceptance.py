@@ -22,6 +22,7 @@ from bcabe.states import (
     FamilyLabel,
     build_family,
     enumerate_parity_strings,
+    family_support_projector,
     ghz_basis,
     pauli_connection_search,
     verify_recursion,
@@ -119,8 +120,10 @@ def test_5_activation():
         cases.append((6, (1, 2)))
         for two_n, residual in cases:
             together = [q for q in range(1, two_n + 1) if q not in residual]
+            supports = {f: family_support_projector(two_n - 2, f) for f in FamilyLabel}
             for label in ALL_FAMILIES:
-                for outcome in activation_distill(two_n, label, together).values():
+                rho = build_family(two_n, label)
+                for outcome in activation_distill(rho, label, together, supports).values():
                     worst_prob = max(worst_prob, abs(outcome.probability - 0.25))
                     worst_fidelity = max(worst_fidelity, abs(outcome.fidelity - 1.0))
         note["detail"] = (f"probability error {worst_prob:.2e}, "

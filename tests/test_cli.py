@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
 
 import bcabe.cli as cli
+import bcabe.states as states
 from bcabe.cli import main, write_state_file
 from bcabe.states import BasisString, FamilyLabel, build_family, ghz_state
 from bcabe.tensor import DensityMatrix
@@ -139,18 +142,33 @@ class TestCertifyCommand:
         results = _load(out)["results"]
         assert results["achieved"] == 2 and results["exact"] is True
 
+    def test_builds_family_and_supports_once(self, tmp_path, monkeypatch):
+        # the cut scan, every activation and the distance check share one build
+        calls = {"build_family": 0, "family_support_projector": 0}
+        modules = [m for name, m in list(sys.modules.items())
+                   if name == "bcabe" or name.startswith("bcabe.")]
+        for name in calls:
+            original = getattr(states, name)
+
+            def spy(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, spy)
+        out = tmp_path / "cert6.json"
+        assert main(["certify", "--size", "6", "--family", "sigma+", "--out", str(out)]) == 0
+        assert calls == {"build_family": 1, "family_support_projector": 4}
+
     def test_inexact_certificate_fails(self, tmp_path, monkeypatch):
         genuine = cli.cost_certificate
 
         def doctored(two_n, label, mode="exact", seed=0, samples=10000):
             certificate, ensemble, transcript = genuine(two_n, label, mode=mode,
                                                         seed=seed, samples=samples)
-            broken = type(certificate)(
-                two_n=certificate.two_n, family=certificate.family,
-                lower_bound=certificate.lower_bound + 1.0,
-                achieved=certificate.achieved, exact=False,
-                witness_weights=certificate.witness_weights,
-                protocol_transcript_id=certificate.protocol_transcript_id)
+            broken = dataclasses.replace(certificate, lower_bound=certificate.lower_bound + 1.0,
+                                         exact=False)
             return broken, ensemble, transcript
 
         monkeypatch.setattr(cli, "cost_certificate", doctored)

@@ -63,6 +63,15 @@ CORRECTION_TABLES = {
 }
 
 
+def _supports(k: int) -> dict[FamilyLabel, Projector]:
+    return {f: family_support_projector(k, f) for f in FamilyLabel}
+
+
+def _distill(two_n: int, label: FamilyLabel, together):
+    """activation_distill on the family itself, with its supports built here."""
+    return activation_distill(build_family(two_n, label), label, together, _supports(two_n - 2))
+
+
 class TestCutEnumeration:
     def test_counts(self):
         # 2^(n-1) - 1 canonical proper cuts
@@ -167,13 +176,13 @@ class TestCutSpectra:
         assert report.negativity == pytest.approx(0.5, abs=1e-12)
 
     def test_families_share_cut_spectra(self):
-        reports = {label: npt_one_vs_rest_scan(4, label) for label in ALL_FAMILIES}
+        reports = {label: npt_one_vs_rest_scan(build_family(4, label)) for label in ALL_FAMILIES}
         for cut_idx in range(4):
             negs = {label: reports[label][cut_idx].negativity for label in ALL_FAMILIES}
             assert max(negs.values()) - min(negs.values()) < 1e-12
 
     def test_scan_covers_every_party(self):
-        reports = npt_one_vs_rest_scan(4, FamilyLabel.SIGMA_MINUS)
+        reports = npt_one_vs_rest_scan(build_family(4, FamilyLabel.SIGMA_MINUS))
         assert [r.cut.side_a for r in reports] == [(1,), (1, 2, 3), (1, 2, 4), (1, 3, 4)]
         assert all(r.classification == "NPT" for r in reports)
 
@@ -217,7 +226,7 @@ class TestActivation:
         # any residual pair works; gather the other two and distill across it
         for residual in itertools.combinations(range(1, 5), 2):
             together = [q for q in range(1, 5) if q not in residual]
-            outcomes = activation_distill(4, label, together)
+            outcomes = _distill(4, label, together)
             assert set(outcomes) == set(FamilyLabel)
             total = sum(o.probability for o in outcomes.values())
             assert total == pytest.approx(1.0, abs=1e-12)
@@ -226,7 +235,7 @@ class TestActivation:
                 assert outcome.fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_six_qubit_residual_first_pair(self):
-        outcomes = activation_distill(6, FamilyLabel.RHO_PLUS, [3, 4, 5, 6])
+        outcomes = _distill(6, FamilyLabel.RHO_PLUS, [3, 4, 5, 6])
         for outcome in outcomes.values():
             assert outcome.probability == pytest.approx(0.25, abs=1e-12)
             assert outcome.fidelity == pytest.approx(1.0, abs=1e-12)
@@ -239,7 +248,7 @@ class TestActivation:
     def test_matches_dense_reference(self, label, two_n, residual):
         together = [q for q in range(1, two_n + 1) if q not in residual]
         rho = build_family(two_n, label).entries
-        for outcome, got in activation_distill(two_n, label, together).items():
+        for outcome, got in _distill(two_n, label, together).items():
             support = family_support_projector(two_n - 2, outcome).entries
             prob, corrected, fidelity = oracles.activation_reference(
                 rho, support, together, two_n, CORRECTION_MATRICES[got.correction])
@@ -247,13 +256,30 @@ class TestActivation:
             assert np.abs(got.corrected_state.entries - corrected).max() <= 1e-14
             assert abs(got.fidelity - fidelity) <= 1e-14
 
+    @pytest.mark.parametrize("label", ALL_FAMILIES)
+    @pytest.mark.parametrize("two_n", [4, 6])
+    def test_gathers_the_named_qubits(self, label, two_n):
+        # the families are permutation invariant, so on them a gather of the wrong
+        # qubits goes unseen; a fixed random admixture makes every gather set differ
+        noise = oracles.random_density(2 ** two_n, np.random.default_rng(two_n))
+        rho = 0.9 * build_family(two_n, label).entries + 0.1 * noise
+        state, supports = DensityMatrix(two_n, rho), _supports(two_n - 2)
+        for together in itertools.combinations(range(1, two_n + 1), two_n - 2):
+            for outcome, got in activation_distill(state, label, together, supports).items():
+                prob, corrected, fidelity = oracles.activation_reference(
+                    rho, supports[outcome].entries, list(together), two_n,
+                    CORRECTION_MATRICES[got.correction])
+                assert abs(got.probability - prob) <= 1e-14
+                assert np.abs(got.corrected_state.entries - corrected).max() <= 1e-14
+                assert abs(got.fidelity - fidelity) <= 1e-14
+
     def test_corrections_derived_independently(self):
         # search over single-qubit Paulis for the unique fix of each raw residual
         z = np.diag([1.0, -1.0]).astype(complex)
         x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         candidates = {"I": np.eye(2, dtype=complex), "Z": z, "X": x, "ZX": z @ x}
         phi_plus = bell_state(BellLabel.PHI_PLUS)
-        outcomes = activation_distill(4, FamilyLabel.RHO_MINUS, [3, 4])
+        outcomes = _distill(4, FamilyLabel.RHO_MINUS, [3, 4])
         for outcome in outcomes.values():
             raw = apply_unitary_on_subset(
                 outcome.corrected_state, candidates[outcome.correction].conj().T, [1])
@@ -262,16 +288,16 @@ class TestActivation:
                                                phi_plus) - 1.0) < 1e-10]
             assert found == [outcome.correction]
 
-    def test_zero_probability_outcome_raises_value_error(self, monkeypatch):
+    def test_zero_probability_outcome_raises_value_error(self):
         # a zero support gives the residual 0 / 0; the finiteness check rejects it
-        monkeypatch.setattr("bcabe.cuts.family_support_projector",
-                            lambda k, outcome: Projector(k, np.zeros((2 ** k, 2 ** k))))
+        zero = {f: Projector(2, np.zeros((4, 4))) for f in FamilyLabel}
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
-            activation_distill(4, FamilyLabel.RHO_PLUS, [3, 4])
+            activation_distill(build_family(4, FamilyLabel.RHO_PLUS), FamilyLabel.RHO_PLUS,
+                               [3, 4], zero)
 
     def test_outcomes_compare_without_raising(self):
-        first = activation_distill(4, FamilyLabel.RHO_PLUS, [1, 2])
-        again = activation_distill(4, FamilyLabel.RHO_PLUS, [1, 2])
+        first = _distill(4, FamilyLabel.RHO_PLUS, [1, 2])
+        again = _distill(4, FamilyLabel.RHO_PLUS, [1, 2])
         outcome = first[FamilyLabel.RHO_PLUS]
         assert outcome == outcome
         # the corrected states are distinct objects, and states compare by identity
@@ -280,11 +306,15 @@ class TestActivation:
 
     def test_bad_gather_sets(self):
         with pytest.raises(ValueError):
-            activation_distill(4, FamilyLabel.RHO_PLUS, [3])        # too few
+            _distill(4, FamilyLabel.RHO_PLUS, [3])        # too few
         with pytest.raises(ValueError):
-            activation_distill(4, FamilyLabel.RHO_PLUS, [2, 3, 4])  # too many
+            _distill(4, FamilyLabel.RHO_PLUS, [2, 3, 4])  # too many
+        odd = DensityMatrix(3, np.eye(8) / 8)
         with pytest.raises(ValueError):
-            activation_distill(3, FamilyLabel.RHO_PLUS, [3])        # odd size
+            activation_distill(odd, FamilyLabel.RHO_PLUS, [3], _supports(2))  # odd size
+        with pytest.raises(ValueError):  # supports on 4 qubits, not the 2 gathered
+            activation_distill(build_family(4, FamilyLabel.RHO_PLUS), FamilyLabel.RHO_PLUS,
+                               [3, 4], _supports(4))
 
 
 class TestEdgeWeights:

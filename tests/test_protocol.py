@@ -33,6 +33,35 @@ import oracles
 
 ALL_FAMILIES = list(FamilyLabel)
 
+# recorded from the per-branch engine; the id hashes every event,
+# including each measurement probability to the last bit
+EXACT_TRANSCRIPT_IDS = [
+    (4, FamilyLabel.RHO_PLUS, "2254ac81a5edb148"),
+    (4, FamilyLabel.RHO_MINUS, "552fd07bafd1f5a9"),
+    (4, FamilyLabel.SIGMA_PLUS, "54ec6c51b8d2842b"),
+    (4, FamilyLabel.SIGMA_MINUS, "229142aaaf2e106c"),
+    (6, FamilyLabel.RHO_PLUS, "48346b3bf9832eea"),
+    (6, FamilyLabel.RHO_MINUS, "ac6769fb73d0d168"),
+    (6, FamilyLabel.SIGMA_PLUS, "da339011e4c50271"),
+    (6, FamilyLabel.SIGMA_MINUS, "370580cf4ee63994"),
+]
+
+EXACT_MIXTURE_SHA256 = [
+    (4, FamilyLabel.RHO_PLUS, "3159c0c395be065e55b8ff37d2fd072ff39ee87eab086d89415a9f0e2500ebd4"),
+    (4, FamilyLabel.RHO_MINUS, "6c215c95bad29c8151b81f99767c0fb6e40de02b3826a415528f7d9feb7e42dd"),
+    (4, FamilyLabel.SIGMA_PLUS, "c5303bce4fbd589631763507106c932b255a130cca2c6d9ef47d07feed6a1587"),
+    (4, FamilyLabel.SIGMA_MINUS, "f7e804ac34a93dd7622104d0dc45dd8ca96512f3ff0e9a85db72cfd58ed3bf2c"),
+    (6, FamilyLabel.RHO_PLUS, "3df99cc3c58d042e2092ccb86d7af3a0401c69a534ec6a0911880199cf5ce5c1"),
+    (6, FamilyLabel.RHO_MINUS, "7553d79fbea46a588b2f79a25bfe654e7758b19a46ff3227c841ab8e55baeffa"),
+    (6, FamilyLabel.SIGMA_PLUS, "8d5b3382e4d315bd50a253b031dfb234d7d326649b00788522aa8f21077928c4"),
+    (6, FamilyLabel.SIGMA_MINUS, "99c320b656ebefbf05f0621ad3ffd1a8997638532a770b07b7804f418aafbdbf"),
+    # recorded from the dense einsum mix, before the sparse one replaced it
+    (8, FamilyLabel.RHO_PLUS, "e3a9529f61615ddb9aa1d186398c706177e2abcfa06658a8fbaf1c494f2d435f"),
+    (8, FamilyLabel.RHO_MINUS, "11e45f10efc1c4d5972a1f5a5f47e015facf72eef2631a1f903b29cdb0699ef1"),
+    (8, FamilyLabel.SIGMA_PLUS, "88b32d897ed5efc30ac6edd020dff07f4019d0093d2ddb252009ff126f62344f"),
+    (8, FamilyLabel.SIGMA_MINUS, "01682cc58f3a696fefb2b65a0016d79cdb09a22aee07b82804e2c87422c3c2d2"),
+]
+
 
 def _teleport_roundtrip(payload: np.ndarray) -> list[tuple[float, np.ndarray]]:
     """Send a fresh local qubit in state `payload` from party 1 to party 2."""
@@ -53,22 +82,25 @@ def _teleport_roundtrip(payload: np.ndarray) -> list[tuple[float, np.ndarray]]:
     return out
 
 
-def _prepare_capturing(*args, **kwargs):
+def _prepare_capturing(*args, blocks: list | None = None, **kwargs):
     """prepare_bcabe, plus every branch it mixed: (ensemble, transcript, weights, amps).
 
     Wraps protocol._mix and keeps a copy of each block it is handed, so the
     branches are read through the one production path; rows in mixing order.
+    A list given as blocks receives each block's row count.
     """
-    blocks, mix = [], protocol._mix
+    captured, mix = [], protocol._mix
 
     def capture(out, weights, amps):
-        blocks.append((weights.copy(), amps.copy()))
+        captured.append((weights.copy(), amps.copy()))
+        if blocks is not None:
+            blocks.append(len(amps))
         mix(out, weights, amps)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(protocol, "_mix", capture)
         ensemble, transcript = prepare_bcabe(*args, **kwargs)
-    weights, amps = (np.concatenate(parts) for parts in zip(*blocks))
+    weights, amps = (np.concatenate(parts) for parts in zip(*captured))
     return ensemble, transcript, weights, amps
 
 
@@ -112,6 +144,12 @@ class TestNetworkSetup:
         assert len(branches) == 4
         for _, branch in branches:
             assert branch.build_transcript().tape_bits == "0110"
+
+    def test_networks_compare_by_identity(self):
+        # a field-wise comparison would ask numpy for the truth of an amplitude array
+        net = init_network(4)
+        assert net == net
+        assert (init_network(4) == init_network(4)) is False
 
     def test_bell_generate_is_local(self):
         net = init_network(4)
@@ -261,19 +299,8 @@ class TestPreparation:
             assert prob == want_prob
             assert row.tobytes() == want_amps.tobytes()
 
-    @pytest.mark.parametrize("size, label, transcript_id", [
-        (4, FamilyLabel.RHO_PLUS, "2254ac81a5edb148"),
-        (4, FamilyLabel.RHO_MINUS, "552fd07bafd1f5a9"),
-        (4, FamilyLabel.SIGMA_PLUS, "54ec6c51b8d2842b"),
-        (4, FamilyLabel.SIGMA_MINUS, "229142aaaf2e106c"),
-        (6, FamilyLabel.RHO_PLUS, "48346b3bf9832eea"),
-        (6, FamilyLabel.RHO_MINUS, "ac6769fb73d0d168"),
-        (6, FamilyLabel.SIGMA_PLUS, "da339011e4c50271"),
-        (6, FamilyLabel.SIGMA_MINUS, "370580cf4ee63994"),
-    ])
+    @pytest.mark.parametrize("size, label, transcript_id", EXACT_TRANSCRIPT_IDS)
     def test_exact_transcript_id_pinned(self, size, label, transcript_id):
-        # recorded from the per-branch engine; the id hashes every event,
-        # including each measurement probability to the last bit
         _, transcript = prepare_bcabe(size, label, mode="exact")
         assert transcript.transcript_id == transcript_id
 
@@ -289,26 +316,37 @@ class TestPreparation:
         assert transcript.transcript_id == transcript_id
         assert trace_distance(ensemble.mixed, build_family(size, label)) == distance
 
-    @pytest.mark.parametrize("size, label, digest", [
-        (4, FamilyLabel.RHO_PLUS, "3159c0c395be065e55b8ff37d2fd072ff39ee87eab086d89415a9f0e2500ebd4"),
-        (4, FamilyLabel.RHO_MINUS, "6c215c95bad29c8151b81f99767c0fb6e40de02b3826a415528f7d9feb7e42dd"),
-        (4, FamilyLabel.SIGMA_PLUS, "c5303bce4fbd589631763507106c932b255a130cca2c6d9ef47d07feed6a1587"),
-        (4, FamilyLabel.SIGMA_MINUS, "f7e804ac34a93dd7622104d0dc45dd8ca96512f3ff0e9a85db72cfd58ed3bf2c"),
-        (6, FamilyLabel.RHO_PLUS, "3df99cc3c58d042e2092ccb86d7af3a0401c69a534ec6a0911880199cf5ce5c1"),
-        (6, FamilyLabel.RHO_MINUS, "7553d79fbea46a588b2f79a25bfe654e7758b19a46ff3227c841ab8e55baeffa"),
-        (6, FamilyLabel.SIGMA_PLUS, "8d5b3382e4d315bd50a253b031dfb234d7d326649b00788522aa8f21077928c4"),
-        (6, FamilyLabel.SIGMA_MINUS, "99c320b656ebefbf05f0621ad3ffd1a8997638532a770b07b7804f418aafbdbf"),
-        # recorded from the dense einsum mix, before the sparse one replaced it
-        (8, FamilyLabel.RHO_PLUS, "e3a9529f61615ddb9aa1d186398c706177e2abcfa06658a8fbaf1c494f2d435f"),
-        (8, FamilyLabel.RHO_MINUS, "11e45f10efc1c4d5972a1f5a5f47e015facf72eef2631a1f903b29cdb0699ef1"),
-        (8, FamilyLabel.SIGMA_PLUS, "88b32d897ed5efc30ac6edd020dff07f4019d0093d2ddb252009ff126f62344f"),
-        (8, FamilyLabel.SIGMA_MINUS, "01682cc58f3a696fefb2b65a0016d79cdb09a22aee07b82804e2c87422c3c2d2"),
-    ])
+    @pytest.mark.parametrize("size, label, digest", EXACT_MIXTURE_SHA256)
     def test_exact_mixture_pinned(self, size, label, digest):
         # every bit of the exact mixture, so a change to how the branches are
         # mixed shows here even where the distance to the target does not move
         ensemble, _ = prepare_bcabe(size, label, mode="exact")
         assert hashlib.sha256(ensemble.mixed.entries.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("size, rows_per_block", [(4, [64]), (6, [256] * 4)])
+    def test_exact_blocks_hold_row_block_rows(self, size, rows_per_block):
+        # ROW_BLOCK // 4^N whole tapes per block: all 4 at size 4, 4 of 16 at size 6
+        assert ROW_BLOCK == 256
+        blocks = []
+        _prepare_capturing(size, FamilyLabel.RHO_PLUS, mode="exact", blocks=blocks)
+        assert blocks == rows_per_block
+
+    @pytest.mark.parametrize("size", [4, 6])
+    @pytest.mark.parametrize("label", ALL_FAMILIES)
+    @pytest.mark.parametrize("tapes_per_block", ["one", "all"])
+    def test_exact_bits_do_not_depend_on_row_block(self, size, label, tapes_per_block,
+                                                   monkeypatch):
+        # one tape per block, or every branch in one block: both keep the pins bit for bit
+        tapes, tape_rows = 2 ** (size - 2), 4 ** (size // 2)
+        row_block = tape_rows * (1 if tapes_per_block == "one" else tapes)
+        monkeypatch.setattr(protocol, "ROW_BLOCK", row_block)
+        blocks = []
+        ensemble, transcript, _, _ = _prepare_capturing(size, label, mode="exact", blocks=blocks)
+        assert blocks == [row_block] * (tapes * tape_rows // row_block)
+        digest = hashlib.sha256(ensemble.mixed.entries.tobytes()).hexdigest()
+        assert digest == dict(((s, f), d) for s, f, d in EXACT_MIXTURE_SHA256)[size, label]
+        pins = dict(((s, f), t) for s, f, t in EXACT_TRANSCRIPT_IDS)
+        assert transcript.transcript_id == pins[size, label]
 
     @pytest.mark.parametrize("size", [4, 6])
     @pytest.mark.parametrize("label", ALL_FAMILIES)
