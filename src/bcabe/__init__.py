@@ -47,7 +47,6 @@ from .states import (
     bell_tuple_decomposition,
     build_family,
     complement,
-    enumerate_parity_strings,
     family_support_projector,
     ghz_basis,
     ghz_state,
@@ -70,7 +69,6 @@ from .tensor import (
     hermitian_eigenvalues,
     partial_trace,
     partial_transpose,
-    tensor_product,
     trace_distance,
 )
 

@@ -210,11 +210,12 @@ def activation_distill(rho: DensityMatrix, label: FamilyLabel,
     a Bell state fixed by the outcome; the tabulated single-qubit Pauli C on
     the lower-indexed residual qubit turns it into phi+ exactly.
 
-    An outcome's unnormalized residual is Tr_T[(P x I) rho], one tensordot of
+    An outcome's unnormalized residual is Tr_T[(P x I) rho], a contraction of
     the support projector P with the rho tensor over the gathered qubits T;
-    it equals Tr_T[(P x I) rho (P x I)] because P acts on T only.  Its trace
-    is the outcome probability, and no 2^n x 2^n operator is formed.  The
-    correction is one 4x4 conjugation by kron(C, I).
+    it equals Tr_T[(P x I) rho (P x I)] because P acts on T only.  One
+    tensordot contracts the four stacked supports, so rho's tensor is
+    rearranged once and no 2^n x 2^n operator is formed.  A residual's trace is
+    the outcome probability; the correction is one 4x4 conjugation by kron(C, I).
     """
     two_n = rho.num_qubits
     if two_n < 4 or two_n % 2:
@@ -229,14 +230,15 @@ def activation_distill(rho: DensityMatrix, label: FamilyLabel,
 
     tensor = rho.entries.reshape((2,) * (2 * two_n))
     gathered = [q - 1 for q in together]
-    # P[t, s] rho[(s, a), (t, b)] summed over s and t; the residual axes a, b keep their order
-    axes = (list(range(k, 2 * k)) + list(range(k)), gathered + [two_n + q for q in gathered])
+    stack = np.stack([supports[f].entries for f in FamilyLabel]).reshape((4,) + (2,) * (2 * k))
+    # P_f[t, s] rho[(s, a), (t, b)] summed over s and t; the residual axes a, b keep their order
+    axes = (list(range(k + 1, 2 * k + 1)) + list(range(1, k + 1)),
+            gathered + [two_n + q for q in gathered])
+    residuals = np.tensordot(stack, tensor, axes=axes).reshape(4, 4, 4)
     table = activation_correction_table(label)
     phi_plus = bell_state(BellLabel.PHI_PLUS)
     out: dict[FamilyLabel, ActivationOutcome] = {}
-    for outcome in FamilyLabel:
-        support = supports[outcome].entries.reshape((2,) * (2 * k))
-        residual = np.tensordot(support, tensor, axes=axes).reshape(4, 4)
+    for outcome, residual in zip(FamilyLabel, residuals):
         prob = float(np.trace(residual).real)
         correction = table[outcome]
         fix = np.kron(CORRECTION_MATRICES[correction], np.eye(2))

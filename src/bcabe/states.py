@@ -16,7 +16,8 @@ to {00} and {01} and the mixtures reduce to the four Bell projectors, which
 is the base of the recursion implemented by verify_recursion: each family at
 size 2N is an equal four-way mixture of (Bell projector on a qubit pair)
 tensor (family at size 2N-2), with the Bell label and lower family sign
-locked together.
+locked together.  The structure checks take built states: the caller builds
+each family once and hands the same state to every check.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from typing import Mapping
 
 import numpy as np
 
@@ -38,7 +40,6 @@ from .tensor import (
     fidelity_with_pure,
     permute_qubits_matrix,
     permute_qubits_vector,
-    tensor_product,
     trace_distance,
 )
 
@@ -130,19 +131,6 @@ def _parity_strings(two_n: int, parity_class: str) -> list[BasisString]:
         if (bits.count("0") % 2 == 0) == want_even:
             out.append(BasisString(bits))
     return out
-
-
-def enumerate_parity_strings(two_n: int, parity_class: str) -> list[BasisString]:
-    """All canonical strings of one parity class, in lexicographic order.
-
-    Canonical means the first bit is 0; the complements are the remaining
-    labels.  Each class has exactly 2**(two_n - 2) members.
-    """
-    if two_n < 4 or two_n % 2:
-        raise ValueError(f"two_n must be even and >= 4, got {two_n}")
-    if parity_class not in ("p", "q"):
-        raise ValueError(f"parity class must be 'p' or 'q', got {parity_class!r}")
-    return _parity_strings(two_n, parity_class)
 
 
 @dataclass(frozen=True)
@@ -244,41 +232,48 @@ class RecursionCheck:
     distance: float
 
 
-def verify_recursion(two_n: int) -> list[RecursionCheck]:
-    """Check every family against its one-step recursion, both block placements.
+def verify_recursion(families: Mapping[FamilyLabel, DensityMatrix]) -> list[RecursionCheck]:
+    """Check every built family against its one-step recursion, both block placements.
 
-    Returns 8 trace distances: 4 families x {leading, trailing} position of
-    the Bell-pair block.  Both placements must agree because the families are
-    permutation invariant; leading (qubits 1-2) is the documented convention.
+    families maps each label to its state at one size 2N >= 4; only the four
+    lower families are built here, and each Bell x family product stays a
+    plain kron array.  Returns 8 trace distances: 4 families x {leading,
+    trailing} position of the Bell-pair block, which agree because the families
+    are permutation invariant; leading (qubits 1-2) is the documented convention.
     """
-    if two_n < 4 or two_n % 2:
-        raise ValueError(f"two_n must be even and >= 4, got {two_n}")
-    lower = {f: build_family(two_n - 2, f) for f in FamilyLabel}
-    bells = {b: bell_state(b).to_density() for b in BellLabel}
+    two_n = families[FamilyLabel.RHO_PLUS].num_qubits
+    if two_n < 4 or two_n % 2 or any(families[f].num_qubits != two_n for f in FamilyLabel):
+        raise ValueError(f"families must share one even size >= 4, got "
+                         f"{[families[f].num_qubits for f in FamilyLabel]}")
+    lower = {f: build_family(two_n - 2, f).entries for f in FamilyLabel}
+    bells = {b: bell_state(b).to_density().entries for b in BellLabel}
     out = []
     for label in FamilyLabel:
-        target = build_family(two_n, label)
+        target = families[label].entries
         blocks = recursion_blocks(label)
-        leading = sum(tensor_product(bells[b], lower[f]).entries for b, f in blocks) / 4.0
-        trailing = sum(tensor_product(lower[f], bells[b]).entries for b, f in blocks) / 4.0
-        out.append(RecursionCheck(label, "leading", trace_distance(target.entries, leading)))
-        out.append(RecursionCheck(label, "trailing", trace_distance(target.entries, trailing)))
+        leading = sum(np.kron(bells[b], lower[f]) for b, f in blocks) / 4.0
+        trailing = sum(np.kron(lower[f], bells[b]) for b, f in blocks) / 4.0
+        out.append(RecursionCheck(label, "leading", trace_distance(target, leading)))
+        out.append(RecursionCheck(label, "trailing", trace_distance(target, trailing)))
     return out
 
 
-def pauli_connection_search(a: FamilyLabel, b: FamilyLabel, two_n: int):
-    """Find a single-qubit Pauli conjugation mapping family a onto family b.
+def pauli_connection_search(rho_a: DensityMatrix, rho_b: DensityMatrix):
+    """Find a single-qubit Pauli conjugation mapping state rho_a onto rho_b.
 
-    Scans qubits 1..two_n in order and X, Y, Z per qubit; returns the first
+    Scans qubits 1..2N in order and X, Y, Z per qubit; returns the first
     (qubit, pauli name) hit or None.  Distinct families are all connected this
-    way (any hit appears already on qubit 1).
+    way (any hit appears already on qubit 1).  Half the largest entry gap is a
+    lower bound on the trace distance, so a candidate that misses by it is
+    skipped without an eigensolve.
     """
-    rho_a = build_family(two_n, a)
-    rho_b = build_family(two_n, b)
-    for qubit in range(1, two_n + 1):
+    if rho_a.num_qubits != rho_b.num_qubits:
+        raise ValueError(f"state sizes differ: {rho_a.num_qubits} vs {rho_b.num_qubits}")
+    for qubit in range(1, rho_a.num_qubits + 1):
         for name in ("X", "Y", "Z"):
             moved = apply_unitary_on_subset(rho_a, PAULIS[name], [qubit])
-            if trace_distance(moved, rho_b) < STATE_ATOL:
+            if (np.abs(moved.entries - rho_b.entries).max() / 2 < STATE_ATOL
+                    and trace_distance(moved, rho_b) < STATE_ATOL):
                 return qubit, name
     return None
 
@@ -331,9 +326,9 @@ def bell_tuple_decomposition(rho: DensityMatrix, pairing: tuple[tuple[int, int],
     return kept
 
 
-def permutation_invariance_check(two_n: int, label: FamilyLabel) -> float:
-    """Max trace distance between the family and itself under any qubit transposition."""
-    rho = build_family(two_n, label)
+def permutation_invariance_check(rho: DensityMatrix) -> float:
+    """Max trace distance between rho and itself under any qubit transposition."""
+    two_n = rho.num_qubits
     worst = 0.0
     for i in range(1, two_n + 1):
         for j in range(i + 1, two_n + 1):

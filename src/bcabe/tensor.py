@@ -197,13 +197,6 @@ def permute_qubits_matrix(entries: np.ndarray, perm: Iterable[int]) -> np.ndarra
     return t.reshape(m.shape)
 
 
-def _apply_to_slots_vector(a: np.ndarray, n: int, u: np.ndarray, slots: list[int]) -> np.ndarray:
-    k = len(slots)
-    ut = u.reshape((2,) * (2 * k))
-    t = np.tensordot(ut, a.reshape((2,) * n), axes=(list(range(k, 2 * k)), slots))
-    return np.moveaxis(t, list(range(k)), slots).reshape(-1)
-
-
 def _apply_to_slots_matrix(m: np.ndarray, n: int, u: np.ndarray, slots: list[int]) -> np.ndarray:
     # U rho U^dag: contract u into the row slots and conj(u) into the column slots
     k = len(slots)
@@ -218,18 +211,6 @@ def _apply_to_slots_matrix(m: np.ndarray, n: int, u: np.ndarray, slots: list[int
 
 
 # --- public operations ---------------------------------------------------------
-
-State = Union[PureState, DensityMatrix]
-
-
-def tensor_product(a: State, b: State) -> State:
-    """Combine two states, with operand a occupying the lower-numbered qubits."""
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        return PureState(a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(a.num_qubits + b.num_qubits, np.kron(a.entries, b.entries))
-    raise TypeError(f"operands must be the same kind, got {type(a).__name__} and {type(b).__name__}")
-
 
 def partial_trace(rho: DensityMatrix, discard: Union[QubitSubset, Iterable[int]]) -> DensityMatrix:
     """Trace out the listed qubits, returning the state of the remaining ones.
@@ -319,11 +300,11 @@ def trace_distance(a, b) -> float:
     return float(0.5 * np.abs(np.linalg.eigvalsh(ma - mb)).sum())
 
 
-def apply_unitary_on_subset(state: State, u: np.ndarray,
-                            subset: Union[QubitSubset, Iterable[int]]) -> State:
-    """Apply a unitary on the listed qubits (slot k of u acts on subset[k])."""
+def apply_unitary_on_subset(rho: DensityMatrix, u: np.ndarray,
+                            subset: Union[QubitSubset, Iterable[int]]) -> DensityMatrix:
+    """Conjugate rho by a unitary on the listed qubits (slot k of u acts on subset[k])."""
     subset = QubitSubset.of(subset)
-    subset.check_range(state.num_qubits)
+    subset.check_range(rho.num_qubits)
     k = len(subset)
     u = np.asarray(u, dtype=complex)
     if u.shape != (2 ** k, 2 ** k):
@@ -331,10 +312,4 @@ def apply_unitary_on_subset(state: State, u: np.ndarray,
     if np.abs(u @ u.conj().T - np.eye(2 ** k)).max() > OPERATOR_ATOL:
         raise ValueError("operator is not unitary within tolerance")
     slots = [q - 1 for q in subset]
-    if isinstance(state, PureState):
-        return PureState(state.num_qubits,
-                         _apply_to_slots_vector(state.amplitudes, state.num_qubits, u, slots))
-    if isinstance(state, DensityMatrix):
-        return DensityMatrix(state.num_qubits,
-                             _apply_to_slots_matrix(state.entries, state.num_qubits, u, slots))
-    raise TypeError(f"unsupported state kind {type(state).__name__}")
+    return DensityMatrix(rho.num_qubits, _apply_to_slots_matrix(rho.entries, rho.num_qubits, u, slots))

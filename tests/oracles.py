@@ -13,6 +13,7 @@ import json
 
 import numpy as np
 
+from bcabe.states import BasisString, _parity_strings
 from bcabe.tensor import DensityMatrix, PureState
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -63,6 +64,30 @@ def parity_filter(two_n: int, family: str) -> list[str]:
         elif family == "q" and zeros % 2 == 1:
             out.append(s)
     return out
+
+
+def enumerate_parity_strings(two_n: int, parity_class: str) -> list[BasisString]:
+    """The package's canonical strings of one parity class, sizes and class checked.
+
+    Canonical means the first bit is 0; the complements are the remaining
+    labels.  Each class has exactly 2**(two_n - 2) members.  This is the
+    enumeration bcabe.states builds its families from, wrapped so tests can
+    hold it against parity_filter.
+    """
+    if two_n < 4 or two_n % 2:
+        raise ValueError(f"two_n must be even and >= 4, got {two_n}")
+    if parity_class not in ("p", "q"):
+        raise ValueError(f"parity class must be 'p' or 'q', got {parity_class!r}")
+    return _parity_strings(two_n, parity_class)
+
+
+def tensor_product(a, b):
+    """Two pure states or two density matrices side by side, a on the lower-numbered qubits."""
+    if isinstance(a, PureState) and isinstance(b, PureState):
+        return PureState(a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes))
+    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
+        return DensityMatrix(a.num_qubits + b.num_qubits, np.kron(a.entries, b.entries))
+    raise TypeError(f"operands must be the same kind, got {type(a).__name__} and {type(b).__name__}")
 
 
 def family_reference(two_n: int, kind: str, sign: int) -> np.ndarray:

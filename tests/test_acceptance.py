@@ -21,16 +21,16 @@ from bcabe.protocol import init_network, locc_audit, prepare_bcabe, teleport
 from bcabe.states import (
     FamilyLabel,
     build_family,
-    enumerate_parity_strings,
     family_support_projector,
     ghz_basis,
     pauli_connection_search,
     verify_recursion,
 )
 from bcabe.tensor import DensityMatrix, PureState, partial_trace, partial_transpose, \
-    tensor_product, trace_distance
+    trace_distance
 
 import oracles
+from oracles import enumerate_parity_strings, tensor_product
 
 ALL_FAMILIES = list(FamilyLabel)
 
@@ -62,7 +62,7 @@ def test_2_recursion():
         start = time.perf_counter()
         worst = 0.0
         for two_n in (4, 6, 8):
-            checks = verify_recursion(two_n)
+            checks = verify_recursion({f: build_family(two_n, f) for f in ALL_FAMILIES})
             assert len(checks) == 8
             worst = max(worst, max(c.distance for c in checks))
         elapsed = time.perf_counter() - start
@@ -213,11 +213,12 @@ def test_9_property_suites():
         # every ordered family pair is Pauli-connected at both sizes
         connected = 0
         for two_n in (4, 6):
+            rho = {f: build_family(two_n, f) for f in ALL_FAMILIES}
             for a in ALL_FAMILIES:
                 for b in ALL_FAMILIES:
                     if a is b:
                         continue
-                    assert pauli_connection_search(a, b, two_n) is not None
+                    assert pauli_connection_search(rho[a], rho[b]) is not None
                     connected += 1
         note["detail"] = (f"teleport branches uniform, PT involution exact, "
                           f"trace inverts tensor, {connected} Pauli connections")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import sys
 
@@ -26,6 +27,32 @@ def _load(path):
 def _payload(report: dict) -> str:
     body = {k: v for k, v in report.items() if k != "header"}
     return json.dumps(body, sort_keys=True)
+
+
+def _count_calls(monkeypatch, names) -> dict[str, int]:
+    """Count calls to the named bcabe.states functions through every module binding them."""
+    calls = dict.fromkeys(names, 0)
+    modules = [m for name, m in list(sys.modules.items())
+               if name == "bcabe" or name.startswith("bcabe.")]
+    for name in calls:
+        original = getattr(states, name)
+
+        def spy(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+# sha256 of the report without its header (json.dumps sort_keys=True, indent=2), numpy 2.4.6
+VERIFY_PAYLOAD_SHA256 = {
+    4: "ecb52f5e3cd12686937cbc96be66b9b7173f0fbd2dd69f0b306b6af26bfcc142",
+    6: "38d6c05714c9af3d78922e51ae667de0c06fc93a5cc32a0777fa6ed068774388",
+    8: "a19dbb4c04cf2114f5513b7055e51aa9f8b4d54c78963e6c3c083f5000f2c700",
+}
 
 
 class TestStateFiles:
@@ -76,7 +103,25 @@ class TestVerifyCommand:
         # the doubled-Bell comparison only applies to the four-qubit member
         assert "doubled-bell-mixture-distance" not in [c["check"] for c in report["checks"]]
 
+    @pytest.mark.parametrize("size", sorted(VERIFY_PAYLOAD_SHA256))
+    def test_payload_pinned(self, size, tmp_path):
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--size", str(size), "--out", str(out)]) == 0
+        body = {k: v for k, v in _load(out).items() if k != "header"}
+        digest = hashlib.sha256(json.dumps(body, sort_keys=True, indent=2).encode()).hexdigest()
+        assert digest == VERIFY_PAYLOAD_SHA256[size]
+
+    def test_builds_each_family_once(self, tmp_path, monkeypatch):
+        # four families at the size, shared by every check, and four at the size below
+        # for the recursion
+        calls = _count_calls(monkeypatch, ["build_family"])
+        assert main(["verify", "--size", "6", "--out", str(tmp_path / "verify6.json")]) == 0
+        assert calls == {"build_family": 8}
+
     def test_tampered_state_fails(self, tmp_path, monkeypatch):
+        # the one build reaches every check: the recursion target, the Pauli images
+        # and the doubled-Bell comparison all see the drift; the drifted state is
+        # still permutation invariant
         genuine = build_family(4, FamilyLabel.RHO_PLUS)
         drifted = DensityMatrix(4, 0.9 * genuine.entries + 0.1 * np.eye(16) / 16)
 
@@ -89,7 +134,9 @@ class TestVerifyCommand:
         report = _load(out)
         assert report["passed"] is False
         failed = [c for c in report["checks"] if not c["passed"]]
-        assert [c["check"] for c in failed] == ["doubled-bell-mixture-distance"]
+        assert [c["check"] for c in failed] == ["recursion-max-distance",
+                                                "pauli-connections-missing",
+                                                "doubled-bell-mixture-distance"]
 
 
 class TestCutsCommand:
@@ -144,19 +191,7 @@ class TestCertifyCommand:
 
     def test_builds_family_and_supports_once(self, tmp_path, monkeypatch):
         # the cut scan, every activation and the distance check share one build
-        calls = {"build_family": 0, "family_support_projector": 0}
-        modules = [m for name, m in list(sys.modules.items())
-                   if name == "bcabe" or name.startswith("bcabe.")]
-        for name in calls:
-            original = getattr(states, name)
-
-            def spy(*args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(*args)
-
-            for module in modules:
-                if getattr(module, name, None) is original:
-                    monkeypatch.setattr(module, name, spy)
+        calls = _count_calls(monkeypatch, ["build_family", "family_support_projector"])
         out = tmp_path / "cert6.json"
         assert main(["certify", "--size", "6", "--family", "sigma+", "--out", str(out)]) == 0
         assert calls == {"build_family": 1, "family_support_projector": 4}

@@ -18,7 +18,6 @@ from bcabe.states import (
     bell_tuple_decomposition,
     build_family,
     complement,
-    enumerate_parity_strings,
     family_support_projector,
     ghz_basis,
     ghz_state,
@@ -28,7 +27,11 @@ from bcabe.states import (
     verify_recursion,
 )
 from bcabe.tensor import (
+    PAULI_Z,
+    STATE_ATOL,
+    DensityMatrix,
     PureState,
+    apply_unitary_on_subset,
     fidelity_with_pure,
     partial_trace,
     permute_qubits_matrix,
@@ -36,6 +39,7 @@ from bcabe.tensor import (
 )
 
 import oracles
+from oracles import enumerate_parity_strings
 
 # Frozen expected values (derived by brute-force enumeration, see oracles.py):
 P_STRINGS_4 = ["0000", "0011", "0101", "0110"]
@@ -185,10 +189,14 @@ class TestBuildFamily:
             build_family(3, FamilyLabel.RHO_PLUS)
 
 
+def families(two_n: int) -> dict[FamilyLabel, DensityMatrix]:
+    return {f: build_family(two_n, f) for f in FamilyLabel}
+
+
 class TestRecursion:
     @pytest.mark.parametrize("two_n", [4, 6])
     def test_all_eight_checks_pass(self, two_n):
-        checks = verify_recursion(two_n)
+        checks = verify_recursion(families(two_n))
         assert len(checks) == 8
         assert {c.family for c in checks} == set(FamilyLabel)
         assert {c.block_position for c in checks} == {"leading", "trailing"}
@@ -204,27 +212,62 @@ class TestRecursion:
 
     def test_rejects_base_size(self):
         with pytest.raises(ValueError):
-            verify_recursion(2)
+            verify_recursion(families(2))
+
+    def test_rejects_mixed_sizes(self):
+        mixed = {**families(4), FamilyLabel.SIGMA_MINUS: build_family(6, FamilyLabel.SIGMA_MINUS)}
+        with pytest.raises(ValueError, match="one even size"):
+            verify_recursion(mixed)
+
+    def test_reads_the_given_targets(self):
+        # a drifted target shows in its own two checks and in no other
+        given = families(4)
+        given[FamilyLabel.RHO_MINUS] = DensityMatrix(
+            4, 0.9 * given[FamilyLabel.RHO_MINUS].entries + 0.1 * np.eye(16) / 16)
+        failed = {(c.family, c.block_position) for c in verify_recursion(given)
+                  if c.distance >= 1e-12}
+        assert failed == {(FamilyLabel.RHO_MINUS, "leading"), (FamilyLabel.RHO_MINUS, "trailing")}
 
 
 class TestPauliConnections:
     def test_frozen_examples(self):
-        assert pauli_connection_search(FamilyLabel.RHO_PLUS, FamilyLabel.RHO_MINUS, 4) == (1, "Z")
-        assert pauli_connection_search(FamilyLabel.RHO_PLUS, FamilyLabel.SIGMA_PLUS, 4) == (1, "X")
+        rho = families(4)
+        assert pauli_connection_search(rho[FamilyLabel.RHO_PLUS], rho[FamilyLabel.RHO_MINUS]) == (1, "Z")
+        assert pauli_connection_search(rho[FamilyLabel.RHO_PLUS], rho[FamilyLabel.SIGMA_PLUS]) == (1, "X")
 
     def test_identity_pair_finds_nothing(self):
-        assert pauli_connection_search(FamilyLabel.RHO_PLUS, FamilyLabel.RHO_PLUS, 4) is None
+        rho = build_family(4, FamilyLabel.RHO_PLUS)
+        assert pauli_connection_search(rho, rho) is None
 
     @pytest.mark.parametrize("two_n", [4])
     def test_every_distinct_ordered_pair_connected(self, two_n):
+        rho = families(two_n)
         for a, b in itertools.permutations(FamilyLabel, 2):
-            hit = pauli_connection_search(a, b, two_n)
+            hit = pauli_connection_search(rho[a], rho[b])
             assert hit is not None, f"no single-qubit Pauli relates {a} to {b}"
             assert hit[0] == 1  # symmetry puts the first hit on qubit 1
 
+    def test_near_miss_finds_nothing(self, monkeypatch):
+        # one entry off the true image by 3 STATE_ATOL: the entry gap alone rules every
+        # candidate out, so none is eigensolved
+        rho_a = build_family(4, FamilyLabel.RHO_PLUS)
+        image = apply_unitary_on_subset(rho_a, PAULI_Z, [1]).entries.copy()
+        image[0, 15] += 3 * STATE_ATOL
+        image[15, 0] += 3 * STATE_ATOL
+        rho_b = DensityMatrix(4, image)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+        assert pauli_connection_search(rho_a, rho_b) is None
+        assert calls == []
+
+    def test_size_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="sizes differ"):
+            pauli_connection_search(build_family(4, FamilyLabel.RHO_PLUS),
+                                    build_family(6, FamilyLabel.RHO_MINUS))
+
     def test_phase_flip_toggles_cat_sign(self):
         # Z on qubit 1 sends each + cat state to its - partner
-        from bcabe.tensor import PAULI_Z, apply_unitary_on_subset
         for base in enumerate_parity_strings(4, "p"):
             plus = ghz_state(base, +1).state.to_density()
             minus = ghz_state(base, -1).state.to_density()
@@ -295,7 +338,11 @@ class TestPermutationInvariance:
 
     @pytest.mark.parametrize("label", list(FamilyLabel))
     def test_all_transpositions_at_four(self, label):
-        assert permutation_invariance_check(4, label) < 1e-12
+        assert permutation_invariance_check(build_family(4, label)) < 1e-12
 
     def test_at_six(self):
-        assert permutation_invariance_check(6, FamilyLabel.RHO_PLUS) < 1e-12
+        assert permutation_invariance_check(build_family(6, FamilyLabel.RHO_PLUS)) < 1e-12
+
+    def test_sees_a_non_invariant_state(self):
+        rho = PureState(4, oracles.ket("0001")).to_density()
+        assert permutation_invariance_check(rho) == pytest.approx(1.0, abs=1e-12)
