@@ -2,7 +2,8 @@
 
 A cut splits the 2N parties (one qubit each) into side_a / side_b; canonical
 form keeps party 1 in side_a.  For each cut the partial transpose spectrum
-decides PPT vs NPT.  The family states are NPT across every 1:(2N-1) cut and
+decides PPT vs NPT; analyze_cut reads the spectra of a whole cut list in
+one pass.  The family states are NPT across every 1:(2N-1) cut and
 PPT across every 2:(2N-2) cut; the single-party cuts each support one
 distillable ebit (witnessed by activation_distill), which feeds a covering LP
 whose optimum N is the lower bound that `certify` matches with the protocol.
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -132,48 +133,41 @@ def enumerate_cuts(num_parties: int, side_size: int | None = None) -> list[Cut]:
     return out
 
 
-def _pt_spectrum(rho: DensityMatrix, cut: Cut) -> np.ndarray:
-    """Ascending partial-transpose spectrum of an X-state across the cut, off rho.x_parts."""
-    if rho.num_qubits != cut.num_parties:
-        raise ValueError("state size does not match cut")
-    if rho.x_parts is None:
-        raise ValueError("state is not an X-state: it has nonzero entries off the diagonal "
-                         "and anti-diagonal, so its cut spectrum has no 2x2-block form")
-    mask = sum(1 << (cut.num_parties - q) for q in cut.side_a)
-    return x_spectrum(*rho.x_parts, mask)
+def analyze_cut(rho: DensityMatrix, cuts: Sequence[Cut]) -> list[CutReport]:
+    """Partial-transpose spectra across the cuts: min eigenvalue, negativity, class.
 
-
-def analyze_cut(rho: DensityMatrix, cut: Cut) -> CutReport:
-    """Partial-transpose spectrum across the cut: min eigenvalue, negativity, class.
-
-    rho must be an X-state: every nonzero entry sits at rho[k, k] or
-    rho[k, ~k], with ~k the bitwise complement of k.  GHZ-diagonal states,
-    the four families included, have this shape.  DensityMatrix finds the
-    shape once, when it is built, and keeps the two diagonals as x_parts;
-    tensor.x_spectrum reads the cut's spectrum off them, with side_a as the
-    transposed bits, in O(2^n) and without scanning rho, instead of a
-    2^n x 2^n eigensolve.
+    Returns one report per cut, in order.  rho must be an X-state: every
+    nonzero entry sits at rho[k, k] or rho[k, ~k], with ~k the bitwise
+    complement of k.  GHZ-diagonal states, the four families included, have
+    this shape.  DensityMatrix finds the shape once, when it is built, and
+    keeps the two diagonals as x_parts; one tensor.x_spectrum call reads
+    every cut's spectrum off them, with side_a as the transposed bits, in
+    O(2^n) per cut and without scanning rho, instead of a 2^n x 2^n
+    eigensolve per cut.
 
     Raises ValueError when rho.x_parts is None, i.e. on any nonzero entry
     off the X pattern.  The test is exact zero, not a tolerance: dropping
     entries of size t could move eigenvalues by up to t, more than NPT_ATOL
     for t above it.
     """
-    spectrum = _pt_spectrum(rho, cut)
-    lo = float(spectrum[0])
-    negative = spectrum[spectrum < -NPT_ATOL]
-    negativity = float(-negative.sum()) if negative.size else 0.0
-    return CutReport(
-        cut=cut,
-        min_eigenvalue=lo,
-        negativity=negativity,
-        classification="NPT" if lo < -NPT_ATOL else "PPT",
-    )
+    n = rho.num_qubits
+    if any(cut.num_parties != n for cut in cuts):
+        raise ValueError("state size does not match cut")
+    if rho.x_parts is None:
+        raise ValueError("state is not an X-state: it has nonzero entries off the diagonal "
+                         "and anti-diagonal, so its cut spectrum has no 2x2-block form")
+    masks = np.array([sum(1 << (n - q) for q in cut.side_a) for cut in cuts], dtype=np.int64)
+    spectra = x_spectrum(*rho.x_parts, masks)
+    counts = (spectra < -NPT_ATOL).sum(axis=1)  # the negatives lead each ascending row
+    return [CutReport(cut=cut, min_eigenvalue=float(row[0]),
+                      negativity=float(-row[:k].sum()) if k else 0.0,
+                      classification="NPT" if k else "PPT")
+            for cut, row, k in zip(cuts, spectra, counts)]
 
 
 def npt_one_vs_rest_scan(rho: DensityMatrix) -> list[CutReport]:
     """Reports for every single-party cut of rho."""
-    return [analyze_cut(rho, cut) for cut in enumerate_cuts(rho.num_qubits, side_size=1)]
+    return analyze_cut(rho, enumerate_cuts(rho.num_qubits, side_size=1))
 
 
 # --- activation ---------------------------------------------------------------

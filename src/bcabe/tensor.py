@@ -7,8 +7,10 @@ dimensions are capped at 2**MAX_QUBITS per object.
 
 An X-shaped DensityMatrix (nonzero entries only on the diagonal and the
 anti-diagonal, as in every GHZ-diagonal state) keeps both diagonals as
-x_parts.  x_spectrum gives its spectrum and those of its partial transposes
-in closed form, and is its PSD check; only other states are eigensolved.
+x_parts and is validated on them alone.  x_spectrum gives its spectrum and
+those of its partial transposes in closed form, for one transposed subset
+or a stack of them, and is its PSD check; only other states are
+eigensolved.
 
 All operations are pure functions: inputs are never mutated and the wrapped
 numpy arrays are marked read-only on construction.
@@ -113,7 +115,10 @@ class DensityMatrix:
     """Hermitian, unit-trace, PSD (within tolerance) operator on num_qubits qubits.
 
     x_parts is read-only (diagonal, anti), anti[k] = entries[k, ~k], found once
-    here when every other entry is exactly zero, and None otherwise.
+    here, before any other check, when every other entry is exactly zero, and
+    None otherwise.  The finite, Hermitian and PSD checks of an X-shaped
+    matrix read only x_parts; they reach the dense checks' verdicts, in the
+    same order and with the same messages.
     """
 
     num_qubits: int
@@ -127,13 +132,6 @@ class DensityMatrix:
         n = _qubit_count_for(m.shape[0])
         if n != self.num_qubits:
             raise ValueError(f"matrix dimension {m.shape[0]} does not match {self.num_qubits} qubits")
-        if not np.isfinite(m).all():
-            raise ValueError("density matrix entries must be finite")
-        if np.abs(m - m.conj().T).max() > STATE_ATOL:
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > STATE_ATOL:
-            raise ValueError(f"trace {tr} deviates from 1 by more than {STATE_ATOL}")
         m = _frozen(m)
         diagonal, anti = _frozen(np.diagonal(m)), _frozen(np.fliplr(m).diagonal())
         # count real and imaginary parts apart: exact, and faster than complex count_nonzero;
@@ -141,6 +139,18 @@ class DensityMatrix:
         x_shaped = (np.count_nonzero(np.ascontiguousarray(m).view(np.float64))
                     == np.count_nonzero(diagonal.view(np.float64))
                     + np.count_nonzero(anti.view(np.float64)))
+        # off the X every entry is an exact zero, so the diagonals decide finiteness and
+        # hold the dense check's largest |m - m^H|: 2|Im m[k, k]| or |m[k, ~k] - conj(m[~k, k])|
+        if not (np.isfinite(diagonal).all() and np.isfinite(anti).all() if x_shaped
+                else np.isfinite(m).all()):
+            raise ValueError("density matrix entries must be finite")
+        skew = (max(2 * np.abs(diagonal.imag).max(), np.abs(anti - anti[::-1].conj()).max())
+                if x_shaped else np.abs(m - m.conj().T).max())
+        if skew > STATE_ATOL:
+            raise ValueError("density matrix is not Hermitian within tolerance")
+        tr = complex(np.trace(m))
+        if abs(tr - 1.0) > STATE_ATOL:
+            raise ValueError(f"trace {tr} deviates from 1 by more than {STATE_ATOL}")
         x_parts = (diagonal, anti) if x_shaped else None
         lo = float(x_spectrum(*x_parts)[0] if x_parts else np.linalg.eigvalsh(m)[0])
         if lo < -OPERATOR_ATOL:
@@ -263,7 +273,7 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(m)
 
 
-def x_spectrum(diagonal: np.ndarray, anti: np.ndarray, mask: int = 0) -> np.ndarray:
+def x_spectrum(diagonal: np.ndarray, anti: np.ndarray, mask: int | np.ndarray = 0) -> np.ndarray:
     """Ascending spectrum of an X-shaped matrix partially transposed on the bits in mask.
 
     diagonal[k] = m[k, k] and anti[k] = m[k, ~k] hold every nonzero entry of
@@ -273,12 +283,15 @@ def x_spectrum(diagonal: np.ndarray, anti: np.ndarray, mask: int = 0) -> np.ndar
     m[k ^ mask, ~k ^ mask] = anti[k ^ mask].  Each block has eigenvalues
     mid +/- hypot((d1 - d2) / 2, |c|), mid the mean of its diagonal (Dur &
     Cirac, PRA 61, 042314 (2000)).  mask = 0 gives the spectrum of m itself.
+
+    mask may be an integer array: the spectra then stack along a new leading
+    axis, row i bit-equal to the spectrum for mask[i] alone.
     """
     half = diagonal.shape[0] // 2
     d1, d2 = diagonal[:half].real, diagonal[::-1][:half].real  # k and ~k = dim - 1 - k
     mid = (d1 + d2) / 2
-    radius = np.hypot((d1 - d2) / 2, np.abs(anti[np.arange(half) ^ mask]))
-    return np.sort(np.concatenate([mid - radius, mid + radius]))
+    radius = np.hypot((d1 - d2) / 2, np.abs(anti[np.arange(half) ^ np.asarray(mask)[..., None]]))
+    return np.sort(np.concatenate([mid - radius, mid + radius], axis=-1), axis=-1)
 
 
 def fidelity_with_pure(rho: DensityMatrix, psi: PureState) -> float:

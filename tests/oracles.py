@@ -190,6 +190,21 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     return m / np.trace(m).real
 
 
+def random_x_state(n: int, rng: np.random.Generator) -> np.ndarray:
+    """X-shaped density matrix: each {k, ~k} block's |anti| is below its diagonal's geometric mean."""
+    dim = 2 ** n
+    d = rng.uniform(0.1, 1.0, dim)
+    d /= d.sum()
+    k = np.arange(dim // 2)
+    far = dim - 1 - k
+    phase = np.exp(2j * np.pi * rng.uniform(size=k.size))
+    c = np.sqrt(d[k] * d[far]) * rng.uniform(0.0, 1.0, k.size) * phase
+    m = np.diag(d).astype(complex)
+    m[k, far] = c
+    m[far, k] = c.conj()
+    return m
+
+
 # receiver's Pauli fix after each Bell outcome (identity for phi+)
 PAULI_FIX = {
     "phi-": np.array([[1, 0], [0, -1]], dtype=complex),

@@ -94,14 +94,12 @@ def test_4_cut_structure():
         for two_n in (4, 6):
             for label in ALL_FAMILIES:
                 rho = build_family(two_n, label)
-                for cut in enumerate_cuts(two_n, side_size=1):
-                    report = analyze_cut(rho, cut)
+                for report in analyze_cut(rho, enumerate_cuts(two_n, side_size=1)):
                     assert report.classification == "NPT"
                     npt_margin = min(npt_margin, report.min_eigenvalue)
-                for cut in enumerate_cuts(two_n, side_size=2):
-                    if min(len(cut.side_a), len(cut.side_b)) != 2:
+                for report in analyze_cut(rho, enumerate_cuts(two_n, side_size=2)):
+                    if min(len(report.cut.side_a), len(report.cut.side_b)) != 2:
                         continue
-                    report = analyze_cut(rho, cut)
                     assert report.classification == "PPT"
                     assert report.min_eigenvalue >= -1e-10
                     ppt_floor = min(ppt_floor, report.min_eigenvalue)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import bcabe.cli as cli
+import bcabe.cuts as cuts
 import bcabe.states as states
 from bcabe.cli import main, write_state_file
 from bcabe.states import BasisString, FamilyLabel, build_family, ghz_state
@@ -30,12 +31,12 @@ def _payload(report: dict) -> str:
 
 
 def _count_calls(monkeypatch, names) -> dict[str, int]:
-    """Count calls to the named bcabe.states functions through every module binding them."""
+    """Count calls to the named bcabe.states or bcabe.cuts functions via every module binding them."""
     calls = dict.fromkeys(names, 0)
     modules = [m for name, m in list(sys.modules.items())
                if name == "bcabe" or name.startswith("bcabe.")]
     for name in calls:
-        original = getattr(states, name)
+        original = getattr(states, name, None) or getattr(cuts, name)
 
         def spy(*args, _name=name, _original=original):
             calls[_name] += 1
@@ -53,6 +54,27 @@ VERIFY_PAYLOAD_SHA256 = {
     6: "38d6c05714c9af3d78922e51ae667de0c06fc93a5cc32a0777fa6ed068774388",
     8: "a19dbb4c04cf2114f5513b7055e51aa9f8b4d54c78963e6c3c083f5000f2c700",
 }
+
+# the same digest of every cuts report; the size-8 values are the benchmark's per-op digests
+CUTS_PAYLOAD_SHA256 = {
+    (4, "rho+"): "4053967bbb0457c2f028f11b0e696ee64b30c6c52bfe8a3c87292ed3d4b3d75a",
+    (4, "rho-"): "d3e60343c9a9b2e31ca2c87ae9762053efa7441a225c507976dcfa5ff12e2524",
+    (4, "sigma+"): "c7c0724280136a556d88d3f5084afa877f65ec295d31f727074dccc1ca1e5604",
+    (4, "sigma-"): "6f3e2b92e4c53859670825895aff6b8dac9b913cb6af87d1236962db42109120",
+    (6, "rho+"): "bf2e21d67e6b19f12948248f9f7630b009147dcbcb55014aedc0151ba2e5b9f7",
+    (6, "rho-"): "a28d7a4c17a16f7403458acf28d4f507d9ebb2dfe7cc92095a7b26a48c74fe5e",
+    (6, "sigma+"): "ac1752fdb37ebecf789cd42eb5e5a8524d6794c3ddb2b099c8250a3fb7ffc9b0",
+    (6, "sigma-"): "8b558ba22b42454d368c73195649a84b72101124d8f85faaee786464e158918e",
+    (8, "rho+"): "17b18227ddae8073ecb895086e6d913b8ab403f969ce5d0cfbf28f1ab3ac8fd0",
+    (8, "rho-"): "1a270be208753a73f48a138889084bf5f430ffabc8e2d2d914d5501b98df7897",
+    (8, "sigma+"): "baacae718d0b473dc6ccc0bf11efd4ebd549f62230ff612051dad5adc5563fb4",
+    (8, "sigma-"): "54d79658c578223570a968d026fefe7544b9caf9eb89f5e718449943ca8e909f",
+}
+
+
+def _digest(path) -> str:
+    body = {k: v for k, v in _load(path).items() if k != "header"}
+    return hashlib.sha256(json.dumps(body, sort_keys=True, indent=2).encode()).hexdigest()
 
 
 class TestStateFiles:
@@ -107,9 +129,7 @@ class TestVerifyCommand:
     def test_payload_pinned(self, size, tmp_path):
         out = tmp_path / "verify.json"
         assert main(["verify", "--size", str(size), "--out", str(out)]) == 0
-        body = {k: v for k, v in _load(out).items() if k != "header"}
-        digest = hashlib.sha256(json.dumps(body, sort_keys=True, indent=2).encode()).hexdigest()
-        assert digest == VERIFY_PAYLOAD_SHA256[size]
+        assert _digest(out) == VERIFY_PAYLOAD_SHA256[size]
 
     def test_builds_each_family_once(self, tmp_path, monkeypatch):
         # four families at the size, shared by every check, and four at the size below
@@ -158,6 +178,18 @@ class TestCutsCommand:
         free = [r for r in rows if r["asserted"] is None]
         assert len(free) == 10    # the balanced 3:3 layer carries no assertion
         assert all(r["passed"] for r in rows)
+
+    @pytest.mark.parametrize("size, family", sorted(CUTS_PAYLOAD_SHA256))
+    def test_payload_pinned(self, size, family, tmp_path):
+        out = tmp_path / "cuts.json"
+        assert main(["cuts", "--size", str(size), "--family", family, "--out", str(out)]) == 0
+        assert _digest(out) == CUTS_PAYLOAD_SHA256[size, family]
+
+    def test_reads_every_cut_in_one_call(self, tmp_path, monkeypatch):
+        # one analyze_cut call for all 31 cuts, which the benchmark's cuts span counts
+        calls = _count_calls(monkeypatch, ["analyze_cut", "build_family"])
+        assert main(["cuts", "--size", "6", "--out", str(tmp_path / "cuts6.json")]) == 0
+        assert calls == {"analyze_cut": 1, "build_family": 1}
 
 
 class TestCertifyCommand:
@@ -240,6 +272,17 @@ class TestDeterminismAndExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["certify", "--size", "10"])
         assert exc.value.code == 2
+
+    def test_usage_error_leaves_parser_intact(self, tmp_path):
+        # the parser is built once per process; a refused call must not leak into the next
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--size", "4", "--seed", "3"])
+        assert exc.value.code == 2
+        out = tmp_path / "cert.json"
+        assert main(["certify", "--size", "4", "--family", "rho-", "--out", str(out)]) == 0
+        assert _load(out)["parameters"] == {"size": 4, "family": "rho-", "mode": "exact",
+                                            "seed": 0, "samples": 10000}
+        assert cli.build_parser() is cli.build_parser()
 
     @pytest.mark.parametrize("option, value", [
         ("--samples", "0"), ("--samples", "-3"), ("--samples", "ten"), ("--seed", "-1"),

@@ -11,8 +11,8 @@ from bcabe.cuts import (
     NPT_ATOL,
     Cut,
     CutConstraintSet,
+    CutReport,
     EdgeWeights,
-    _pt_spectrum,
     activation_correction_table,
     activation_distill,
     analyze_cut,
@@ -31,6 +31,7 @@ from bcabe.tensor import (
     fidelity_with_pure,
     partial_transpose,
     trace_distance,
+    x_spectrum,
 )
 
 import oracles
@@ -110,6 +111,21 @@ class TestCutEnumeration:
         assert Cut(4, (1,)).label() == "{1}|{2,3,4}"
 
 
+def cut_spectrum(rho, cut):
+    """The closed-form partial-transpose spectrum across one cut, side_a's bits transposed."""
+    return x_spectrum(*rho.x_parts, sum(1 << (cut.num_parties - q) for q in cut.side_a))
+
+
+def single_cut_report(rho, cut) -> CutReport:
+    """The report of one cut, read off its own spectrum one field at a time."""
+    spectrum = cut_spectrum(rho, cut)
+    lo = float(spectrum[0])
+    negative = spectrum[spectrum < -NPT_ATOL]
+    return CutReport(cut=cut, min_eigenvalue=lo,
+                     negativity=float(-negative.sum()) if negative.size else 0.0,
+                     classification="NPT" if lo < -NPT_ATOL else "PPT")
+
+
 def assert_matches_dense(rho, cut, report, dense_pt):
     """The closed form against a dense eigensolve of an independent partial transpose.
 
@@ -117,7 +133,7 @@ def assert_matches_dense(rho, cut, report, dense_pt):
     what the dense spectrum gives when read the way analyze_cut reads it.
     """
     spectrum = np.linalg.eigvalsh(dense_pt)
-    assert np.abs(_pt_spectrum(rho, cut) - spectrum).max() <= 1e-14
+    assert np.abs(cut_spectrum(rho, cut) - spectrum).max() <= 1e-14
     negative = spectrum[spectrum < -NPT_ATOL]
     assert report.min_eigenvalue == float(spectrum[0])
     assert report.negativity == (float(-negative.sum()) if negative.size else 0.0)
@@ -128,8 +144,8 @@ class TestCutSpectra:
     @pytest.mark.parametrize("label", ALL_FAMILIES)
     def test_four_qubit_structure(self, label):
         rho = build_family(4, label)
-        for cut in enumerate_cuts(4):
-            report = analyze_cut(rho, cut)
+        cuts = enumerate_cuts(4)
+        for cut, report in zip(cuts, analyze_cut(rho, cuts), strict=True):
             assert_matches_dense(rho, cut, report,
                                  oracles.pt_reference(rho.entries, list(cut.side_a), 4))
             if len(cut.side_a) in (1, 3):
@@ -144,8 +160,8 @@ class TestCutSpectra:
     def test_six_qubit_structure(self):
         for label in ALL_FAMILIES:
             rho = build_family(6, label)
-            for cut in enumerate_cuts(6):
-                report = analyze_cut(rho, cut)
+            cuts = enumerate_cuts(6)
+            for cut, report in zip(cuts, analyze_cut(rho, cuts), strict=True):
                 assert_matches_dense(rho, cut, report,
                                      oracles.pt_reference(rho.entries, list(cut.side_a), 6))
                 small = min(len(cut.side_a), len(cut.side_b))
@@ -164,13 +180,13 @@ class TestCutSpectra:
 
     def test_eight_qubit_matches_dense(self):
         rho = build_family(8, FamilyLabel.RHO_PLUS)
-        for cut in enumerate_cuts(8):
-            assert_matches_dense(rho, cut, analyze_cut(rho, cut),
-                                 partial_transpose(rho, cut.side_a))
+        cuts = enumerate_cuts(8)
+        for cut, report in zip(cuts, analyze_cut(rho, cuts), strict=True):
+            assert_matches_dense(rho, cut, report, partial_transpose(rho, cut.side_a))
 
     def test_negativity_matches_bell_state(self):
         # for [phi+] across 1:1 the negativity is 1/2 and the minimum is -1/2
-        report = analyze_cut(bell_state(BellLabel.PHI_PLUS).to_density(), Cut(2, (1,)))
+        [report] = analyze_cut(bell_state(BellLabel.PHI_PLUS).to_density(), [Cut(2, (1,))])
         assert report.classification == "NPT"
         assert report.min_eigenvalue == pytest.approx(-0.5, abs=1e-12)
         assert report.negativity == pytest.approx(0.5, abs=1e-12)
@@ -188,7 +204,7 @@ class TestCutSpectra:
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            analyze_cut(build_family(4, FamilyLabel.RHO_PLUS), Cut(6, (1,)))
+            analyze_cut(build_family(4, FamilyLabel.RHO_PLUS), [Cut(4, (1,)), Cut(6, (1,))])
 
     def test_cuts_scan_no_entries(self, monkeypatch):
         # the X shape is found once, when the state is built, not again on every cut
@@ -197,14 +213,28 @@ class TestCutSpectra:
         count_nonzero = np.count_nonzero
         monkeypatch.setattr(np, "count_nonzero",
                             lambda *args, **kwargs: calls.append(1) or count_nonzero(*args, **kwargs))
-        reports = [analyze_cut(rho, cut) for cut in enumerate_cuts(8)]
+        reports = analyze_cut(rho, enumerate_cuts(8))
         assert len(reports) == 127
         assert calls == []
 
     def test_non_x_state_rejected(self):
         rho = DensityMatrix(4, oracles.random_density(16, np.random.default_rng(0)))
         with pytest.raises(ValueError, match="not an X-state"):
-            analyze_cut(rho, Cut(4, (1,)))
+            analyze_cut(rho, [Cut(4, (1,))])
+
+
+    @pytest.mark.parametrize("size", [4, 6, 8])
+    def test_reports_equal_single_cut_readout(self, size):
+        # one stacked readout of every cut gives the fields each cut gives alone
+        states = [build_family(size, label) for label in ALL_FAMILIES]
+        states.append(DensityMatrix(size, oracles.random_x_state(size, np.random.default_rng(size))))
+        cuts = enumerate_cuts(size)
+        for rho in states:
+            assert analyze_cut(rho, cuts) == [single_cut_report(rho, cut) for cut in cuts]
+        assert any(r.classification == "NPT" for r in analyze_cut(states[-1], cuts))
+
+    def test_empty_cut_list(self):
+        assert analyze_cut(build_family(4, FamilyLabel.RHO_PLUS), []) == []
 
 
 class TestActivation:

@@ -9,6 +9,7 @@ from bcabe.tensor import (
     MAX_QUBITS,
     OPERATOR_ATOL,
     PAULI_X,
+    STATE_ATOL,
     DensityMatrix,
     Projector,
     PureState,
@@ -33,6 +34,7 @@ from oracles import (
     ptrace_reference,
     random_density,
     random_unitary,
+    random_x_state,
     tensor_product,
 )
 
@@ -345,3 +347,76 @@ class TestXShapedValidation:
         assert len(calls) == 1
         DensityMatrix(0, np.array([[1.0]]))
         assert len(calls) == 2
+
+
+def dense_verdict(m: np.ndarray) -> str | None:
+    """The dense checks in their order: the first failure's message, or None."""
+    if not np.isfinite(m).all():
+        return "density matrix entries must be finite"
+    if np.abs(m - m.conj().T).max() > STATE_ATOL:
+        return "density matrix is not Hermitian within tolerance"
+    tr = complex(np.trace(m))
+    if abs(tr - 1.0) > STATE_ATOL:
+        return f"trace {tr} deviates from 1 by more than {STATE_ATOL}"
+    return None
+
+
+def mixed_x_state() -> np.ndarray:
+    """An X-shaped three-qubit state with every eigenvalue near 1/8, well above the PSD floor."""
+    m = np.eye(8, dtype=complex) / 8
+    k = np.arange(4)
+    m[k, 7 - k] = 0.01 + 0.02j * (k + 1)
+    m[7 - k, k] = (0.01 + 0.02j * (k + 1)).conj()
+    return m
+
+
+def _set(m, entries):
+    m = m.copy()
+    for (i, j), value in entries.items():
+        m[i, j] = value
+    return m
+
+
+class TestXPathValidation:
+    # each case is a corrupted mixed_x_state; only "nan-off-x" leaves the X shape
+    CASES = {
+        "nan-on-diagonal": {(2, 2): np.nan},
+        "inf-on-anti": {(0, 7): np.inf},
+        "nan-off-x": {(0, 1): np.nan},
+        "anti-pair-skew": {(1, 6): mixed_x_state()[1, 6] + 2 * STATE_ATOL},
+        "imaginary-diagonal": {(3, 3): 1 / 8 + 1j * STATE_ATOL},
+        "trace-off": {(4, 4): 1 / 8 + 10 * STATE_ATOL},
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rejects_as_dense(self, case):
+        m = _set(mixed_x_state(), self.CASES[case])
+        off_x = np.ones((8, 8), dtype=bool)
+        off_x[np.arange(8), np.arange(8)] = off_x[np.arange(8), 7 - np.arange(8)] = False
+        assert (np.count_nonzero(m[off_x]) > 0) == (case == "nan-off-x")
+        expected = dense_verdict(m)
+        assert expected is not None
+        with pytest.raises(ValueError) as exc:
+            DensityMatrix(3, m)
+        assert str(exc.value) == expected
+
+    def test_accepts_skew_within_tolerance(self):
+        m = _set(mixed_x_state(), {(1, 6): mixed_x_state()[1, 6] + STATE_ATOL / 2})
+        assert dense_verdict(m) is None
+        rho = DensityMatrix(3, m)
+        assert rho.x_parts is not None and rho.x_parts[1][1] == m[1, 6]
+        assert DensityMatrix(3, mixed_x_state()).x_parts is not None
+
+
+class TestStackedXSpectrum:
+    def test_rows_bit_equal_single_masks(self):
+        rng = np.random.default_rng(11)
+        for n in (4, 6, 8):
+            states = [build_family(n, label) for label in FamilyLabel]
+            states.append(DensityMatrix(n, random_x_state(n, rng)))
+            masks = np.arange(2 ** n)
+            for diagonal, anti in (rho.x_parts for rho in states):
+                stacked = x_spectrum(diagonal, anti, masks)
+                assert stacked.shape == (2 ** n, 2 ** n)
+                for i, mask in enumerate(masks):
+                    assert np.array_equal(stacked[i], x_spectrum(diagonal, anti, int(mask)))
