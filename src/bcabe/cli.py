@@ -34,7 +34,7 @@ from .states import (
     permutation_invariance_check,
     verify_recursion,
 )
-from .tensor import STATE_ATOL, DensityMatrix, PureState, trace_distance
+from .tensor import STATE_ATOL, DensityMatrix, PureState, trace_distance, x_parts_of, x_trace_distance
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -100,11 +100,8 @@ def _positive_float(value: str) -> float:
 
 def _smolin_reference() -> DensityMatrix:
     """Four-qubit family as an equal mixture of doubled Bell pairs."""
-    total = np.zeros((16, 16), dtype=complex)
-    for label in BellLabel:
-        pair = bell_state(label).to_density().entries
-        total += np.kron(pair, pair)
-    return DensityMatrix(4, total / 4)
+    pairs = [bell_state(label).to_density().entries for label in BellLabel]
+    return DensityMatrix(4, sum(np.kron(pair, pair) for pair in pairs) / 4)
 
 
 def cmd_state(args) -> int:
@@ -150,7 +147,8 @@ def cmd_verify(args) -> int:
 
     results = {"pauli_connections": connections}
     if args.size == 4:
-        equivalence = trace_distance(families[FamilyLabel.RHO_PLUS], _smolin_reference())
+        equivalence = x_trace_distance(x_parts_of(families[FamilyLabel.RHO_PLUS]),
+                                       x_parts_of(_smolin_reference()))
         checks.append(_check("doubled-bell-mixture-distance", equivalence, STATE_ATOL))
 
     passed = all(c["passed"] for c in checks)

@@ -32,6 +32,7 @@ from .tensor import (
     Projector,
     QubitSubset,
     fidelity_with_pure,
+    x_parts_of,
     x_spectrum,
 )
 
@@ -145,19 +146,16 @@ def analyze_cut(rho: DensityMatrix, cuts: Sequence[Cut]) -> list[CutReport]:
     O(2^n) per cut and without scanning rho, instead of a 2^n x 2^n
     eigensolve per cut.
 
-    Raises ValueError when rho.x_parts is None, i.e. on any nonzero entry
-    off the X pattern.  The test is exact zero, not a tolerance: dropping
-    entries of size t could move eigenvalues by up to t, more than NPT_ATOL
-    for t above it.
+    Raises ValueError (tensor.x_parts_of) on any nonzero entry off the X
+    pattern.  The test is exact zero, not a tolerance: dropping entries of
+    size t could move eigenvalues by up to t, more than NPT_ATOL for t above
+    it.
     """
     n = rho.num_qubits
     if any(cut.num_parties != n for cut in cuts):
         raise ValueError("state size does not match cut")
-    if rho.x_parts is None:
-        raise ValueError("state is not an X-state: it has nonzero entries off the diagonal "
-                         "and anti-diagonal, so its cut spectrum has no 2x2-block form")
     masks = np.array([sum(1 << (n - q) for q in cut.side_a) for cut in cuts], dtype=np.int64)
-    spectra = x_spectrum(*rho.x_parts, masks)
+    spectra = x_spectrum(*x_parts_of(rho), masks)
     counts = (spectra < -NPT_ATOL).sum(axis=1)  # the negatives lead each ascending row
     return [CutReport(cut=cut, min_eigenvalue=float(row[0]),
                       negativity=float(-row[:k].sum()) if k else 0.0,

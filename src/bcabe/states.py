@@ -17,7 +17,8 @@ is the base of the recursion implemented by verify_recursion: each family at
 size 2N is an equal four-way mixture of (Bell projector on a qubit pair)
 tensor (family at size 2N-2), with the Bell label and lower family sign
 locked together.  The structure checks take built states: the caller builds
-each family once and hands the same state to every check.
+each family once and hands the same state to every check, which reads it on
+its two diagonals (x_parts) with no dense conjugation or eigensolve.
 """
 
 from __future__ import annotations
@@ -35,12 +36,12 @@ from .tensor import (
     DensityMatrix,
     Projector,
     PureState,
-    apply_unitary_on_subset,
     PAULIS,
     fidelity_with_pure,
-    permute_qubits_matrix,
     permute_qubits_vector,
     trace_distance,
+    x_parts_of,
+    x_trace_distance,
 )
 
 
@@ -193,7 +194,9 @@ def build_family(two_n: int, label: FamilyLabel) -> DensityMatrix:
     """
     if two_n < 2 or two_n % 2:
         raise ValueError(f"two_n must be even and >= 2, got {two_n}")
-    return DensityMatrix(two_n, _cat_sum(two_n, label) / 2 ** (two_n - 2))
+    m = _cat_sum(two_n, label)
+    m /= 2 ** (two_n - 2)  # in place: no second 2^n x 2^n array
+    return DensityMatrix(two_n, m)
 
 
 def family_support_projector(two_n: int, label: FamilyLabel) -> Projector:
@@ -235,26 +238,27 @@ class RecursionCheck:
 def verify_recursion(families: Mapping[FamilyLabel, DensityMatrix]) -> list[RecursionCheck]:
     """Check every built family against its one-step recursion, both block placements.
 
-    families maps each label to its state at one size 2N >= 4; only the four
-    lower families are built here, and each Bell x family product stays a
-    plain kron array.  Returns 8 trace distances: 4 families x {leading,
-    trailing} position of the Bell-pair block, which agree because the families
-    are permutation invariant; leading (qubits 1-2) is the documented convention.
+    families maps each label to its X-shaped state at one size 2N >= 4; only
+    the four lower families are built here.  Both diagonals of A x B are the
+    krons of those of A and B.  Returns 8 trace distances: 4 families x
+    {leading, trailing} position of the Bell-pair block, which agree because
+    the families are permutation invariant; leading (qubits 1-2) is the
+    documented convention.
     """
     two_n = families[FamilyLabel.RHO_PLUS].num_qubits
     if two_n < 4 or two_n % 2 or any(families[f].num_qubits != two_n for f in FamilyLabel):
         raise ValueError(f"families must share one even size >= 4, got "
                          f"{[families[f].num_qubits for f in FamilyLabel]}")
-    lower = {f: build_family(two_n - 2, f).entries for f in FamilyLabel}
-    bells = {b: bell_state(b).to_density().entries for b in BellLabel}
+    lower = {f: x_parts_of(build_family(two_n - 2, f)) for f in FamilyLabel}
+    bells = {b: x_parts_of(bell_state(b).to_density()) for b in BellLabel}
     out = []
     for label in FamilyLabel:
-        target = families[label].entries
-        blocks = recursion_blocks(label)
-        leading = sum(np.kron(bells[b], lower[f]) for b, f in blocks) / 4.0
-        trailing = sum(np.kron(lower[f], bells[b]) for b, f in blocks) / 4.0
-        out.append(RecursionCheck(label, "leading", trace_distance(target, leading)))
-        out.append(RecursionCheck(label, "trailing", trace_distance(target, trailing)))
+        target = x_parts_of(families[label])
+        for position in ("leading", "trailing"):
+            pairs = [(bells[b], lower[f]) if position == "leading" else (lower[f], bells[b])
+                     for b, f in recursion_blocks(label)]
+            mixture = [sum(np.kron(x[part], y[part]) for x, y in pairs) / 4.0 for part in (0, 1)]
+            out.append(RecursionCheck(label, position, x_trace_distance(target, mixture)))
     return out
 
 
@@ -263,17 +267,18 @@ def pauli_connection_search(rho_a: DensityMatrix, rho_b: DensityMatrix):
 
     Scans qubits 1..2N in order and X, Y, Z per qubit; returns the first
     (qubit, pauli name) hit or None.  Distinct families are all connected this
-    way (any hit appears already on qubit 1).  Half the largest entry gap is a
-    lower bound on the trace distance, so a candidate that misses by it is
-    skipped without an eigensolve.
+    way (any hit appears already on qubit 1).  On x_parts, with b the qubit's
+    bit, X reads both diagonals at k ^ b, Z negates anti and Y does both.
     """
     if rho_a.num_qubits != rho_b.num_qubits:
         raise ValueError(f"state sizes differ: {rho_a.num_qubits} vs {rho_b.num_qubits}")
-    for qubit in range(1, rho_a.num_qubits + 1):
+    n, (diagonal, anti), target = rho_a.num_qubits, x_parts_of(rho_a), x_parts_of(rho_b)
+    for qubit in range(1, n + 1):
+        flip = np.arange(2 ** n) ^ (1 << (n - qubit))
+        images = {"X": (diagonal[flip], anti[flip]), "Y": (diagonal[flip], -anti[flip]),
+                  "Z": (diagonal, -anti)}
         for name in ("X", "Y", "Z"):
-            moved = apply_unitary_on_subset(rho_a, PAULIS[name], [qubit])
-            if (np.abs(moved.entries - rho_b.entries).max() / 2 < STATE_ATOL
-                    and trace_distance(moved, rho_b) < STATE_ATOL):
+            if x_trace_distance(images[name], target) < STATE_ATOL:
                 return qubit, name
     return None
 
@@ -327,13 +332,15 @@ def bell_tuple_decomposition(rho: DensityMatrix, pairing: tuple[tuple[int, int],
 
 
 def permutation_invariance_check(rho: DensityMatrix) -> float:
-    """Max trace distance between rho and itself under any qubit transposition."""
-    two_n = rho.num_qubits
+    """Max trace distance between rho and itself under any qubit transposition.
+
+    Swapping two qubits swaps two bits of k and of ~k alike, so both x_parts
+    take the same index permutation.
+    """
+    diagonal, anti = x_parts_of(rho)
+    k = np.arange(2 ** rho.num_qubits)
     worst = 0.0
-    for i in range(1, two_n + 1):
-        for j in range(i + 1, two_n + 1):
-            perm = list(range(1, two_n + 1))
-            perm[i - 1], perm[j - 1] = perm[j - 1], perm[i - 1]
-            moved = permute_qubits_matrix(rho.entries, perm)
-            worst = max(worst, trace_distance(moved, rho.entries))
+    for bi, bj in itertools.combinations([1 << b for b in range(rho.num_qubits)], 2):
+        swap = k ^ ((((k & bi) > 0) != ((k & bj) > 0)) * (bi | bj))  # swap differing bits
+        worst = max(worst, x_trace_distance((diagonal[swap], anti[swap]), (diagonal, anti)))
     return worst

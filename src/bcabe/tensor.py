@@ -10,7 +10,7 @@ anti-diagonal, as in every GHZ-diagonal state) keeps both diagonals as
 x_parts and is validated on them alone.  x_spectrum gives its spectrum and
 those of its partial transposes in closed form, for one transposed subset
 or a stack of them, and is its PSD check; only other states are
-eigensolved.
+eigensolved.  x_trace_distance compares two of them on their diagonals alone.
 
 All operations are pure functions: inputs are never mutated and the wrapped
 numpy arrays are marked read-only on construction.
@@ -195,31 +195,6 @@ def permute_qubits_vector(amplitudes: np.ndarray, perm: Iterable[int]) -> np.nda
     return a.reshape((2,) * n).transpose(axes).reshape(-1)
 
 
-def permute_qubits_matrix(entries: np.ndarray, perm: Iterable[int]) -> np.ndarray:
-    """Rearrange qubits of an operator: output qubit k is input qubit perm[k-1]."""
-    m = np.asarray(entries)
-    n = _qubit_count_for(m.shape[0])
-    perm = [int(p) for p in perm]
-    if sorted(perm) != list(range(1, n + 1)):
-        raise ValueError(f"perm must be a bijection of 1..{n}, got {perm}")
-    axes = [p - 1 for p in perm]
-    t = m.reshape((2,) * (2 * n)).transpose(axes + [n + x for x in axes])
-    return t.reshape(m.shape)
-
-
-def _apply_to_slots_matrix(m: np.ndarray, n: int, u: np.ndarray, slots: list[int]) -> np.ndarray:
-    # U rho U^dag: contract u into the row slots and conj(u) into the column slots
-    k = len(slots)
-    t = m.reshape((2,) * (2 * n))
-    ut = u.reshape((2,) * (2 * k))
-    t = np.tensordot(ut, t, axes=(list(range(k, 2 * k)), slots))
-    t = np.moveaxis(t, list(range(k)), slots)
-    col = [n + s for s in slots]
-    t = np.tensordot(ut.conj(), t, axes=(list(range(k, 2 * k)), col))
-    t = np.moveaxis(t, list(range(k)), col)
-    return t.reshape(m.shape)
-
-
 # --- public operations ---------------------------------------------------------
 
 def partial_trace(rho: DensityMatrix, discard: Union[QubitSubset, Iterable[int]]) -> DensityMatrix:
@@ -294,6 +269,22 @@ def x_spectrum(diagonal: np.ndarray, anti: np.ndarray, mask: int | np.ndarray = 
     return np.sort(np.concatenate([mid - radius, mid + radius], axis=-1), axis=-1)
 
 
+def x_parts_of(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """rho.x_parts; ValueError when rho has a nonzero entry off its diagonal and anti-diagonal."""
+    if rho.x_parts is None:
+        raise ValueError("state is not an X-state: it has nonzero entries off the diagonal "
+                         "and anti-diagonal, so it has no 2x2-block form")
+    return rho.x_parts
+
+
+def x_trace_distance(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]) -> float:
+    """Trace distance of two Hermitian X-shaped matrices given as (diagonal, anti) pairs.
+
+    Their difference is X-shaped too, so x_spectrum gives its spectrum.
+    """
+    return float(0.5 * np.abs(x_spectrum(a[0] - b[0], a[1] - b[1])).sum())
+
+
 def fidelity_with_pure(rho: DensityMatrix, psi: PureState) -> float:
     """<psi| rho |psi> as a real number."""
     if rho.num_qubits != psi.num_qubits:
@@ -308,8 +299,6 @@ def trace_distance(a, b) -> float:
     mb = b.entries if isinstance(b, DensityMatrix) else np.asarray(b, dtype=complex)
     if ma.shape != mb.shape:
         raise ValueError(f"shape mismatch {ma.shape} vs {mb.shape}")
-    if np.array_equal(ma, mb):  # the eigensolve of the zero difference gives exactly 0.0
-        return 0.0
     return float(0.5 * np.abs(np.linalg.eigvalsh(ma - mb)).sum())
 
 
@@ -324,5 +313,11 @@ def apply_unitary_on_subset(rho: DensityMatrix, u: np.ndarray,
         raise ValueError(f"unitary shape {u.shape} does not match {k} qubits")
     if np.abs(u @ u.conj().T - np.eye(2 ** k)).max() > OPERATOR_ATOL:
         raise ValueError("operator is not unitary within tolerance")
-    slots = [q - 1 for q in subset]
-    return DensityMatrix(rho.num_qubits, _apply_to_slots_matrix(rho.entries, rho.num_qubits, u, slots))
+    # U rho U^dag: contract u into the row slots and conj(u) into the column slots
+    n, slots = rho.num_qubits, [q - 1 for q in subset]
+    ut = u.reshape((2,) * (2 * k))
+    t = np.tensordot(ut, rho.entries.reshape((2,) * (2 * n)), axes=(list(range(k, 2 * k)), slots))
+    t = np.moveaxis(t, list(range(k)), slots)
+    col = [n + s for s in slots]
+    t = np.tensordot(ut.conj(), t, axes=(list(range(k, 2 * k)), col))
+    return DensityMatrix(n, np.moveaxis(t, list(range(k)), col).reshape(rho.entries.shape))

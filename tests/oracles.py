@@ -90,6 +90,19 @@ def tensor_product(a, b):
     raise TypeError(f"operands must be the same kind, got {type(a).__name__} and {type(b).__name__}")
 
 
+def permute_qubits_matrix(entries: np.ndarray, perm: list[int]) -> np.ndarray:
+    """Rearrange qubits of an operator by reshape and transpose.
+
+    Output qubit k is input qubit perm[k-1].
+    """
+    m = np.asarray(entries)
+    n = m.shape[0].bit_length() - 1
+    if sorted(perm) != list(range(1, n + 1)):
+        raise ValueError(f"perm must be a bijection of 1..{n}, got {perm}")
+    axes = [p - 1 for p in perm]
+    return m.reshape((2,) * (2 * n)).transpose(axes + [n + x for x in axes]).reshape(m.shape)
+
+
 def family_reference(two_n: int, kind: str, sign: int) -> np.ndarray:
     """Uniform GHZ-projector mixture over a parity family, by direct summation.
 

@@ -13,6 +13,7 @@ import pytest
 import bcabe.cli as cli
 import bcabe.cuts as cuts
 import bcabe.states as states
+import bcabe.tensor as tensor
 from bcabe.cli import main, write_state_file
 from bcabe.states import BasisString, FamilyLabel, build_family, ghz_state
 from bcabe.tensor import DensityMatrix
@@ -31,12 +32,15 @@ def _payload(report: dict) -> str:
 
 
 def _count_calls(monkeypatch, names) -> dict[str, int]:
-    """Count calls to the named bcabe.states or bcabe.cuts functions via every module binding them."""
+    """Count calls to the named bcabe.states, bcabe.cuts or bcabe.tensor functions.
+
+    Each function is replaced in every module binding it.
+    """
     calls = dict.fromkeys(names, 0)
     modules = [m for name, m in list(sys.modules.items())
                if name == "bcabe" or name.startswith("bcabe.")]
     for name in calls:
-        original = getattr(states, name, None) or getattr(cuts, name)
+        original = next(getattr(m, name) for m in (states, cuts, tensor) if hasattr(m, name))
 
         def spy(*args, _name=name, _original=original):
             calls[_name] += 1
@@ -137,6 +141,18 @@ class TestVerifyCommand:
         calls = _count_calls(monkeypatch, ["build_family"])
         assert main(["verify", "--size", "6", "--out", str(tmp_path / "verify6.json")]) == 0
         assert calls == {"build_family": 8}
+
+    @pytest.mark.parametrize("size", [4, 6, 8])
+    def test_makes_no_dense_call(self, size, tmp_path, monkeypatch):
+        # every check reads the states' two diagonals: no conjugation, no dense distance,
+        # no eigensolve
+        calls = _count_calls(monkeypatch, ["apply_unitary_on_subset", "trace_distance"])
+        eigensolves = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: eigensolves.append(m) or eigvalsh(m))
+        assert main(["verify", "--size", str(size), "--out", str(tmp_path / "verify.json")]) == 0
+        assert calls == {"apply_unitary_on_subset": 0, "trace_distance": 0}
+        assert eigensolves == []
 
     def test_tampered_state_fails(self, tmp_path, monkeypatch):
         # the one build reaches every check: the recursion target, the Pauli images

@@ -33,8 +33,8 @@ from bcabe.tensor import (
     PureState,
     apply_unitary_on_subset,
     fidelity_with_pure,
+    PAULIS,
     partial_trace,
-    permute_qubits_matrix,
     trace_distance,
 )
 
@@ -193,8 +193,12 @@ def families(two_n: int) -> dict[FamilyLabel, DensityMatrix]:
     return {f: build_family(two_n, f) for f in FamilyLabel}
 
 
+def random_x(two_n: int, seed: int) -> DensityMatrix:
+    return DensityMatrix(two_n, oracles.random_x_state(two_n, np.random.default_rng(seed)))
+
+
 class TestRecursion:
-    @pytest.mark.parametrize("two_n", [4, 6])
+    @pytest.mark.parametrize("two_n", [4, 6, 8])
     def test_all_eight_checks_pass(self, two_n):
         checks = verify_recursion(families(two_n))
         assert len(checks) == 8
@@ -239,7 +243,7 @@ class TestPauliConnections:
         rho = build_family(4, FamilyLabel.RHO_PLUS)
         assert pauli_connection_search(rho, rho) is None
 
-    @pytest.mark.parametrize("two_n", [4])
+    @pytest.mark.parametrize("two_n", [4, 6, 8])
     def test_every_distinct_ordered_pair_connected(self, two_n):
         rho = families(two_n)
         for a, b in itertools.permutations(FamilyLabel, 2):
@@ -248,8 +252,8 @@ class TestPauliConnections:
             assert hit[0] == 1  # symmetry puts the first hit on qubit 1
 
     def test_near_miss_finds_nothing(self, monkeypatch):
-        # one entry off the true image by 3 STATE_ATOL: the entry gap alone rules every
-        # candidate out, so none is eigensolved
+        # one entry off the true image by 3 STATE_ATOL: every candidate's distance, read
+        # on the two diagonals, misses, and none is eigensolved
         rho_a = build_family(4, FamilyLabel.RHO_PLUS)
         image = apply_unitary_on_subset(rho_a, PAULI_Z, [1]).entries.copy()
         image[0, 15] += 3 * STATE_ATOL
@@ -333,16 +337,50 @@ class TestBellTupleDecomposition:
 class TestPermutationInvariance:
     def test_identity_permutation_is_exactly_zero(self):
         rho = build_family(4, FamilyLabel.RHO_PLUS)
-        moved = permute_qubits_matrix(rho.entries, [1, 2, 3, 4])
+        moved = oracles.permute_qubits_matrix(rho.entries, [1, 2, 3, 4])
         assert trace_distance(moved, rho.entries) == 0.0
 
+    @pytest.mark.parametrize("two_n", [4, 6, 8])
     @pytest.mark.parametrize("label", list(FamilyLabel))
-    def test_all_transpositions_at_four(self, label):
-        assert permutation_invariance_check(build_family(4, label)) < 1e-12
-
-    def test_at_six(self):
-        assert permutation_invariance_check(build_family(6, FamilyLabel.RHO_PLUS)) < 1e-12
+    def test_all_transpositions(self, label, two_n):
+        assert permutation_invariance_check(build_family(two_n, label)) < 1e-12
 
     def test_sees_a_non_invariant_state(self):
         rho = PureState(4, oracles.ket("0001")).to_density()
         assert permutation_invariance_check(rho) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestCheckersMatchDenseOracles:
+    """The structure checks read x_parts; off the families they agree with dense scans."""
+
+    @pytest.mark.parametrize("two_n", [4, 6])
+    def test_permutation_check_matches_dense_transpositions(self, two_n):
+        rho = random_x(two_n, two_n)
+        dense = 0.0
+        for i, j in itertools.combinations(range(1, two_n + 1), 2):
+            perm = list(range(1, two_n + 1))
+            perm[i - 1], perm[j - 1] = j, i
+            moved = oracles.permute_qubits_matrix(rho.entries, perm)
+            dense = max(dense, trace_distance(moved, rho.entries))
+        assert dense > 1e-3
+        assert permutation_invariance_check(rho) == pytest.approx(dense, abs=1e-12)
+
+    @pytest.mark.parametrize("two_n", [4, 6])
+    def test_pauli_search_matches_dense_scan(self, two_n):
+        rho = random_x(two_n, two_n + 1)
+        candidates = [(q, name, apply_unitary_on_subset(rho, PAULIS[name], [q]))
+                      for q in range(1, two_n + 1) for name in ("X", "Y", "Z")]
+        for _, _, image in candidates:
+            first = next((q, name) for q, name, moved in candidates
+                         if trace_distance(moved, image) < STATE_ATOL)
+            assert pauli_connection_search(rho, image) == first
+
+    def test_non_x_state_rejected(self):
+        dense = DensityMatrix(4, oracles.random_density(16, np.random.default_rng(0)))
+        given = {**families(4), FamilyLabel.RHO_MINUS: dense}
+        with pytest.raises(ValueError, match="not an X-state"):
+            verify_recursion(given)
+        with pytest.raises(ValueError, match="not an X-state"):
+            pauli_connection_search(given[FamilyLabel.RHO_PLUS], dense)
+        with pytest.raises(ValueError, match="not an X-state"):
+            permutation_invariance_check(dense)

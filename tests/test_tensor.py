@@ -19,10 +19,11 @@ from bcabe.tensor import (
     hermitian_eigenvalues,
     partial_trace,
     partial_transpose,
-    permute_qubits_matrix,
     permute_qubits_vector,
     trace_distance,
+    x_parts_of,
     x_spectrum,
+    x_trace_distance,
 )
 from bcabe.states import FamilyLabel, build_family
 
@@ -30,6 +31,7 @@ from oracles import (
     BELL_VECTORS,
     embed_reference,
     ket,
+    permute_qubits_matrix,
     pt_reference,
     ptrace_reference,
     random_density,
@@ -217,19 +219,29 @@ class TestEigenvaluesAndDistances:
     def test_trace_distance_self_is_zero(self):
         assert trace_distance(phi_plus(), phi_plus()) == 0.0
 
-    def test_trace_distance_eigensolves_only_unequal_inputs(self, monkeypatch):
+    def test_trace_distance_resolves_near_inputs(self, monkeypatch):
+        # one eigensolve of the difference sees a gap of 1e-15
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
         x = random_density(8, np.random.default_rng(3))
-        assert trace_distance(x, x.copy()) == 0.0
-        assert calls == []
         near = x.copy()
         near[0, 0] += 1e-15
         near[1, 1] -= 1e-15
         distance = trace_distance(x, near)
         assert len(calls) == 1
         assert 0.0 < distance == pytest.approx(0.5 * np.abs(np.diag(near - x)).sum())
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_x_trace_distance_matches_dense(self, n):
+        rng = np.random.default_rng(n)
+        a, b = (DensityMatrix(n, random_x_state(n, rng)) for _ in range(2))
+        assert x_trace_distance(a.x_parts, b.x_parts) == pytest.approx(trace_distance(a, b),
+                                                                         abs=1e-12)
+
+    def test_x_parts_of_rejects_dense_state(self):
+        with pytest.raises(ValueError, match="not an X-state"):
+            x_parts_of(DensityMatrix(3, random_density(8, np.random.default_rng(5))))
 
     def test_fidelity_with_pure(self):
         rho = phi_plus()
