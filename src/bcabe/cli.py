@@ -18,6 +18,7 @@ import json
 import sys
 from datetime import datetime, timezone
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -58,9 +59,30 @@ def write_state_file(path: str, obj: DensityMatrix | PureState) -> None:
         fh.write("\n")
 
 
+def _indented(obj, pad: str = "") -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) as it reads nested at indent pad.
+
+    A list of flat rows (cut rows, checks) skips indent's slow pure-Python encoder: the C
+    encoder writes it in one call, its item separator holding a row item's newline and indent.
+    No encoded scalar holds a raw newline, so "}" separator "{" is only a seam between rows.
+    """
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
+        items = [f"{inner}{encode_basestring_ascii(key)}: {_indented(value, inner)}"
+                 for key, value in sorted(obj.items())]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, list) and obj and all(type(row) is dict and row for row in obj) and {
+            type(value) for row in obj for value in row.values()} <= {str, int, float, bool, type(None)}:
+        sep = ",\n" + inner + "  "
+        text = json.dumps(obj, sort_keys=True, separators=(sep, ": "))[2:-2]  # inside [{ }]
+        text = text.replace("}" + sep + "{", f"\n{inner}}},\n{inner}{{{sep[1:]}")
+        return f"[\n{inner}{{{sep[1:]}{text}\n{inner}}}\n{pad}]"
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+
+
 def _write_report(path: str | None, payload: dict) -> None:
     report = {"header": {"generated_at": datetime.now(timezone.utc).isoformat()}, **payload}
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = _indented(report) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:

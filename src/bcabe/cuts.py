@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -59,7 +60,14 @@ class Cut:
             raise ValueError("side_a must be a proper subset")
         object.__setattr__(self, "side_a", side)
 
-    @property
+    @classmethod
+    def _canonical(cls, num_parties: int, side_a: tuple[int, ...], side_b: tuple[int, ...]) -> "Cut":
+        """A cut whose sides are canonical by construction, built without the checks above."""
+        cut = object.__new__(cls)
+        cut.__dict__.update(num_parties=num_parties, side_a=side_a, side_b=side_b)
+        return cut
+
+    @cached_property
     def side_b(self) -> tuple[int, ...]:
         return tuple(q for q in range(1, self.num_parties + 1) if q not in self.side_a)
 
@@ -120,17 +128,20 @@ class CutConstraintSet:
 def enumerate_cuts(num_parties: int, side_size: int | None = None) -> list[Cut]:
     """All canonical cuts, ordered by |side_a| then lexicographically.
 
-    With side_size given, keeps cuts where either side has that many parties.
+    With side_size given, only the layers where either side has that many
+    parties.  Complements of equal-size sets come in reverse lexicographic
+    order, so side_b too comes from combinations; no side needs Cut's checks.
     """
     if num_parties < 2:
         raise ValueError(f"need at least 2 parties, got {num_parties}")
+    sizes = range(1, num_parties) if side_size is None else sorted(
+        {side_size, num_parties - side_size} & set(range(1, num_parties)))
+    rest = range(2, num_parties + 1)
     out = []
-    rest = list(range(2, num_parties + 1))
-    for k in range(0, num_parties - 1):
-        for extra in itertools.combinations(rest, k):
-            cut = Cut(num_parties, (1,) + extra)
-            if side_size is None or len(cut.side_a) == side_size or len(cut.side_b) == side_size:
-                out.append(cut)
+    for size in sizes:
+        sides_b = reversed(list(itertools.combinations(rest, num_parties - size)))
+        out += [Cut._canonical(num_parties, (1,) + extra, side_b)
+                for extra, side_b in zip(itertools.combinations(rest, size - 1), sides_b)]
     return out
 
 

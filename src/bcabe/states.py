@@ -38,8 +38,8 @@ from .tensor import (
     PureState,
     PAULIS,
     fidelity_with_pure,
-    permute_qubits_vector,
     trace_distance,
+    x_matrix,
     x_parts_of,
     x_trace_distance,
 )
@@ -123,15 +123,10 @@ def complement(s: BasisString) -> BasisString:
     return BasisString("".join("1" if c == "0" else "0" for c in s.bits))
 
 
-def _parity_strings(two_n: int, parity_class: str) -> list[BasisString]:
-    # first bit fixed to 0; total number of 0s even for "p", odd for "q"
-    want_even = parity_class == "p"
-    out = []
-    for rest in range(2 ** (two_n - 1)):
-        bits = "0" + format(rest, f"0{two_n - 1}b")
-        if (bits.count("0") % 2 == 0) == want_even:
-            out.append(BasisString(bits))
-    return out
+def _class_members(two_n: int, parity_class: str) -> np.ndarray:
+    # per label: a string of the class (the first half, first bit 0) or a complement of one; with
+    # two_n even, a label's 0s (even for "p", odd for "q") have the parity of its bit count
+    return np.bitwise_count(np.arange(2 ** two_n)) % 2 == (parity_class == "q")
 
 
 @dataclass(frozen=True)
@@ -157,12 +152,9 @@ def ghz_state(base: BasisString, sign: int) -> GhzBasisState:
 
 def ghz_basis(two_n: int) -> list[GhzBasisState]:
     """All 2**two_n cat states: both parity classes, both signs, lexicographic bases."""
-    out = []
-    for cls in ("p", "q"):
-        for base in _parity_strings(two_n, cls):
-            for sign in (+1, -1):
-                out.append(ghz_state(base, sign))
-    return out
+    return [ghz_state(BasisString(format(k, f"0{two_n}b")), sign) for cls in ("p", "q")
+            for k in np.flatnonzero(_class_members(two_n, cls)[:2 ** (two_n - 1)])
+            for sign in (+1, -1)]
 
 
 @functools.cache  # PureState is frozen and its array read-only, so sharing is safe
@@ -171,37 +163,34 @@ def bell_state(label: BellLabel) -> PureState:
     return ghz_state(BasisString(bits), sign).state
 
 
-def _cat_sum(two_n: int, label: FamilyLabel) -> np.ndarray:
-    """Sum of the family's cat-state projectors, set entry by entry.
+def _cat_parts(two_n: int, label: FamilyLabel) -> tuple[np.ndarray, np.ndarray]:
+    """The two diagonals of the sum of the family's cat-state projectors.
 
     Each canonical string s sets (s, s), (s_bar, s_bar), (s, s_bar) and (s_bar, s)
-    to the products a dense outer product of its cat vector forms; no two share one.
+    to the products a dense outer product of its cat vector forms, a label's
+    entry on each diagonal; no two share one.
     """
-    idx = np.array([s.index for s in _parity_strings(two_n, label.parity_class)])
-    bar = idx ^ (2 ** two_n - 1)
-    a = 1.0 / np.sqrt(2.0)
-    m = np.zeros((2 ** two_n, 2 ** two_n), dtype=complex)
-    m[idx, idx] = m[bar, bar] = a * a
-    m[idx, bar] = m[bar, idx] = (label.sign * a) * a
-    return m
+    member, a = _class_members(two_n, label.parity_class), 1.0 / np.sqrt(2.0)
+    return (np.where(member, a * a, 0.0).astype(complex),
+            np.where(member, (label.sign * a) * a, 0.0).astype(complex))  # anti[k] = m[k, ~k]
 
 
 def build_family(two_n: int, label: FamilyLabel) -> DensityMatrix:
     """Uniform mixture of the family's 2**(two_n-2) cat-state projectors.
 
     two_n = 2 is allowed as the recursion base and yields the Bell projector
-    matching the label (phi+/- for rho+/-, psi+/- for sigma+/-).
+    matching the label (phi+/- for rho+/-, psi+/- for sigma+/-).  It is built
+    on its two diagonals, each entry the dense sum's divided the same way.
     """
     if two_n < 2 or two_n % 2:
         raise ValueError(f"two_n must be even and >= 2, got {two_n}")
-    m = _cat_sum(two_n, label)
-    m /= 2 ** (two_n - 2)  # in place: no second 2^n x 2^n array
-    return DensityMatrix(two_n, m)
+    count = 2 ** (two_n - 2)
+    return DensityMatrix(two_n, x_parts=tuple(part / count for part in _cat_parts(two_n, label)))
 
 
 def family_support_projector(two_n: int, label: FamilyLabel) -> Projector:
     """Projector onto the span of the family's cat states (rank 2**(two_n-2))."""
-    return Projector(two_n, _cat_sum(two_n, label))
+    return Projector(two_n, x_matrix(*_cat_parts(two_n, label)))
 
 
 def recursion_blocks(label: FamilyLabel) -> tuple[tuple[BellLabel, FamilyLabel], ...]:
@@ -292,8 +281,8 @@ def bell_product_state(labels: tuple[BellLabel, ...], pairing: tuple[tuple[int, 
         v = np.kron(v, bell_state(lbl).amplitudes)
     slots = [q for pair in pairing for q in pair]
     # tensor slot order is `slots`; rearrange so output qubit k is physical k
-    perm = [slots.index(q) + 1 for q in range(1, num_qubits + 1)]
-    return PureState(num_qubits, permute_qubits_vector(v, perm))
+    axes = [slots.index(q) for q in range(1, num_qubits + 1)]
+    return PureState(num_qubits, v.reshape((2,) * num_qubits).transpose(axes).reshape(-1))
 
 
 def _check_pairing(pairing, num_qubits: int) -> None:

@@ -7,10 +7,10 @@ dimensions are capped at 2**MAX_QUBITS per object.
 
 An X-shaped DensityMatrix (nonzero entries only on the diagonal and the
 anti-diagonal, as in every GHZ-diagonal state) keeps both diagonals as
-x_parts and is validated on them alone.  x_spectrum gives its spectrum and
-those of its partial transposes in closed form, for one transposed subset
-or a stack of them, and is its PSD check; only other states are
-eigensolved.  x_trace_distance compares two of them on their diagonals alone.
+x_parts, is validated on them alone, and may be built from them, its dense
+entries formed when first read.  x_spectrum gives its spectrum and those of
+its partial transposes in closed form, for one or a stack of transposed
+subsets, and is its PSD check.  x_trace_distance compares two on x_parts.
 
 All operations are pure functions: inputs are never mutated and the wrapped
 numpy arrays are marked read-only on construction.
@@ -19,6 +19,7 @@ numpy arrays are marked read-only on construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Union
 
 import numpy as np
@@ -110,53 +111,65 @@ class PureState:
         return DensityMatrix(self.num_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class DensityMatrix:
     """Hermitian, unit-trace, PSD (within tolerance) operator on num_qubits qubits.
 
-    x_parts is read-only (diagonal, anti), anti[k] = entries[k, ~k], found once
-    here, before any other check, when every other entry is exactly zero, and
-    None otherwise.  The finite, Hermitian and PSD checks of an X-shaped
-    matrix read only x_parts; they reach the dense checks' verdicts, in the
-    same order and with the same messages.
+    Built from its matrix, DensityMatrix(n, entries), or from the two diagonals
+    of an X-shaped one, DensityMatrix(n, x_parts=(diagonal, anti)), with
+    anti[k] = entries[k, ~k]; then entries is formed on first read.  x_parts is
+    read-only; from a matrix it is found once here, before any other check,
+    when every other entry is exactly zero, and None otherwise.  The finite,
+    Hermitian and PSD checks of an X-shaped state read only x_parts; they reach
+    the dense checks' verdicts, in the same order and with the same messages.
     """
 
     num_qubits: int
-    entries: np.ndarray
-    x_parts: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False)
+    x_parts: tuple[np.ndarray, np.ndarray] | None = field(repr=False)
 
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        n = _qubit_count_for(m.shape[0])
-        if n != self.num_qubits:
-            raise ValueError(f"matrix dimension {m.shape[0]} does not match {self.num_qubits} qubits")
-        m = _frozen(m)
-        diagonal, anti = _frozen(np.diagonal(m)), _frozen(np.fliplr(m).diagonal())
-        # count real and imaginary parts apart: exact, and faster than complex count_nonzero;
-        # at dim 1 the two diagonals are one entry counted twice, so the dense path runs
-        x_shaped = (np.count_nonzero(np.ascontiguousarray(m).view(np.float64))
-                    == np.count_nonzero(diagonal.view(np.float64))
-                    + np.count_nonzero(anti.view(np.float64)))
+    def __init__(self, num_qubits: int, entries: np.ndarray | None = None, *,
+                 x_parts: tuple[np.ndarray, np.ndarray] | None = None):
+        object.__setattr__(self, "num_qubits", num_qubits)
+        if x_parts is None:
+            m = np.asarray(entries, dtype=complex)
+            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise ValueError(f"density matrix must be square, got shape {m.shape}")
+        else:
+            x_parts = diagonal, anti = tuple(_frozen(part) for part in x_parts)
+            if diagonal.ndim != 1 or anti.shape != diagonal.shape or diagonal.size < 2:
+                raise ValueError(f"x_parts must be two vectors of one length >= 2, got {x_parts}")
+        dim = m.shape[0] if x_parts is None else diagonal.size
+        if _qubit_count_for(dim) != num_qubits:
+            raise ValueError(f"matrix dimension {dim} does not match {num_qubits} qubits")
+        if x_parts is None:
+            m = _frozen(m)
+            object.__setattr__(self, "entries", m)
+            diagonal, anti = _frozen(np.diagonal(m)), _frozen(np.fliplr(m).diagonal())
+            # count real and imaginary parts apart: exact, and faster than complex count_nonzero;
+            # at dim 1 the two diagonals are one entry counted twice, so the dense path runs
+            if (np.count_nonzero(np.ascontiguousarray(m).view(np.float64)) == np.count_nonzero(
+                    diagonal.view(np.float64)) + np.count_nonzero(anti.view(np.float64))):
+                x_parts = diagonal, anti
         # off the X every entry is an exact zero, so the diagonals decide finiteness and
         # hold the dense check's largest |m - m^H|: 2|Im m[k, k]| or |m[k, ~k] - conj(m[~k, k])|
-        if not (np.isfinite(diagonal).all() and np.isfinite(anti).all() if x_shaped
+        if not (np.isfinite(diagonal).all() and np.isfinite(anti).all() if x_parts
                 else np.isfinite(m).all()):
             raise ValueError("density matrix entries must be finite")
         skew = (max(2 * np.abs(diagonal.imag).max(), np.abs(anti - anti[::-1].conj()).max())
-                if x_shaped else np.abs(m - m.conj().T).max())
+                if x_parts else np.abs(m - m.conj().T).max())
         if skew > STATE_ATOL:
             raise ValueError("density matrix is not Hermitian within tolerance")
-        tr = complex(np.trace(m))
+        tr = complex(diagonal.sum())  # the same sum, in the same order, as np.trace
         if abs(tr - 1.0) > STATE_ATOL:
             raise ValueError(f"trace {tr} deviates from 1 by more than {STATE_ATOL}")
-        x_parts = (diagonal, anti) if x_shaped else None
         lo = float(x_spectrum(*x_parts)[0] if x_parts else np.linalg.eigvalsh(m)[0])
         if lo < -OPERATOR_ATOL:
             raise ValueError(f"matrix has eigenvalue {lo} below the -{OPERATOR_ATOL} PSD floor")
-        object.__setattr__(self, "entries", m)
         object.__setattr__(self, "x_parts", x_parts)
+
+    @cached_property
+    def entries(self) -> np.ndarray:  # reached only by a state built from x_parts
+        return _frozen(x_matrix(*self.x_parts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,19 +193,6 @@ class Projector:
         if np.abs(m @ m - m).max() > OPERATOR_ATOL:
             raise ValueError("projector is not idempotent within tolerance")
         object.__setattr__(self, "entries", _frozen(m))
-
-
-# --- low-level reshape helpers -------------------------------------------------
-
-def permute_qubits_vector(amplitudes: np.ndarray, perm: Iterable[int]) -> np.ndarray:
-    """Rearrange qubits of a state vector: output qubit k is input qubit perm[k-1]."""
-    a = np.asarray(amplitudes)
-    n = _qubit_count_for(a.size)
-    perm = [int(p) for p in perm]
-    if sorted(perm) != list(range(1, n + 1)):
-        raise ValueError(f"perm must be a bijection of 1..{n}, got {perm}")
-    axes = [p - 1 for p in perm]
-    return a.reshape((2,) * n).transpose(axes).reshape(-1)
 
 
 # --- public operations ---------------------------------------------------------
@@ -267,6 +267,14 @@ def x_spectrum(diagonal: np.ndarray, anti: np.ndarray, mask: int | np.ndarray = 
     mid = (d1 + d2) / 2
     radius = np.hypot((d1 - d2) / 2, np.abs(anti[np.arange(half) ^ np.asarray(mask)[..., None]]))
     return np.sort(np.concatenate([mid - radius, mid + radius], axis=-1), axis=-1)
+
+
+def x_matrix(diagonal: np.ndarray, anti: np.ndarray) -> np.ndarray:
+    """The X-shaped matrix m with m[k, k] = diagonal[k], m[k, ~k] = anti[k] and zeros elsewhere."""
+    k = np.arange(diagonal.size)
+    m = np.zeros((k.size, k.size), dtype=complex)
+    m[k, k], m[k, k[::-1]] = diagonal, anti
+    return m
 
 
 def x_parts_of(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:

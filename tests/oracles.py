@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 
-from bcabe.states import BasisString, _parity_strings
+from bcabe.states import BasisString, _class_members
 from bcabe.tensor import DensityMatrix, PureState
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -78,7 +78,8 @@ def enumerate_parity_strings(two_n: int, parity_class: str) -> list[BasisString]
         raise ValueError(f"two_n must be even and >= 4, got {two_n}")
     if parity_class not in ("p", "q"):
         raise ValueError(f"parity class must be 'p' or 'q', got {parity_class!r}")
-    return _parity_strings(two_n, parity_class)
+    canonical = np.flatnonzero(_class_members(two_n, parity_class)[:2 ** (two_n - 1)])
+    return [BasisString(format(k, f"0{two_n}b")) for k in canonical]
 
 
 def tensor_product(a, b):
@@ -88,6 +89,16 @@ def tensor_product(a, b):
     if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
         return DensityMatrix(a.num_qubits + b.num_qubits, np.kron(a.entries, b.entries))
     raise TypeError(f"operands must be the same kind, got {type(a).__name__} and {type(b).__name__}")
+
+
+def permute_qubits_vector(amplitudes: np.ndarray, perm: list[int]) -> np.ndarray:
+    """Rearrange qubits of a state vector: output qubit k is input qubit perm[k-1]."""
+    a = np.asarray(amplitudes)
+    n = a.size.bit_length() - 1
+    if sorted(perm) != list(range(1, n + 1)):
+        raise ValueError(f"perm must be a bijection of 1..{n}, got {perm}")
+    axes = [p - 1 for p in perm]
+    return a.reshape((2,) * n).transpose(axes).reshape(-1)
 
 
 def permute_qubits_matrix(entries: np.ndarray, perm: list[int]) -> np.ndarray:
@@ -111,6 +122,23 @@ def family_reference(two_n: int, kind: str, sign: int) -> np.ndarray:
     strings = parity_filter(two_n, kind)
     m = sum(proj(ghz_vec(s, sign)) for s in strings)
     return m / len(strings)
+
+
+def dense_family_build(two_n: int, label) -> np.ndarray:
+    """The family matrix as the package built it densely before it built the two diagonals.
+
+    Each canonical string s sets (s, s), (s_bar, s_bar), (s, s_bar) and (s_bar, s) of a
+    zeroed matrix to the products a dense outer product of its cat vector forms, and the
+    sum is divided in place by the count of strings.
+    """
+    idx = np.array([int(s, 2) for s in parity_filter(two_n, label.parity_class)])
+    bar = idx ^ (2 ** two_n - 1)
+    a = 1.0 / np.sqrt(2.0)
+    m = np.zeros((2 ** two_n, 2 ** two_n), dtype=complex)
+    m[idx, idx] = m[bar, bar] = a * a
+    m[idx, bar] = m[bar, idx] = (label.sign * a) * a
+    m /= 2 ** (two_n - 2)
+    return m
 
 
 def pt_reference(rho: np.ndarray, subset: list[int], n: int) -> np.ndarray:

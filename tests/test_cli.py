@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bcabe.cli as cli
 import bcabe.cuts as cuts
@@ -108,6 +112,20 @@ class TestStateFiles:
         assert main(["state", "--size", "4", "--family", "rho+", "--out", str(out)]) == 0
         rho = read_state_file(out)
         assert np.array_equal(rho.entries, build_family(4, FamilyLabel.RHO_PLUS).entries)
+
+    # sha256 of the file `bcabe state --size 4 --family F` writes, recorded from the dense build
+    STATE_FILE_SHA256 = {
+        "rho+": "4bec8f8dd507c9eb2ca4605f2a5e34f96064006e1df28fc427c5b8ff88883a6f",
+        "rho-": "323369c03485ab71869df3b3bddf0fb87caf82f8363b14ec317961925597b50d",
+        "sigma+": "d306a329e837746d51c9061b1e8442eb98af59129c4464ee0f210056e8c8a41a",
+        "sigma-": "8b129d2b148d8b45e8c0f96e91197b74de3bd7477d29fd73b4cd3afd6f55dbf0",
+    }
+
+    @pytest.mark.parametrize("family", sorted(STATE_FILE_SHA256))
+    def test_state_file_pinned(self, family, tmp_path):
+        out = tmp_path / "state.json"
+        assert main(["state", "--size", "4", "--family", family, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.STATE_FILE_SHA256[family]
 
 
 class TestVerifyCommand:
@@ -258,6 +276,49 @@ class TestCertifyCommand:
         out = tmp_path / "cert.json"
         assert main(["certify", "--size", "4", "--family", "rho+", "--out", str(out)]) == 1
         assert _load(out)["passed"] is False
+
+
+FAMILIES = ("rho+", "rho-", "sigma+", "sigma-")
+WRITTEN_REPORTS = ([["cuts", "--size", str(size), "--family", f] for size in (4, 6, 8) for f in FAMILIES]
+                   + [["verify", "--size", str(size)] for size in (4, 6, 8)]
+                   + [["certify", "--size", str(size), "--family", f] for size in (4, 6) for f in FAMILIES])
+
+scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+           | st.sampled_from([-0.0, 5e-324, 1e16, float("nan"), float("-inf")])
+           | st.text() | st.sampled_from(["\n", "\x00\x1f\x7f", "é€😀", "}\n{", '"\\', ""]))
+keys = st.text(max_size=6) | st.sampled_from(["cut", "passed", "\n", "é"])
+rows = st.dictionaries(keys, scalars, max_size=6)
+tables = st.lists(rows, max_size=5)
+payloads = st.dictionaries(
+    keys, scalars | rows | tables | st.dictionaries(keys, tables | rows | scalars, max_size=3),
+    max_size=5)
+
+
+class TestReportWriter:
+    # the writer must give json.dumps(report, sort_keys=True, indent=2) + "\n" byte for byte
+
+    @pytest.mark.parametrize("argv", WRITTEN_REPORTS, ids=" ".join)
+    def test_every_written_report(self, argv, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        text = out.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+    def test_stdout_report(self, capsys):
+        assert main(["cuts", "--size", "4", "--family", "sigma-"]) == 0
+        text = capsys.readouterr().out
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(payloads)
+    def test_flat_rows(self, payload):
+        # None, bools, ints, signed zeros, subnormals, large and non-finite floats, non-ASCII
+        # and control-character strings, empty lists and dicts, at every nesting the reports use
+        with contextlib.redirect_stdout(io.StringIO()) as written:
+            cli._write_report(None, payload)
+        text = written.getvalue()
+        report = {"header": json.loads(text)["header"], **payload}
+        assert text == json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 class TestDeterminismAndExitCodes:

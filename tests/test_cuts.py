@@ -95,6 +95,20 @@ class TestCutEnumeration:
         assert [c.side_a for c in cuts] == [
             (1,), (1, 2), (1, 3), (1, 4), (1, 2, 3), (1, 2, 4), (1, 3, 4)]
 
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_layers_equal_filtered_list(self, n):
+        # only the requested layers are generated: the same cuts, in the same order, with
+        # the same sides as filtering the checked full list
+        full = [Cut(n, (1,) + extra) for k in range(n - 1)
+                for extra in itertools.combinations(range(2, n + 1), k)]
+        assert enumerate_cuts(n) == full
+        for k in range(-1, n + 2):
+            want = [c for c in full if k in (len(c.side_a), n - len(c.side_a))]
+            got = enumerate_cuts(n, side_size=k)
+            assert got == want
+            assert [(c.side_a, c.side_b, c.label()) for c in got] == \
+                [(c.side_a, c.side_b, c.label()) for c in want]
+
     def test_canonical_validation(self):
         with pytest.raises(ValueError):
             Cut(4, (2, 3))          # party 1 missing

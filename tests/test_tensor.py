@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,6 @@ from bcabe.tensor import (
     hermitian_eigenvalues,
     partial_trace,
     partial_transpose,
-    permute_qubits_vector,
     trace_distance,
     x_parts_of,
     x_spectrum,
@@ -29,9 +30,11 @@ from bcabe.states import FamilyLabel, build_family
 
 from oracles import (
     BELL_VECTORS,
+    dense_family_build,
     embed_reference,
     ket,
     permute_qubits_matrix,
+    permute_qubits_vector,
     pt_reference,
     ptrace_reference,
     random_density,
@@ -418,6 +421,65 @@ class TestXPathValidation:
         rho = DensityMatrix(3, m)
         assert rho.x_parts is not None and rho.x_parts[1][1] == m[1, 6]
         assert DensityMatrix(3, mixed_x_state()).x_parts is not None
+
+
+def x_parts_from(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return np.diagonal(m).copy(), np.fliplr(m).diagonal().copy()
+
+
+class TestXBuiltDensityMatrix:
+    # the X-shaped corruptions of TestXPathValidation, and one pair block pushed below zero
+    CASES = {**{name: entries for name, entries in TestXPathValidation.CASES.items()
+                if name != "nan-off-x"},
+             "negative-eigenvalue": {(2, 5): 0.2, (5, 2): 0.2}}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rejects_as_dense(self, case):
+        # the same checks in the same order: each raises the message the matrix gets
+        m = _set(mixed_x_state(), self.CASES[case])
+        with pytest.raises(ValueError) as from_matrix:
+            DensityMatrix(3, m)
+        with pytest.raises(ValueError) as from_x:
+            DensityMatrix(3, x_parts=x_parts_from(m))
+        assert str(from_x.value) == str(from_matrix.value)
+        if case == "negative-eigenvalue":
+            assert "PSD floor" in str(from_x.value) and np.linalg.eigvalsh(m)[0] < -OPERATOR_ATOL
+        else:
+            assert str(from_x.value) == dense_verdict(m)
+
+    def test_rejects_bad_shapes(self):
+        diagonal, anti = x_parts_from(mixed_x_state())
+        with pytest.raises(ValueError, match="one length"):
+            DensityMatrix(3, x_parts=(diagonal, anti[:4]))
+        with pytest.raises(ValueError, match="one length"):
+            DensityMatrix(0, x_parts=(np.ones(1), np.ones(1)))
+        with pytest.raises(ValueError, match="does not match"):
+            DensityMatrix(2, x_parts=(diagonal, anti))
+
+    def test_entries_formed_on_first_read(self):
+        m = mixed_x_state()
+        rho = DensityMatrix(3, x_parts=x_parts_from(m))
+        assert "entries" not in vars(rho)
+        assert rho.entries.tobytes() == m.tobytes()
+        assert rho.entries is rho.entries
+        with pytest.raises(ValueError):
+            rho.entries[0, 0] = 0.0
+        assert all(np.array_equal(a, b) for a, b in zip(rho.x_parts, x_parts_from(m)))
+
+    # sha256 of build_family(n, f).entries.tobytes() over n = 2, 4, 6, 8 and the labels in
+    # FamilyLabel order, recorded from the dense build
+    FAMILIES_SHA256 = "e077029dbf6ab211a0906f7c6ccd894067d1e644673c6a5e3ad0e09d70b42259"
+
+    def test_family_entries_equal_dense_build(self):
+        digest = hashlib.sha256()
+        for two_n in (2, 4, 6, 8):
+            for label in FamilyLabel:
+                rho = build_family(two_n, label)
+                dense = dense_family_build(two_n, label)
+                assert rho.entries.tobytes() == dense.tobytes()
+                assert not rho.entries.flags.writeable
+                digest.update(rho.entries.tobytes())
+        assert digest.hexdigest() == self.FAMILIES_SHA256
 
 
 class TestStackedXSpectrum:
