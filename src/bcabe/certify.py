@@ -44,10 +44,12 @@ def cost_certificate(two_n: int, label: FamilyLabel, mode: str = "exact",
     for k in range(1, two_n + 1):
         partner = k + 1 if k < two_n else k - 1
         together = [q for q in range(1, two_n + 1) if q not in (k, partner)]
-        for outcome in activation_distill(rho, label, together, supports).values():
+        for f, outcome in activation_distill(rho, label, together, supports).items():
             if abs(outcome.probability - 0.25) > STATE_ATOL or abs(outcome.fidelity - 1.0) > STATE_ATOL:
                 raise RuntimeError(
-                    f"activation across party {k} failed to distill a clean ebit")
+                    f"activation across party {k} failed to distill a clean ebit: outcome "
+                    f"{f.value} has probability {outcome.probability} (want 0.25) and fidelity "
+                    f"{outcome.fidelity} (want 1), tolerance {STATE_ATOL}")
 
     lower, witness = lp_lower_bound(one_vs_rest_constraints(two_n, 1.0))
     ensemble, transcript = prepare_bcabe(two_n, label, mode=mode, tape_or_seed=seed,

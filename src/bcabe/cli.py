@@ -218,8 +218,12 @@ def cmd_certify(args) -> int:
     if given and args.mode == "exact":
         args.usage_error(f"{', '.join(given)}: only with --mode sampled")
     seed, samples = args.seed or 0, args.samples or 10000  # the defaults, also in exact payloads
-    certificate, ensemble, transcript = cost_certificate(
-        args.size, args.family, mode=args.mode, seed=seed, samples=samples)
+    try:
+        certificate, ensemble, transcript = cost_certificate(
+            args.size, args.family, mode=args.mode, seed=seed, samples=samples)
+    except RuntimeError as exc:  # a failed step of the certificate: a cut, activation, LP or audit
+        print(f"certify failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     distance = trace_distance(ensemble.mixed, certificate.target)
     state_tol = STATE_ATOL if args.mode == "exact" else args.tolerance or 0.05
     checks = [

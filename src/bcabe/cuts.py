@@ -40,6 +40,10 @@ from .tensor import (
 NPT_ATOL = OPERATOR_ATOL  # eigenvalues below -NPT_ATOL count as genuinely negative
 LP_ATOL = 1e-9
 
+# an activation outcome's fix kron(C, I), C on the lower-indexed residual qubit, and its target
+_ACTIVATION_FIXES = {name: np.kron(c, np.eye(2)) for name, c in CORRECTION_MATRICES.items()}
+_PHI_PLUS = bell_state(BellLabel.PHI_PLUS)
+
 
 @dataclass(frozen=True)
 class Cut:
@@ -239,18 +243,17 @@ def activation_distill(rho: DensityMatrix, label: FamilyLabel,
             gathered + [two_n + q for q in gathered])
     residuals = np.tensordot(stack, tensor, axes=axes).reshape(4, 4, 4)
     table = activation_correction_table(label)
-    phi_plus = bell_state(BellLabel.PHI_PLUS)
     out: dict[FamilyLabel, ActivationOutcome] = {}
     for outcome, residual in zip(FamilyLabel, residuals):
         prob = float(np.trace(residual).real)
         correction = table[outcome]
-        fix = np.kron(CORRECTION_MATRICES[correction], np.eye(2))
+        fix = _ACTIVATION_FIXES[correction]
         corrected = DensityMatrix(2, fix @ (residual / prob) @ fix.conj().T)
         out[outcome] = ActivationOutcome(
             probability=prob,
             correction=correction,
             corrected_state=corrected,
-            fidelity=fidelity_with_pure(corrected, phi_plus),
+            fidelity=fidelity_with_pure(corrected, _PHI_PLUS),
         )
     return out
 
@@ -283,7 +286,7 @@ def lp_lower_bound(constraint_set: CutConstraintSet) -> tuple[float, EdgeWeights
     witness = EdgeWeights(n, {p: float(w) for p, w in zip(pairs, x) if w > LP_ATOL})
     for cut, req in constraint_set.constraints:
         if witness.crossing_sum(cut) < req - LP_ATOL:
-            raise RuntimeError(f"witness violates cut {cut.label()}")
+            raise RuntimeError(f"LP witness violates cut {cut.label()}")
     if abs(witness.total() - value) > LP_ATOL:
-        raise RuntimeError("witness objective does not match the reported optimum")
+        raise RuntimeError("LP witness objective does not match the reported optimum")
     return value, witness

@@ -28,14 +28,14 @@ the header and flags any nonlocal quantum operation or singlet double-spend.
 
 prepare_bcabe runs the transcript's execution (row 0) once on a recording
 network, which fixes the qubit order, ownership and events every execution
-shares, then advances the executions in blocks of rows of one (rows, 2**n)
-array, each block ending as ROW_BLOCK final rows or fewer: ROW_BLOCK // 4**N
-tapes keeping all four outcomes at every step (exact; one tape at size 8,
-where 4**N = ROW_BLOCK), or ROW_BLOCK runs keeping one drawn outcome each
-(sampled); teleport uses the same kernel, _bell_measure.  Each row ends as a
-Bell product (2**N nonzeros of 2**(2N)), and _mix adds each block's nonzero
-terms into the mixture as soon as the block is made, rows in order; no table
-of all branches is kept.
+shares, then advances every execution in one pass: all four outcomes of every
+tape (exact) or one drawn outcome per run (sampled).  Branches point into a
+table of byte-distinct rows, and each step Bell-measures every distinct
+(row, label) pair once with _bell_measure, the kernel teleport uses too.  The
+four corrected outcomes of a step agree bit for bit, so a step holds one row
+per distinct label prefix (152 rows measured at size 8, not 5,444).  Each row
+ends as a Bell product (2**N nonzeros of 2**(2N)); _mix adds the branches'
+nonzero terms into the mixture ROW_BLOCK branches at a time, in order.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .states import (
 from .tensor import ZERO_PROB_ATOL, DensityMatrix
 
 PROTOCOL_SIZES = (4, 6, 8)
-ROW_BLOCK = 256  # final rows advanced and mixed together, in either mode; bounds a block's memory
+ROW_BLOCK = 256  # branches mixed together, in either mode; bounds a mix block's memory
 
 # per outcome in BELL_ORDER: the ket, the bra as a (2, 2) tensor, the receiver's Pauli fix
 _BELL_KETS = np.array([bell_state(b).amplitudes for b in BELL_ORDER])
@@ -388,38 +388,56 @@ def bell_correlated_tuples(two_n: int, label: FamilyLabel) -> list[tuple[BellLab
             and sum(b in minus for b in labels) % 2 == odd_minus]
 
 
+def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rows' byte-distinct rows in order of first occurrence, and each row's index among them."""
+    seen: dict[bytes, int] = {}  # bytes, not values: -0.0 == 0.0, but a merged row keeps every bit
+    index = np.array([seen.setdefault(row.tobytes(), len(seen)) for row in rows])
+    return rows[np.unique(index, return_index=True)[1]], index
+
+
 def _run(initial: np.ndarray, labels: np.ndarray, slots, draws: np.ndarray | None
-         ) -> tuple[np.ndarray, np.ndarray]:
-    """Advance a block of executions from `initial`; return (weights, amplitudes).
+         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Advance every execution from `initial`; return (weights, rows, index).
 
     labels[e, k] is execution e's BELL_ORDER index at pair k.  Without draws
-    each execution (a tape) keeps all four outcomes, its rows growing x4 per
-    step in order b*4+m, weighted by their probabilities, executions one after
-    another; else execution e is one row that keeps draws[e, k]'s pick.
+    each execution (a tape) keeps all four outcomes, its branches growing x4
+    per step in order b*4+m, weighted by their probabilities, executions one
+    after another; else execution e is one branch that keeps draws[e, k]'s
+    pick.  Branch b's state is rows[index[b]], rows byte-distinct; a step
+    measures each distinct (row, label) once, with the bits it has alone.
     """
-    amps, weights, owner = initial[None], np.ones(len(labels)), np.arange(len(labels))
+    rows, index, weights = initial[None], np.zeros(len(labels), dtype=np.intp), np.ones(len(labels))
+    owner = np.arange(len(labels))  # the execution whose labels each branch reads
     for k, slot in enumerate(slots):
-        grown = amps[:, :, None] * _BELL_KETS[labels[owner, k]][:, None, :]
-        probs, states = _bell_measure(grown.reshape(len(grown), -1), *slot)
+        keys, inv = np.unique(index * 4 + labels[owner, k], return_inverse=True)
+        grown = rows[keys // 4, :, None] * _BELL_KETS[keys % 4][:, None, :]
+        probs, states = _bell_measure(grown.reshape(len(keys), -1), *slot)
+        rows, child = _distinct(states.reshape(-1, states.shape[2]))
+        child = child.reshape(-1, 4)[inv]
         if draws is None:
-            weights = (weights[:, None] * probs).reshape(-1)
-            amps, owner = states.reshape(-1, states.shape[2]), np.repeat(owner, 4)
+            weights = (weights[:, None] * probs[inv]).reshape(-1)
+            index, owner = child.reshape(-1), np.repeat(owner, 4)
         else:
-            amps = states[np.arange(len(states)), _pick(probs, draws[:, k])]
-    return weights, amps
+            index = child[np.arange(len(child)), _pick(probs[inv], draws[:, k])]
+    return weights, rows, index
 
 
-def _mix(out: np.ndarray, weights: np.ndarray, amps: np.ndarray) -> None:
-    """Add weights[b] * |amps[b]><amps[b]| over each row's nonzeros into flat out, rows in order.
+def _nonzero_columns(rows: np.ndarray) -> np.ndarray:
+    """Each row's nonzero columns, padded with zero columns to the densest row's count."""
+    width = np.count_nonzero(rows, axis=1).max()
+    return np.argpartition(rows == 0, width - 1, axis=1)[:, :width]  # nonzeros first
 
-    Every row of the block takes as many columns as its densest row: zero terms
+
+def _mix(out: np.ndarray, weights: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+         index: np.ndarray) -> None:
+    """Add weights[b] * |r><r| for r = rows[index[b]] into flat out over cols, branches in order.
+
+    cols is _nonzero_columns(rows), found once per distinct row.  Zero terms
     leave a sum unchanged, so blocks mixed one after another into an out that
-    starts at +0.0 equal the dense row-ordered sum bit for bit.
+    starts at +0.0 equal the dense branch-ordered sum bit for bit.
     """
-    dim = amps.shape[1]
-    width = np.count_nonzero(amps, axis=1).max()
-    cols = np.argpartition(amps == 0, width - 1, axis=1)[:, :width]  # nonzeros first
-    vals = np.take_along_axis(amps, cols, axis=1)
+    dim, cols = rows.shape[1], cols[index]
+    vals = rows[index[:, None], cols]
     terms = (weights[:, None] * vals)[:, :, None] * vals[:, None, :].conj()
     np.add.at(out, (cols[:, :, None] * dim + cols[:, None, :]).ravel(), terms.ravel())
 
@@ -435,16 +453,14 @@ def prepare_bcabe(two_n: int, label: FamilyLabel, mode: str = "exact",
     (16,384 branches at 8); the transcript is the canonical execution
     (all-zero tape, first outcome everywhere).  Sampled mode draws `samples`
     independent runs seeded with tape_or_seed; the transcript is the first
-    run's.  Each block of branches (ROW_BLOCK // 4**N tapes but at least
-    one, or ROW_BLOCK runs; at most ROW_BLOCK rows at every size in
-    PROTOCOL_SIZES) is mixed as soon as it is made, only its nonzero terms,
-    in row order; singlets_used counts the singlets the recording network
-    consumed.
+    run's.  All tapes, or runs, advance in one pass over byte-distinct rows;
+    the branches are mixed ROW_BLOCK at a time, only their nonzero terms, in
+    order.  singlets_used counts the singlets the recording network consumed.
     """
     net = init_network(two_n, pairing)  # checks the size and the pairing
     nbits = two_n - 2
     if mode == "exact":
-        tapes, draws, block = np.arange(2 ** nbits), None, max(1, ROW_BLOCK // 4 ** (two_n // 2))
+        tapes, draws = np.arange(2 ** nbits), None
     elif mode == "sampled":
         if samples < 1:
             raise ValueError(f"samples must be positive, got {samples}")
@@ -453,7 +469,7 @@ def prepare_bcabe(two_n: int, label: FamilyLabel, mode: str = "exact",
         bits, draws = np.empty((samples, nbits), dtype=np.int64), np.empty((samples, two_n // 2))
         for s in range(samples):
             bits[s], draws[s] = rng.integers(0, 2, nbits), rng.random(two_n // 2)
-        tapes, block = bits @ (1 << np.arange(nbits)[::-1]), ROW_BLOCK
+        tapes = bits @ (1 << np.arange(nbits)[::-1])
     else:
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
     tuples = bell_correlated_tuples(two_n, label)
@@ -466,11 +482,13 @@ def prepare_bcabe(two_n: int, label: FamilyLabel, mode: str = "exact",
         slots.append(_teleport_into(net, leader, partner, net.qubit_order[-1], choose)[0])
 
     table = np.array([[BELL_ORDER.index(b) for b in labels] for labels in tuples])
-    out = np.zeros(4 ** two_n, dtype=complex)
-    for start in range(0, len(tapes), block):
-        w, net.amplitudes = _run(initial, table[tapes[start:start + block]], slots,
-                                 None if draws is None else draws[start:start + block])
-        _mix(out, w / len(tapes), _final_state(net))  # every tape, or run, equally likely
+    weights, net.amplitudes, index = _run(initial, table[tapes], slots, draws)
+    weights /= len(tapes)  # every tape, or run, equally likely
+    rows = _final_state(net)
+    cols, out = _nonzero_columns(rows), np.zeros(4 ** two_n, dtype=complex)
+    for start in range(0, len(index), ROW_BLOCK):
+        block = slice(start, start + ROW_BLOCK)
+        _mix(out, weights[block], rows, cols, index[block])
     mixed = DensityMatrix(two_n, out.reshape(2 ** two_n, -1))
     singlets_used = sum(s.consumed for s in net.singlets)
     return EnsembleResult(mixed, singlets_used), net.build_transcript()

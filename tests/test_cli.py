@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bcabe.certify as certify
 import bcabe.cli as cli
 import bcabe.cuts as cuts
 import bcabe.states as states
@@ -276,6 +277,22 @@ class TestCertifyCommand:
         out = tmp_path / "cert.json"
         assert main(["certify", "--size", "4", "--family", "rho+", "--out", str(out)]) == 1
         assert _load(out)["passed"] is False
+
+    def test_failed_step_exits_one_without_traceback(self, tmp_path, monkeypatch, capsys):
+        # a RuntimeError from the certificate (here a skewed activation) is a failed
+        # check: exit 1 and one stderr line naming the step, not a traceback
+        genuine = certify.activation_distill
+
+        def skewed(*args):
+            return {f: dataclasses.replace(o, probability=0.3) for f, o in genuine(*args).items()}
+
+        monkeypatch.setattr(certify, "activation_distill", skewed)
+        out = tmp_path / "cert.json"
+        assert main(["certify", "--size", "4", "--family", "rho+", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and "activation across party 1" in err and "0.3" in err
+        assert not out.exists()
 
 
 FAMILIES = ("rho+", "rho-", "sigma+", "sigma-")

@@ -15,6 +15,7 @@ from bcabe.protocol import (
     ProtocolError,
     _bell_measure,
     _mix,
+    _nonzero_columns,
     _pick,
     ProtocolTranscript,
     bell_correlated_tuples,
@@ -85,23 +86,53 @@ def _teleport_roundtrip(payload: np.ndarray) -> list[tuple[float, np.ndarray]]:
 def _prepare_capturing(*args, blocks: list | None = None, **kwargs):
     """prepare_bcabe, plus every branch it mixed: (ensemble, transcript, weights, amps).
 
-    Wraps protocol._mix and keeps a copy of each block it is handed, so the
-    branches are read through the one production path; rows in mixing order.
-    A list given as blocks receives each block's row count.
+    Wraps protocol._mix and keeps a copy of each block's weights and of the
+    rows its branches gather, so the branches are read through the one
+    production path; rows in mixing order.  A list given as blocks receives
+    each block's branch count.
     """
     captured, mix = [], protocol._mix
 
-    def capture(out, weights, amps):
-        captured.append((weights.copy(), amps.copy()))
+    def capture(out, weights, rows, cols, index):
+        captured.append((weights.copy(), rows[index]))
         if blocks is not None:
-            blocks.append(len(amps))
-        mix(out, weights, amps)
+            blocks.append(len(index))
+        mix(out, weights, rows, cols, index)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(protocol, "_mix", capture)
         ensemble, transcript = prepare_bcabe(*args, **kwargs)
     weights, amps = (np.concatenate(parts) for parts in zip(*captured))
     return ensemble, transcript, weights, amps
+
+
+def _measured_rows(two_n: int) -> int:
+    """Rows an exact prepare_bcabe hands _bell_measure.
+
+    The N recording rows, then at step k one per distinct label prefix: 4**(k+1),
+    or one per tape once each tape has its own.  The four corrected outcomes of a
+    step agree byte for byte, so they add no row.
+    """
+    pairs, tapes = two_n // 2, 2 ** (two_n - 2)
+    return pairs + sum(min(4 ** (k + 1), tapes) for k in range(pairs))
+
+
+def _count_measured_rows(monkeypatch, bound: int) -> list[int]:
+    """Spy on protocol._bell_measure: the rows it is handed, summed in a one-item list.
+
+    Fails as soon as the sum passes bound, before the rows of a run whose outcome rows
+    stopped being byte-identical grow x4 per step.
+    """
+    measured, measure = [0], protocol._bell_measure
+
+    def spy(amps, *slots):
+        measured[0] += len(amps)
+        assert measured[0] <= bound, (
+            f"more than {bound} rows Bell-measured: the outcome rows are not byte-identical")
+        return measure(amps, *slots)
+
+    monkeypatch.setattr(protocol, "_bell_measure", spy)
+    return measured
 
 
 class TestTape:
@@ -377,9 +408,10 @@ class TestPreparation:
         amps[sparse_row, np.flatnonzero(amps[sparse_row])[1]] = 0.0
         weights = rng.random(len(amps))
         weights /= weights.sum()
-        out = np.zeros(amps.shape[1] ** 2, dtype=complex)
-        _mix(out, weights[:ROW_BLOCK], amps[:ROW_BLOCK])
-        _mix(out, weights[ROW_BLOCK:], amps[ROW_BLOCK:])
+        out, cols = np.zeros(amps.shape[1] ** 2, dtype=complex), _nonzero_columns(amps)
+        index = np.arange(len(amps))
+        _mix(out, weights[:ROW_BLOCK], amps, cols, index[:ROW_BLOCK])
+        _mix(out, weights[ROW_BLOCK:], amps, cols, index[ROW_BLOCK:])
         assert out.tobytes() == oracles.mix_reference(weights, amps).tobytes()
 
     def test_exact_eight_qubits(self):
@@ -400,6 +432,32 @@ class TestPreparation:
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert trace_distance(ensemble.mixed, build_family(8, FamilyLabel.RHO_PLUS)) < 1e-12
         assert locc_audit(transcript) == []
+
+    @pytest.mark.parametrize("size", [4, 6, 8])
+    def test_exact_measures_each_distinct_row_once(self, size, monkeypatch):
+        # 10, 39 and 152 rows, where measuring every branch row takes 22, 339 and 5,444
+        measured = _count_measured_rows(monkeypatch, _measured_rows(size))
+        prepare_bcabe(size, FamilyLabel.SIGMA_MINUS, mode="exact")
+        assert measured == [_measured_rows(size)]
+
+    def test_sampled_measures_at_most_the_exact_rows(self, monkeypatch):
+        # 10,000 runs read the same distinct rows an exact run does, or fewer
+        measured = _count_measured_rows(monkeypatch, _measured_rows(8))
+        prepare_bcabe(8, FamilyLabel.RHO_MINUS, mode="sampled", tape_or_seed=0, samples=10000)
+        assert 0 < measured[0] <= _measured_rows(8)
+
+    def test_sampled_eight_qubits_memory(self):
+        # a table of every run's final row would be samples x 2^(2N) amplitudes;
+        # the runs share their distinct rows, so the peak stays well below it
+        two_n, samples = 8, 10000
+        table_bytes = samples * 2 ** two_n * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            prepare_bcabe(two_n, FamilyLabel.RHO_PLUS, mode="sampled", samples=samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table_bytes / 4
 
     def test_every_branch_is_a_bell_product(self):
         # condition on the tape: the four branches of one tape are identical
