@@ -10,7 +10,6 @@ from .certify import CostCertificate, cost_certificate
 from .cuts import (
     ActivationOutcome,
     Cut,
-    CutConstraintSet,
     CutReport,
     EdgeWeights,
     activation_correction_table,
@@ -19,7 +18,6 @@ from .cuts import (
     enumerate_cuts,
     lp_lower_bound,
     npt_one_vs_rest_scan,
-    one_vs_rest_constraints,
 )
 from .protocol import (
     EnsembleResult,

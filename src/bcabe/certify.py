@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cuts import (LP_ATOL, EdgeWeights, activation_distill, lp_lower_bound,
-                   npt_one_vs_rest_scan, one_vs_rest_constraints)
+from .cuts import LP_ATOL, EdgeWeights, activation_distill, lp_lower_bound, npt_one_vs_rest_scan
 from .protocol import ebit_accounting, locc_audit, prepare_bcabe
 from .states import FamilyLabel, build_family, family_support_projector
 from .tensor import STATE_ATOL, DensityMatrix
@@ -28,19 +27,21 @@ def cost_certificate(two_n: int, label: FamilyLabel, mode: str = "exact",
     """Certify that preparing the family costs exactly N ebits.
 
     Lower bound: every single-party cut is NPT and activation distills one
-    ebit across it, so each cut requires crossing weight 1; the covering LP
-    over those constraints has optimum N.  Achieved: the preparation protocol
-    consumes N singlets (audited transcript).  The family state and the four
+    ebit across it, so each cut needs crossing weight 1; the covering LP is
+    handed the scan's own cut list, so it bounds over exactly the cuts proved
+    NPT, and its optimum is N.  Achieved: the preparation protocol consumes N
+    singlets (audited transcript).  The family state and the four
     (2N-2)-qubit support projectors are built once, for every check, and the
     state is kept as certificate.target.  Returns
     (CostCertificate, EnsembleResult, ProtocolTranscript).
     """
     rho = build_family(two_n, label)
     supports = {f: family_support_projector(two_n - 2, f) for f in FamilyLabel}
-    for report in npt_one_vs_rest_scan(rho):
+    reports = npt_one_vs_rest_scan(rho)
+    for report in reports:
         if report.classification != "NPT":
             raise RuntimeError(
-                f"cut {report.cut.label()} is not NPT; the per-cut requirement is unjustified")
+                f"cut {report.cut.label()} is not NPT; its crossing weight 1 is unjustified")
     for k in range(1, two_n + 1):
         partner = k + 1 if k < two_n else k - 1
         together = [q for q in range(1, two_n + 1) if q not in (k, partner)]
@@ -51,9 +52,8 @@ def cost_certificate(two_n: int, label: FamilyLabel, mode: str = "exact",
                     f"{f.value} has probability {outcome.probability} (want 0.25) and fidelity "
                     f"{outcome.fidelity} (want 1), tolerance {STATE_ATOL}")
 
-    lower, witness = lp_lower_bound(one_vs_rest_constraints(two_n, 1.0))
-    ensemble, transcript = prepare_bcabe(two_n, label, mode=mode, tape_or_seed=seed,
-                                         samples=samples)
+    lower, witness = lp_lower_bound(two_n, [r.cut for r in reports])
+    ensemble, transcript = prepare_bcabe(two_n, label, mode=mode, seed=seed, samples=samples)
     violations = locc_audit(transcript)
     if violations:
         raise RuntimeError(f"protocol transcript failed the LOCC audit: {violations}")

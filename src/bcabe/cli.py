@@ -90,10 +90,9 @@ def _write_report(path: str | None, payload: dict) -> None:
             fh.write(text)
 
 
-def _check(name: str, measured: float, threshold: float, upper: bool = True) -> dict:
-    ok = measured < threshold if upper else measured >= threshold
+def _check(name: str, measured: float, threshold: float) -> dict:
     return {"check": name, "measured": float(measured), "threshold": float(threshold),
-            "comparison": "<" if upper else ">=", "passed": bool(ok)}
+            "comparison": "<", "passed": bool(measured < threshold)}
 
 
 def _family(value: str) -> FamilyLabel:

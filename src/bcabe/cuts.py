@@ -5,8 +5,9 @@ form keeps party 1 in side_a.  For each cut the partial transpose spectrum
 decides PPT vs NPT; analyze_cut reads the spectra of a whole cut list in
 one pass.  The family states are NPT across every 1:(2N-1) cut and
 PPT across every 2:(2N-2) cut; the single-party cuts each support one
-distillable ebit (witnessed by activation_distill), which feeds a covering LP
-whose optimum N is the lower bound that `certify` matches with the protocol.
+distillable ebit (witnessed by activation_distill).  lp_lower_bound puts
+crossing weight 1 on each cut of such a list; over the 2N single-party cuts
+its optimum N is the lower bound that `certify` matches with the protocol.
 """
 
 from __future__ import annotations
@@ -112,21 +113,6 @@ class EdgeWeights:
 
     def crossing_sum(self, cut: Cut) -> float:
         return float(sum(self.weights.get(pair, 0.0) for pair in cut.crossing_pairs()))
-
-
-@dataclass(frozen=True)
-class CutConstraintSet:
-    """Per-cut lower bounds on the crossing weight."""
-
-    num_parties: int
-    constraints: tuple[tuple[Cut, float], ...]
-
-    def __post_init__(self):
-        for cut, req in self.constraints:
-            if cut.num_parties != self.num_parties:
-                raise ValueError("constraint cut party count mismatch")
-            if req < 0:
-                raise ValueError(f"negative requirement {req}")
 
 
 def enumerate_cuts(num_parties: int, side_size: int | None = None) -> list[Cut]:
@@ -260,32 +246,23 @@ def activation_distill(rho: DensityMatrix, label: FamilyLabel,
 
 # --- covering LP ----------------------------------------------------------------
 
-def one_vs_rest_constraints(num_parties: int, requirement: float = 1.0) -> CutConstraintSet:
-    """One crossing-weight requirement per single-party cut."""
-    cuts = enumerate_cuts(num_parties, side_size=1)
-    return CutConstraintSet(num_parties, tuple((c, float(requirement)) for c in cuts))
-
-
-def lp_lower_bound(constraint_set: CutConstraintSet) -> tuple[float, EdgeWeights]:
-    """Minimum total edge weight meeting every cut requirement.
+def lp_lower_bound(num_parties: int, cuts: Sequence[Cut]) -> tuple[float, EdgeWeights]:
+    """Minimum total edge weight with crossing weight at least 1 on every cut.
 
     Returns the optimum and a feasible witness whose objective equals it
-    within 1e-9.  Edge variables are the C(num_parties, 2) unordered pairs.
+    within 1e-9.  Edge variables are the C(num_parties, 2) unordered pairs;
+    each cut gives one 0/1 row over them, 1 on the pairs that cross it.
     """
-    n = constraint_set.num_parties
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    rows = []
-    reqs = []
-    for cut, req in constraint_set.constraints:
-        crossing = set(cut.crossing_pairs())
-        rows.append([1.0 if p in crossing else 0.0 for p in pairs])
-        reqs.append(req)
-    if not rows:
-        return 0.0, EdgeWeights(n, {})
-    value, x = simplex.solve_min(np.ones(len(pairs)), np.array(rows), np.array(reqs))
-    witness = EdgeWeights(n, {p: float(w) for p, w in zip(pairs, x) if w > LP_ATOL})
-    for cut, req in constraint_set.constraints:
-        if witness.crossing_sum(cut) < req - LP_ATOL:
+    if any(cut.num_parties != num_parties for cut in cuts):
+        raise ValueError("cut party count does not match num_parties")
+    pairs = list(itertools.combinations(range(1, num_parties + 1), 2))
+    if not cuts:
+        return 0.0, EdgeWeights(num_parties, {})
+    rows = [[float((i in cut.side_a) != (j in cut.side_a)) for i, j in pairs] for cut in cuts]
+    value, x = simplex.solve_min(np.ones(len(pairs)), np.array(rows), np.ones(len(cuts)))
+    witness = EdgeWeights(num_parties, {p: float(w) for p, w in zip(pairs, x) if w > LP_ATOL})
+    for cut in cuts:
+        if witness.crossing_sum(cut) < 1.0 - LP_ATOL:
             raise RuntimeError(f"LP witness violates cut {cut.label()}")
     if abs(witness.total() - value) > LP_ATOL:
         raise RuntimeError("LP witness objective does not match the reported optimum")

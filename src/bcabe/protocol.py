@@ -177,15 +177,6 @@ class ProtocolTranscript:
             return cls.from_lines(fh.read().splitlines())
 
 
-@dataclass
-class _SingletRecord:
-    party_a: int
-    party_b: int
-    qubit_a: int
-    qubit_b: int
-    consumed: bool = False
-
-
 @dataclass(eq=False)
 class NetworkState:
     """Mutable simulation state for one protocol branch."""
@@ -195,7 +186,8 @@ class NetworkState:
     amplitudes: np.ndarray                  # live qubits' joint state, or a block of rows
     qubit_order: list[int]                  # qubit id per tensor slot
     ownership: dict[int, int]               # qubit id -> party
-    singlets: list[_SingletRecord]
+    singlets: tuple[tuple[int, int, int, int], ...]  # (party_a, party_b, qubit_a, qubit_b)
+    consumed: set[int] = field(default_factory=set)  # indices into singlets
     tape: str = ""                          # pre-shared bits that chose the Bell tuple
     events: list[dict] = field(default_factory=list)
     initial_ownership: dict[int, int] = field(default_factory=dict)
@@ -205,7 +197,7 @@ class NetworkState:
         """A copy that shares only immutable fields and initial_ownership."""
         return replace(self, amplitudes=self.amplitudes.copy(),
                        qubit_order=list(self.qubit_order), ownership=dict(self.ownership),
-                       singlets=[replace(s) for s in self.singlets], events=list(self.events))
+                       consumed=set(self.consumed), events=list(self.events))
 
     def owner_of(self, qubit: int) -> int:
         try:
@@ -219,7 +211,7 @@ class NetworkState:
             pairing=self.pairing,
             tape_bits=self.tape,
             initial_ownership=dict(self.initial_ownership),
-            singlets=tuple((s.party_a, s.party_b, s.qubit_a, s.qubit_b) for s in self.singlets),
+            singlets=self.singlets,
             events=tuple(self.events),
         )
 
@@ -237,13 +229,13 @@ def init_network(two_n: int, pairing: tuple[tuple[int, int], ...] | None = None)
     phi = bell_state(BellLabel.PHI_PLUS).amplitudes
     amps = np.ones(1, dtype=complex)
     ownership: dict[int, int] = {}
-    singlets: list[_SingletRecord] = []
+    singlets = []
     qid = 1
     for a, b in pairing:
         amps = np.kron(amps, phi)
         ownership[qid] = a
         ownership[qid + 1] = b
-        singlets.append(_SingletRecord(a, b, qid, qid + 1))
+        singlets.append((a, b, qid, qid + 1))
         qid += 2
     return NetworkState(
         num_parties=two_n,
@@ -251,7 +243,7 @@ def init_network(two_n: int, pairing: tuple[tuple[int, int], ...] | None = None)
         amplitudes=amps,
         qubit_order=list(range(1, qid)),
         ownership=ownership,
-        singlets=singlets,
+        singlets=tuple(singlets),
         initial_ownership=dict(ownership),
         next_qubit_id=qid,
     )
@@ -300,13 +292,12 @@ def _teleport_into(net: NetworkState, sender: int, receiver: int, qubit: int, ch
     """Teleport `qubit` on net itself, keeping outcome choose(probs); return slots, prob."""
     if net.owner_of(qubit) != sender:
         raise ProtocolError(f"qubit {qubit} is not held by party {sender}")
-    idx = next((i for i, s in enumerate(net.singlets)
-                if not s.consumed and {s.party_a, s.party_b} == {sender, receiver}), None)
+    idx = next((i for i, (a, b, _, _) in enumerate(net.singlets)
+                if i not in net.consumed and {a, b} == {sender, receiver}), None)
     if idx is None:
         raise ProtocolError(f"no available singlet between parties {sender} and {receiver}")
-    rec = net.singlets[idx]
-    send_half = rec.qubit_a if rec.party_a == sender else rec.qubit_b
-    recv_half = rec.qubit_b if rec.party_a == sender else rec.qubit_a
+    party_a, party_b, qubit_a, qubit_b = net.singlets[idx]
+    send_half, recv_half = (qubit_a, qubit_b) if party_a == sender else (qubit_b, qubit_a)
     rest = [q for q in net.qubit_order if q not in (qubit, send_half)]
     slots = (net.qubit_order.index(qubit), net.qubit_order.index(send_half),
              rest.index(recv_half))
@@ -315,11 +306,11 @@ def _teleport_into(net: NetworkState, sender: int, receiver: int, qubit: int, ch
     prob = float(probs[0, m])
     net.amplitudes, net.qubit_order = states[0, m], rest
     del net.ownership[qubit], net.ownership[send_half]
-    rec.consumed = True
+    net.consumed.add(idx)
     outcome, log = format(m, "02b"), net.events.append
     log({"kind": "local-measurement", "party": sender, "qubits": [qubit, send_half],
          "basis": "bell", "outcome": outcome, "probability": prob})
-    log({"kind": "singlet-consumed", "pair": [rec.party_a, rec.party_b], "index": idx})
+    log({"kind": "singlet-consumed", "pair": [party_a, party_b], "index": idx})
     log({"kind": "classical-message", "from": sender, "to": receiver, "bits": outcome})
     log({"kind": "local-unitary", "party": receiver, "qubits": [recv_half],
          "name": BELL_CORRECTIONS[BELL_ORDER[m]]})
@@ -443,7 +434,7 @@ def _mix(out: np.ndarray, weights: np.ndarray, rows: np.ndarray, cols: np.ndarra
 
 
 def prepare_bcabe(two_n: int, label: FamilyLabel, mode: str = "exact",
-                  tape_or_seed: int = 0, samples: int = 10000,
+                  seed: int = 0, samples: int = 10000,
                   pairing: tuple[tuple[int, int], ...] | None = None
                   ) -> tuple[EnsembleResult, ProtocolTranscript]:
     """Run the N-singlet preparation of the target family.
@@ -451,11 +442,12 @@ def prepare_bcabe(two_n: int, label: FamilyLabel, mode: str = "exact",
     Exact mode enumerates all 2**(2N-2) tape values times 4**N measurement
     branches and returns the exact ensemble, at every size in PROTOCOL_SIZES
     (16,384 branches at 8); the transcript is the canonical execution
-    (all-zero tape, first outcome everywhere).  Sampled mode draws `samples`
-    independent runs seeded with tape_or_seed; the transcript is the first
-    run's.  All tapes, or runs, advance in one pass over byte-distinct rows;
-    the branches are mixed ROW_BLOCK at a time, only their nonzero terms, in
-    order.  singlets_used counts the singlets the recording network consumed.
+    (all-zero tape, first outcome everywhere), and seed is ignored.  Sampled
+    mode draws `samples` independent runs from a generator seeded with seed;
+    the transcript is the first run's.  All tapes, or runs, advance in one
+    pass over byte-distinct rows; the branches are mixed ROW_BLOCK at a time,
+    only their nonzero terms, in order.  singlets_used counts the singlets the
+    recording network consumed.
     """
     net = init_network(two_n, pairing)  # checks the size and the pairing
     nbits = two_n - 2
@@ -465,7 +457,7 @@ def prepare_bcabe(two_n: int, label: FamilyLabel, mode: str = "exact",
         if samples < 1:
             raise ValueError(f"samples must be positive, got {samples}")
         # each run draws its tape bits, then one uniform per pair step for the outcome
-        rng = np.random.default_rng(tape_or_seed)
+        rng = np.random.default_rng(seed)
         bits, draws = np.empty((samples, nbits), dtype=np.int64), np.empty((samples, two_n // 2))
         for s in range(samples):
             bits[s], draws[s] = rng.integers(0, 2, nbits), rng.random(two_n // 2)
@@ -490,7 +482,7 @@ def prepare_bcabe(two_n: int, label: FamilyLabel, mode: str = "exact",
         block = slice(start, start + ROW_BLOCK)
         _mix(out, weights[block], rows, cols, index[block])
     mixed = DensityMatrix(two_n, out.reshape(2 ** two_n, -1))
-    singlets_used = sum(s.consumed for s in net.singlets)
+    singlets_used = len(net.consumed)
     return EnsembleResult(mixed, singlets_used), net.build_transcript()
 
 

@@ -15,8 +15,7 @@ import numpy as np
 from conftest import record_acceptance
 
 from bcabe.certify import cost_certificate
-from bcabe.cuts import activation_distill, enumerate_cuts, analyze_cut, lp_lower_bound, \
-    one_vs_rest_constraints
+from bcabe.cuts import activation_distill, enumerate_cuts, analyze_cut, lp_lower_bound
 from bcabe.protocol import init_network, locc_audit, prepare_bcabe, teleport
 from bcabe.states import (
     FamilyLabel,
@@ -135,7 +134,7 @@ def test_6_lower_bound():
         start = time.perf_counter()
         values = {}
         for two_n in (4, 6, 8, 10):
-            value, witness = lp_lower_bound(one_vs_rest_constraints(two_n, 1.0))
+            value, witness = lp_lower_bound(two_n, enumerate_cuts(two_n, side_size=1))
             assert abs(value - two_n / 2) <= 1e-9
             assert abs(witness.total() - value) <= 1e-9
             values[two_n] = value
@@ -166,7 +165,7 @@ def test_7_protocol_exactness():
 def test_8_sampled_mode_sanity():
     with criterion(8, "sampled-mode-sanity") as note:
         ensemble, _ = prepare_bcabe(4, FamilyLabel.RHO_PLUS, mode="sampled",
-                                    tape_or_seed=0, samples=10000)
+                                    seed=0, samples=10000)
         distance = trace_distance(ensemble.mixed, build_family(4, FamilyLabel.RHO_PLUS))
         note["detail"] = f"distance {distance:.4f} < 0.05 at M=10000, seed 0"
         assert distance < 0.05

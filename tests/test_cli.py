@@ -263,6 +263,39 @@ class TestCertifyCommand:
         assert main(["certify", "--size", "6", "--family", "sigma+", "--out", str(out)]) == 0
         assert calls == {"build_family": 1, "family_support_projector": 4}
 
+    def test_bounds_over_the_scanned_cuts(self, tmp_path, monkeypatch):
+        # the LP gets exactly the cuts the scan proved NPT, in scan order, and the
+        # single-party cuts are enumerated once
+        scanned, bounded, enumerated = [], [], []
+        genuine_scan, genuine_bound = certify.npt_one_vs_rest_scan, certify.lp_lower_bound
+        genuine_enumerate = cuts.enumerate_cuts
+
+        def scan(rho):
+            reports = genuine_scan(rho)
+            scanned.append([r.cut for r in reports])
+            return reports
+
+        def bound(num_parties, cut_list):
+            bounded.append((num_parties, list(cut_list)))
+            return genuine_bound(num_parties, cut_list)
+
+        def enumerate_cuts(*args, **kwargs):
+            enumerated.append((args, kwargs))
+            return genuine_enumerate(*args, **kwargs)
+
+        monkeypatch.setattr(certify, "npt_one_vs_rest_scan", scan)
+        monkeypatch.setattr(certify, "lp_lower_bound", bound)
+        monkeypatch.setattr(cuts, "enumerate_cuts", enumerate_cuts)
+        out = tmp_path / "cert6.json"
+        assert main(["certify", "--size", "6", "--family", "rho+", "--out", str(out)]) == 0
+        assert len(scanned) == 1 and len(bounded) == 1
+        num_parties, cut_list = bounded[0]
+        assert num_parties == 6
+        assert len(cut_list) == 6 and all(a is b for a, b in zip(cut_list, scanned[0], strict=True))
+        assert [c.side_a for c in cut_list] == [(1,)] + [
+            tuple(q for q in range(1, 7) if q != k) for k in range(6, 1, -1)]
+        assert enumerated == [((6,), {"side_size": 1})]
+
     def test_inexact_certificate_fails(self, tmp_path, monkeypatch):
         genuine = cli.cost_certificate
 

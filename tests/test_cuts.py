@@ -10,7 +10,6 @@ import pytest
 from bcabe.cuts import (
     NPT_ATOL,
     Cut,
-    CutConstraintSet,
     CutReport,
     EdgeWeights,
     activation_correction_table,
@@ -19,7 +18,6 @@ from bcabe.cuts import (
     enumerate_cuts,
     lp_lower_bound,
     npt_one_vs_rest_scan,
-    one_vs_rest_constraints,
 )
 from bcabe.certify import cost_certificate
 from bcabe.states import (CORRECTION_MATRICES, BellLabel, FamilyLabel, bell_state, build_family,
@@ -377,17 +375,11 @@ class TestEdgeWeights:
         assert ew.crossing_sum(Cut(4, (1, 2))) == 0.0
         assert ew.crossing_sum(Cut(4, (1, 3))) == 2.0
 
-    def test_constraint_set_validation(self):
-        with pytest.raises(ValueError):
-            CutConstraintSet(4, ((Cut(6, (1,)), 1.0),))
-        with pytest.raises(ValueError):
-            CutConstraintSet(4, ((Cut(4, (1,)), -1.0),))
-
 
 class TestCoveringBound:
     @pytest.mark.parametrize("two_n", [4, 6, 8, 10])
     def test_optimum_is_half_the_parties(self, two_n):
-        value, witness = lp_lower_bound(one_vs_rest_constraints(two_n, 1.0))
+        value, witness = lp_lower_bound(two_n, enumerate_cuts(two_n, side_size=1))
         assert value == pytest.approx(two_n / 2, abs=1e-9)
         assert witness.total() == pytest.approx(value, abs=1e-9)
         for cut in enumerate_cuts(two_n, side_size=1):
@@ -396,26 +388,26 @@ class TestCoveringBound:
     def test_disjoint_pairs_witness_is_optimal(self):
         # the perfect matching e_12 = e_34 = 1 achieves the bound at n=4
         matching = EdgeWeights(4, {(1, 2): 1.0, (3, 4): 1.0})
-        constraints = one_vs_rest_constraints(4, 1.0)
-        for cut, req in constraints.constraints:
-            assert matching.crossing_sum(cut) >= req
-        value, _ = lp_lower_bound(constraints)
+        cuts = enumerate_cuts(4, side_size=1)
+        for cut in cuts:
+            assert matching.crossing_sum(cut) >= 1.0
+        value, _ = lp_lower_bound(4, cuts)
         assert matching.total() == pytest.approx(value, abs=1e-9)
 
-    def test_requirement_scaling(self):
-        value, _ = lp_lower_bound(one_vs_rest_constraints(4, 2.0))
-        assert value == pytest.approx(4.0, abs=1e-9)
-
     def test_empty_constraints(self):
-        value, witness = lp_lower_bound(CutConstraintSet(4, ()))
+        value, witness = lp_lower_bound(4, [])
         assert value == 0.0
         assert witness.weights == {}
 
+    def test_cut_party_count_validation(self):
+        with pytest.raises(ValueError):
+            lp_lower_bound(4, [Cut(4, (1,)), Cut(6, (1,))])
+
     def test_brute_force_cross_check(self):
         # at n=4 check the LP against a fine grid over matchings plus a star
-        value, _ = lp_lower_bound(one_vs_rest_constraints(4, 1.0))
+        value, _ = lp_lower_bound(4, enumerate_cuts(4, side_size=1))
         star = EdgeWeights(4, {(1, 2): 1.0, (1, 3): 1.0, (1, 4): 1.0})
-        for cut, req in one_vs_rest_constraints(4, 1.0).constraints:
+        for cut in enumerate_cuts(4, side_size=1):
             if cut.side_a == (1,):
                 assert star.crossing_sum(cut) == 3.0
         assert value <= star.total()

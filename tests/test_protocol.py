@@ -157,7 +157,7 @@ class TestNetworkSetup:
 
     def test_custom_pairing(self):
         net = init_network(4, pairing=((1, 3), (2, 4)))
-        assert net.singlets[0].party_a == 1 and net.singlets[0].party_b == 3
+        assert net.singlets[0][:2] == (1, 3)
 
     def test_bad_pairings(self):
         with pytest.raises(ValueError):
@@ -343,7 +343,7 @@ class TestPreparation:
         # recorded from the per-sample engine, whose generator stream (tape
         # bits, then one choice per pair step) the batched engine must keep
         ensemble, transcript = prepare_bcabe(size, label, mode="sampled",
-                                             tape_or_seed=seed, samples=2000)
+                                             seed=seed, samples=2000)
         assert transcript.transcript_id == transcript_id
         assert trace_distance(ensemble.mixed, build_family(size, label)) == distance
 
@@ -393,7 +393,7 @@ class TestPreparation:
     def test_mix_matches_dense_reference_sampled(self, size, label, seed):
         # more than one block, the last one partly filled
         ensemble, _, weights, amps = _prepare_capturing(size, label, mode="sampled",
-                                                        tape_or_seed=seed, samples=ROW_BLOCK + 44)
+                                                        seed=seed, samples=ROW_BLOCK + 44)
         assert len(amps) == ROW_BLOCK + 44
         assert oracles.mix_reference(weights, amps).tobytes() == ensemble.mixed.entries.tobytes()
 
@@ -443,7 +443,7 @@ class TestPreparation:
     def test_sampled_measures_at_most_the_exact_rows(self, monkeypatch):
         # 10,000 runs read the same distinct rows an exact run does, or fewer
         measured = _count_measured_rows(monkeypatch, _measured_rows(8))
-        prepare_bcabe(8, FamilyLabel.RHO_MINUS, mode="sampled", tape_or_seed=0, samples=10000)
+        prepare_bcabe(8, FamilyLabel.RHO_MINUS, mode="sampled", seed=0, samples=10000)
         assert 0 < measured[0] <= _measured_rows(8)
 
     def test_sampled_eight_qubits_memory(self):
@@ -474,14 +474,14 @@ class TestPreparation:
         distances = []
         for samples in (50, 500, 5000):
             ensemble, _ = prepare_bcabe(4, FamilyLabel.RHO_PLUS, mode="sampled",
-                                        tape_or_seed=7, samples=samples)
+                                        seed=7, samples=samples)
             distances.append(trace_distance(ensemble.mixed, target))
         assert distances[2] < distances[0]
         assert distances[2] < 0.05
 
     def test_sampled_reference_run(self):
         ensemble, transcript = prepare_bcabe(4, FamilyLabel.RHO_PLUS, mode="sampled",
-                                             tape_or_seed=0, samples=10000)
+                                             seed=0, samples=10000)
         distance = trace_distance(ensemble.mixed, build_family(4, FamilyLabel.RHO_PLUS))
         assert distance < 0.05
         assert locc_audit(transcript) == []

@@ -58,7 +58,7 @@ class TestSolveMin:
         val, _ = solve_min([1.0, 1.0], a, [1.0, 1.0, 2.0])
         assert val == pytest.approx(1.0, abs=1e-9)
 
-    def test_zero_requirement_gives_zero(self):
+    def test_zero_right_hand_side_gives_zero(self):
         val, x = solve_min([1.0], [[1.0]], [0.0])
         assert val == pytest.approx(0.0, abs=1e-12)
         assert x[0] == pytest.approx(0.0, abs=1e-12)
