@@ -13,37 +13,30 @@ its optimum N is the lower bound that `certify` matches with the protocol.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
 from . import simplex
-from .states import (
-    BELL_CORRECTIONS,
-    CORRECTION_MATRICES,
-    BellLabel,
-    FamilyLabel,
-    bell_state,
-    recursion_blocks,
-)
+from .states import BELL_CORRECTIONS, CORRECTION_MATRICES, FamilyLabel, recursion_blocks
 from .tensor import (
     OPERATOR_ATOL,
     DensityMatrix,
     Projector,
     QubitSubset,
-    fidelity_with_pure,
     x_parts_of,
     x_spectrum,
+    x_validate,
 )
 
 NPT_ATOL = OPERATOR_ATOL  # eigenvalues below -NPT_ATOL count as genuinely negative
 LP_ATOL = 1e-9
 
-# an activation outcome's fix kron(C, I), C on the lower-indexed residual qubit, and its target
-_ACTIVATION_FIXES = {name: np.kron(c, np.eye(2)) for name, c in CORRECTION_MATRICES.items()}
-_PHI_PLUS = bell_state(BellLabel.PHI_PLUS)
+# an outcome's fix kron(C, I) on x_parts, C on the pair's bit 2: X reads k ^ 2, Z negates anti
+_ACTIVATION_FIXES = {name: (np.arange(4) ^ 2 * ("X" in name), -1 if "Z" in name else 1)
+                     for name in CORRECTION_MATRICES}
 
 
 @dataclass(frozen=True)
@@ -183,12 +176,16 @@ def activation_correction_table(label: FamilyLabel) -> dict[FamilyLabel, str]:
     return {f: BELL_CORRECTIONS[b] for b, f in recursion_blocks(label)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ActivationOutcome:
     probability: float
     correction: str
-    corrected_state: DensityMatrix  # two-qubit residual after correction
-    fidelity: float                 # with phi+
+    fidelity: float  # with phi+
+    x_parts: tuple[np.ndarray, np.ndarray] = field(repr=False)  # of the corrected residual
+
+    @cached_property
+    def corrected_state(self) -> DensityMatrix:  # two-qubit residual after correction
+        return DensityMatrix(2, x_parts=self.x_parts)
 
 
 def activation_distill(rho: DensityMatrix, label: FamilyLabel,
@@ -203,12 +200,14 @@ def activation_distill(rho: DensityMatrix, label: FamilyLabel,
     a Bell state fixed by the outcome; the tabulated single-qubit Pauli C on
     the lower-indexed residual qubit turns it into phi+ exactly.
 
-    An outcome's unnormalized residual is Tr_T[(P x I) rho], a contraction of
-    the support projector P with the rho tensor over the gathered qubits T;
-    it equals Tr_T[(P x I) rho (P x I)] because P acts on T only.  One
-    tensordot contracts the four stacked supports, so rho's tensor is
-    rearranged once and no 2^n x 2^n operator is formed.  A residual's trace is
-    the outcome probability; the correction is one 4x4 conjugation by kron(C, I).
+    rho and each support P must be X-shaped (else ValueError), and so then is
+    an outcome's residual Tr_T[(P x I) rho], T the gathered qubits: with s over
+    T's bits and a over the pair's, diagonal sum_s P[s, s] rho[(s, a), (s, a)]
+    and anti-diagonal sum_s P[~s, s] rho[(s, a), (~s, ~a)], one matmul for the
+    four supports.  Its trace is the outcome's probability, its fix an index
+    flip and a sign, its fidelity with phi+ (d[0] + d[3] + anti[0] + anti[3]) / 2.
+    One tensor.x_validate call checks the four corrected outcomes; each
+    corrected_state is built from its x_parts when first read.
     """
     two_n = rho.num_qubits
     if two_n < 4 or two_n % 2:
@@ -221,27 +220,23 @@ def activation_distill(rho: DensityMatrix, label: FamilyLabel,
     if any(supports[f].num_qubits != k for f in FamilyLabel):
         raise ValueError(f"supports must act on {k} qubits")
 
-    tensor = rho.entries.reshape((2,) * (2 * two_n))
-    gathered = [q - 1 for q in together]
-    stack = np.stack([supports[f].entries for f in FamilyLabel]).reshape((4,) + (2,) * (2 * k))
-    # P_f[t, s] rho[(s, a), (t, b)] summed over s and t; the residual axes a, b keep their order
-    axes = (list(range(k + 1, 2 * k + 1)) + list(range(1, k + 1)),
-            gathered + [two_n + q for q in gathered])
-    residuals = np.tensordot(stack, tensor, axes=axes).reshape(4, 4, 4)
+    # rho's two diagonals indexed (s, a): the gathered qubits first, then the residual pair
+    rest = [q for q in range(1, two_n + 1) if q not in together.indices]
+    parts = np.stack(x_parts_of(rho)).reshape((2,) * (two_n + 1)).transpose([0, *together, *rest])
+    rho_diagonal, rho_anti = parts.reshape(2, 2 ** k, 4)
+    projectors = np.array([x_parts_of(supports[f]) for f in FamilyLabel]).transpose(1, 0, 2)
+    # with u = ~s the anti-diagonal reads sum_u P[u, ~u] rho[(~u, a), (u, ~a)]
+    residuals = projectors @ np.stack([rho_diagonal, rho_anti[::-1]])  # (part, outcome, a)
+    probs = residuals[0].sum(axis=1).real
     table = activation_correction_table(label)
-    out: dict[FamilyLabel, ActivationOutcome] = {}
-    for outcome, residual in zip(FamilyLabel, residuals):
-        prob = float(np.trace(residual).real)
-        correction = table[outcome]
-        fix = _ACTIVATION_FIXES[correction]
-        corrected = DensityMatrix(2, fix @ (residual / prob) @ fix.conj().T)
-        out[outcome] = ActivationOutcome(
-            probability=prob,
-            correction=correction,
-            corrected_state=corrected,
-            fidelity=fidelity_with_pure(corrected, _PHI_PLUS),
-        )
-    return out
+    flips, signs = zip(*(_ACTIVATION_FIXES[table[f]] for f in FamilyLabel))
+    fixed = (residuals / probs[:, None])[:, np.arange(4)[:, None], np.array(flips)]
+    diagonal, anti = fixed[0], fixed[1] * np.array(signs)[:, None]
+    x_validate(diagonal, anti)
+    fidelities = (diagonal[:, 0] + diagonal[:, 3] + anti[:, 0] + anti[:, 3]).real / 2
+    return {f: ActivationOutcome(float(probs[i]), table[f], float(fidelities[i]),
+                                 (diagonal[i], anti[i]))
+            for i, f in enumerate(FamilyLabel)}
 
 
 # --- covering LP ----------------------------------------------------------------

@@ -26,16 +26,14 @@ qubits) because each pair is generated and teleported before the next.
 locc_audit replays a transcript against the ownership history derived from
 the header and flags any nonlocal quantum operation or singlet double-spend.
 
-prepare_bcabe runs the transcript's execution (row 0) once on a recording
-network, which fixes the qubit order, ownership and events every execution
-shares, then advances every execution in one pass: all four outcomes of every
-tape (exact) or one drawn outcome per run (sampled).  Branches point into a
-table of byte-distinct rows, and each step Bell-measures every distinct
-(row, label) pair once with _bell_measure, the kernel teleport uses too.  The
-four corrected outcomes of a step agree bit for bit, so a step holds one row
-per distinct label prefix (152 rows measured at size 8, not 5,444).  Each row
-ends as a Bell product (2**N nonzeros of 2**(2N)); _mix adds the branches'
-nonzero terms into the mixture ROW_BLOCK branches at a time, in order.
+prepare_bcabe books the schedule (qubit ids, ownership, singlets) with no
+amplitudes, through bell_generate's and teleport's helpers, then advances every
+execution in one pass over byte-distinct rows.  The four corrected outcomes of
+a step agree bit for bit, so a step Bell-measures one row per distinct label
+prefix with _bell_measure (148 rows at size 8, not 5,440); the transcript logs
+branch 0's outcomes and probabilities.  Each row ends as a Bell product (2**N
+nonzeros of 2**(2N)); _mix adds the branches' nonzero terms into the mixture
+ROW_BLOCK branches at a time, in order.
 """
 
 from __future__ import annotations
@@ -249,18 +247,21 @@ def init_network(two_n: int, pairing: tuple[tuple[int, int], ...] | None = None)
     )
 
 
-def bell_generate(net: NetworkState, party: int, label: BellLabel) -> NetworkState:
-    """Party locally creates a fresh two-qubit Bell state; both halves stay local."""
+def _allocate_pair(net: NetworkState, party: int, label: BellLabel) -> dict:
+    """bell_generate's bookkeeping, no amplitudes: two fresh qubits for party; returns its event."""
     if not 1 <= party <= net.num_parties:
         raise ProtocolError(f"unknown party {party}")
-    a, b = net.next_qubit_id, net.next_qubit_id + 1
+    qubits = [net.next_qubit_id, net.next_qubit_id + 1]
     net.next_qubit_id += 2
+    net.qubit_order += qubits
+    net.ownership.update(dict.fromkeys(qubits, party))
+    return {"kind": "bell-generated", "party": party, "qubits": qubits, "label": label.value}
+
+
+def bell_generate(net: NetworkState, party: int, label: BellLabel) -> NetworkState:
+    """Party locally creates a fresh two-qubit Bell state; both halves stay local."""
+    net.events.append(_allocate_pair(net, party, label))
     net.amplitudes = np.kron(net.amplitudes, bell_state(label).amplitudes)
-    net.qubit_order += [a, b]
-    net.ownership[a] = party
-    net.ownership[b] = party
-    net.events.append({"kind": "bell-generated", "party": party, "qubits": [a, b],
-                       "label": label.value})
     return net
 
 
@@ -287,9 +288,8 @@ def _bell_measure(amps: np.ndarray, slot_q: int, slot_h: int, slot_r: int
     return probs, states
 
 
-def _teleport_into(net: NetworkState, sender: int, receiver: int, qubit: int, choose
-                   ) -> tuple[tuple[int, int, int], float]:
-    """Teleport `qubit` on net itself, keeping outcome choose(probs); return slots, prob."""
+def _spend_singlet(net: NetworkState, sender: int, receiver: int, qubit: int):
+    """teleport's bookkeeping, no amplitudes; returns _bell_measure's slots and events(m, prob)."""
     if net.owner_of(qubit) != sender:
         raise ProtocolError(f"qubit {qubit} is not held by party {sender}")
     idx = next((i for i, (a, b, _, _) in enumerate(net.singlets)
@@ -301,20 +301,19 @@ def _teleport_into(net: NetworkState, sender: int, receiver: int, qubit: int, ch
     rest = [q for q in net.qubit_order if q not in (qubit, send_half)]
     slots = (net.qubit_order.index(qubit), net.qubit_order.index(send_half),
              rest.index(recv_half))
-    probs, states = _bell_measure(net.amplitudes[None], *slots)
-    m = choose(probs)
-    prob = float(probs[0, m])
-    net.amplitudes, net.qubit_order = states[0, m], rest
+    net.qubit_order = rest
     del net.ownership[qubit], net.ownership[send_half]
     net.consumed.add(idx)
-    outcome, log = format(m, "02b"), net.events.append
-    log({"kind": "local-measurement", "party": sender, "qubits": [qubit, send_half],
-         "basis": "bell", "outcome": outcome, "probability": prob})
-    log({"kind": "singlet-consumed", "pair": [party_a, party_b], "index": idx})
-    log({"kind": "classical-message", "from": sender, "to": receiver, "bits": outcome})
-    log({"kind": "local-unitary", "party": receiver, "qubits": [recv_half],
-         "name": BELL_CORRECTIONS[BELL_ORDER[m]]})
-    return slots, prob
+
+    def events(m: int, prob: float) -> list[dict]:  # the step's, keeping outcome m
+        outcome = format(m, "02b")
+        return [{"kind": "local-measurement", "party": sender, "qubits": [qubit, send_half],
+                 "basis": "bell", "outcome": outcome, "probability": prob},
+                {"kind": "singlet-consumed", "pair": [party_a, party_b], "index": idx},
+                {"kind": "classical-message", "from": sender, "to": receiver, "bits": outcome},
+                {"kind": "local-unitary", "party": receiver, "qubits": [recv_half],
+                 "name": BELL_CORRECTIONS[BELL_ORDER[m]]}]
+    return slots, events
 
 
 def teleport(net: NetworkState, sender: int, receiver: int, qubit: int
@@ -328,13 +327,12 @@ def teleport(net: NetworkState, sender: int, receiver: int, qubit: int
     Branches below ZERO_PROB_ATOL are dropped (they cannot occur with a
     phi+ resource, which yields probability 1/4 each).
     """
-    branches: list[tuple[float, NetworkState]] = []
-    for m in range(4):
-        branch = net.clone()
-        _, prob = _teleport_into(branch, sender, receiver, qubit, lambda probs: m)
-        if prob >= ZERO_PROB_ATOL:
-            branches.append((prob, branch))
-    return branches
+    spent = net.clone()
+    slots, events = _spend_singlet(spent, sender, receiver, qubit)
+    probs, states = _bell_measure(net.amplitudes[None], *slots)
+    # each branch is cloned, so no two share a list or an array
+    return [(p, replace(spent, amplitudes=states[0, m], events=spent.events + events(m, p)).clone())
+            for m, p in enumerate(probs[0].tolist()) if p >= ZERO_PROB_ATOL]
 
 
 def _pick(probs: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -387,8 +385,8 @@ def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _run(initial: np.ndarray, labels: np.ndarray, slots, draws: np.ndarray | None
-         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Advance every execution from `initial`; return (weights, rows, index).
+         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, float]]]:
+    """Advance every execution from `initial`; return (weights, rows, index, kept).
 
     labels[e, k] is execution e's BELL_ORDER index at pair k.  Without draws
     each execution (a tape) keeps all four outcomes, its branches growing x4
@@ -396,9 +394,10 @@ def _run(initial: np.ndarray, labels: np.ndarray, slots, draws: np.ndarray | Non
     after another; else execution e is one branch that keeps draws[e, k]'s
     pick.  Branch b's state is rows[index[b]], rows byte-distinct; a step
     measures each distinct (row, label) once, with the bits it has alone.
+    kept[k] is branch 0's (outcome, probability) at step k, for the transcript.
     """
     rows, index, weights = initial[None], np.zeros(len(labels), dtype=np.intp), np.ones(len(labels))
-    owner = np.arange(len(labels))  # the execution whose labels each branch reads
+    owner, kept = np.arange(len(labels)), []  # the execution whose labels each branch reads
     for k, slot in enumerate(slots):
         keys, inv = np.unique(index * 4 + labels[owner, k], return_inverse=True)
         grown = rows[keys // 4, :, None] * _BELL_KETS[keys % 4][:, None, :]
@@ -407,10 +406,12 @@ def _run(initial: np.ndarray, labels: np.ndarray, slots, draws: np.ndarray | Non
         child = child.reshape(-1, 4)[inv]
         if draws is None:
             weights = (weights[:, None] * probs[inv]).reshape(-1)
-            index, owner = child.reshape(-1), np.repeat(owner, 4)
+            index, owner, m = child.reshape(-1), np.repeat(owner, 4), 0
         else:
-            index = child[np.arange(len(child)), _pick(probs[inv], draws[:, k])]
-    return weights, rows, index
+            picks = _pick(probs[inv], draws[:, k])
+            index, m = child[np.arange(len(child)), picks], int(picks[0])
+        kept.append((m, float(probs[inv[0], m])))
+    return weights, rows, index, kept
 
 
 def _nonzero_columns(rows: np.ndarray) -> np.ndarray:
@@ -444,10 +445,10 @@ def prepare_bcabe(two_n: int, label: FamilyLabel, mode: str = "exact",
     (16,384 branches at 8); the transcript is the canonical execution
     (all-zero tape, first outcome everywhere), and seed is ignored.  Sampled
     mode draws `samples` independent runs from a generator seeded with seed;
-    the transcript is the first run's.  All tapes, or runs, advance in one
-    pass over byte-distinct rows; the branches are mixed ROW_BLOCK at a time,
-    only their nonzero terms, in order.  singlets_used counts the singlets the
-    recording network consumed.
+    the transcript is the first run's, read off the one pass in which all
+    tapes, or runs, advance over byte-distinct rows.  The branches are mixed
+    ROW_BLOCK at a time, only their nonzero terms, in order.  singlets_used
+    counts the singlets the schedule consumed.
     """
     net = init_network(two_n, pairing)  # checks the size and the pairing
     nbits = two_n - 2
@@ -465,17 +466,16 @@ def prepare_bcabe(two_n: int, label: FamilyLabel, mode: str = "exact",
     else:
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
     tuples = bell_correlated_tuples(two_n, label)
-    net.tape = format(int(tapes[0]), f"0{nbits}b")
-    initial, chosen, slots = net.amplitudes, tuples[int(tapes[0])], []
-    for k, (leader, partner) in enumerate(net.pairing):
-        bell_generate(net, leader, chosen[k])
-        choose = (lambda probs: 0) if draws is None else (
-            lambda probs: int(_pick(probs, draws[0, k:k + 1])[0]))
-        slots.append(_teleport_into(net, leader, partner, net.qubit_order[-1], choose)[0])
-
+    steps = []  # per pair: its bell-generated event, _bell_measure's slots, its teleport events
+    for (leader, partner), bell in zip(net.pairing, tuples[int(tapes[0])]):
+        generated = _allocate_pair(net, leader, bell)
+        steps.append((generated, *_spend_singlet(net, leader, partner, generated["qubits"][1])))
     table = np.array([[BELL_ORDER.index(b) for b in labels] for labels in tuples])
-    weights, net.amplitudes, index = _run(initial, table[tapes], slots, draws)
+    weights, rows, index, kept = _run(net.amplitudes, table[tapes], [s[1] for s in steps], draws)
     weights /= len(tapes)  # every tape, or run, equally likely
+    net.tape, net.amplitudes = format(int(tapes[0]), f"0{nbits}b"), rows
+    for (generated, _, events), (m, prob) in zip(steps, kept):
+        net.events += [generated, *events(m, prob)]
     rows = _final_state(net)
     cols, out = _nonzero_columns(rows), np.zeros(4 ** two_n, dtype=complex)
     for start in range(0, len(index), ROW_BLOCK):

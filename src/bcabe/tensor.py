@@ -119,9 +119,8 @@ class DensityMatrix:
     of an X-shaped one, DensityMatrix(n, x_parts=(diagonal, anti)), with
     anti[k] = entries[k, ~k]; then entries is formed on first read.  x_parts is
     read-only; from a matrix it is found once here, before any other check,
-    when every other entry is exactly zero, and None otherwise.  The finite,
-    Hermitian and PSD checks of an X-shaped state read only x_parts; they reach
-    the dense checks' verdicts, in the same order and with the same messages.
+    when every other entry is exactly zero, and None otherwise.  x_validate
+    checks it then, reaching the dense checks' verdicts on x_parts alone.
     """
 
     num_qubits: int
@@ -131,40 +130,26 @@ class DensityMatrix:
                  x_parts: tuple[np.ndarray, np.ndarray] | None = None):
         object.__setattr__(self, "num_qubits", num_qubits)
         if x_parts is None:
-            m = np.asarray(entries, dtype=complex)
+            m = _frozen(entries)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError(f"density matrix must be square, got shape {m.shape}")
+            object.__setattr__(self, "entries", m)
+            x_parts = _x_diagonals(m)
         else:
             x_parts = diagonal, anti = tuple(_frozen(part) for part in x_parts)
             if diagonal.ndim != 1 or anti.shape != diagonal.shape or diagonal.size < 2:
                 raise ValueError(f"x_parts must be two vectors of one length >= 2, got {x_parts}")
-        dim = m.shape[0] if x_parts is None else diagonal.size
+        dim = len(x_parts[0]) if x_parts else len(m)
         if _qubit_count_for(dim) != num_qubits:
             raise ValueError(f"matrix dimension {dim} does not match {num_qubits} qubits")
-        if x_parts is None:
-            m = _frozen(m)
-            object.__setattr__(self, "entries", m)
-            diagonal, anti = _frozen(np.diagonal(m)), _frozen(np.fliplr(m).diagonal())
-            # count real and imaginary parts apart: exact, and faster than complex count_nonzero;
-            # at dim 1 the two diagonals are one entry counted twice, so the dense path runs
-            if (np.count_nonzero(np.ascontiguousarray(m).view(np.float64)) == np.count_nonzero(
-                    diagonal.view(np.float64)) + np.count_nonzero(anti.view(np.float64))):
-                x_parts = diagonal, anti
-        # off the X every entry is an exact zero, so the diagonals decide finiteness and
-        # hold the dense check's largest |m - m^H|: 2|Im m[k, k]| or |m[k, ~k] - conj(m[~k, k])|
-        if not (np.isfinite(diagonal).all() and np.isfinite(anti).all() if x_parts
-                else np.isfinite(m).all()):
-            raise ValueError("density matrix entries must be finite")
-        skew = (max(2 * np.abs(diagonal.imag).max(), np.abs(anti - anti[::-1].conj()).max())
-                if x_parts else np.abs(m - m.conj().T).max())
-        if skew > STATE_ATOL:
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        tr = complex(diagonal.sum())  # the same sum, in the same order, as np.trace
-        if abs(tr - 1.0) > STATE_ATOL:
-            raise ValueError(f"trace {tr} deviates from 1 by more than {STATE_ATOL}")
-        lo = float(x_spectrum(*x_parts)[0] if x_parts else np.linalg.eigvalsh(m)[0])
-        if lo < -OPERATOR_ATOL:
-            raise ValueError(f"matrix has eigenvalue {lo} below the -{OPERATOR_ATOL} PSD floor")
+        if x_parts:
+            x_validate(*x_parts)
+        elif not np.isfinite(m).all():
+            raise ValueError(_NOT_FINITE)
+        elif np.abs(m - m.conj().T).max() > STATE_ATOL:
+            raise ValueError(_NOT_HERMITIAN)
+        else:  # np.diagonal(m).sum() is np.trace's sum, in its order
+            _check_trace_and_floor(np.diagonal(m).sum(), lambda: np.linalg.eigvalsh(m)[0])
         object.__setattr__(self, "x_parts", x_parts)
 
     @cached_property
@@ -172,12 +157,27 @@ class DensityMatrix:
         return _frozen(x_matrix(*self.x_parts))
 
 
+_NOT_FINITE = "density matrix entries must be finite"
+_NOT_HERMITIAN = "density matrix is not Hermitian within tolerance"
+
+
+def _check_trace_and_floor(trace, lowest) -> None:
+    """Unit trace, then least eigenvalues lowest() above the PSD floor; of a stack, the worst state's."""
+    tr = complex(trace.flat[np.abs(trace - 1.0).argmax()])
+    if abs(tr - 1.0) > STATE_ATOL:
+        raise ValueError(f"trace {tr} deviates from 1 by more than {STATE_ATOL}")
+    lo = float(np.min(lowest()))
+    if lo < -OPERATOR_ATOL:
+        raise ValueError(f"matrix has eigenvalue {lo} below the -{OPERATOR_ATOL} PSD floor")
+
+
 @dataclass(frozen=True, eq=False)
 class Projector:
-    """Hermitian idempotent operator (within OPERATOR_ATOL) on num_qubits qubits."""
+    """Hermitian idempotent operator (within OPERATOR_ATOL) on num_qubits qubits, with x_parts."""
 
     num_qubits: int
     entries: np.ndarray
+    x_parts: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)
@@ -193,6 +193,16 @@ class Projector:
         if np.abs(m @ m - m).max() > OPERATOR_ATOL:
             raise ValueError("projector is not idempotent within tolerance")
         object.__setattr__(self, "entries", _frozen(m))
+        object.__setattr__(self, "x_parts", _x_diagonals(self.entries))
+
+
+def _x_diagonals(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """m's frozen diagonal and anti-diagonal when every other entry is exactly zero, else None."""
+    parts = _frozen(np.diagonal(m)), _frozen(np.fliplr(m).diagonal())
+    # count real and imaginary parts apart: exact, and faster than complex count_nonzero;
+    # at dim 1 the two diagonals are one entry counted twice, so the dense path runs
+    counts = [np.count_nonzero(np.ascontiguousarray(a).view(np.float64)) for a in (m, *parts)]
+    return parts if counts[0] == counts[1] + counts[2] else None
 
 
 # --- public operations ---------------------------------------------------------
@@ -262,11 +272,22 @@ def x_spectrum(diagonal: np.ndarray, anti: np.ndarray, mask: int | np.ndarray = 
     mask may be an integer array: the spectra then stack along a new leading
     axis, row i bit-equal to the spectrum for mask[i] alone.
     """
-    half = diagonal.shape[0] // 2
-    d1, d2 = diagonal[:half].real, diagonal[::-1][:half].real  # k and ~k = dim - 1 - k
+    half = diagonal.shape[-1] // 2
+    d1, d2 = diagonal[..., :half].real, diagonal[..., ::-1][..., :half].real  # k and ~k = dim - 1 - k
     mid = (d1 + d2) / 2
-    radius = np.hypot((d1 - d2) / 2, np.abs(anti[np.arange(half) ^ np.asarray(mask)[..., None]]))
+    radius = np.hypot((d1 - d2) / 2, np.abs(anti[..., np.arange(half) ^ np.asarray(mask)[..., None]]))
     return np.sort(np.concatenate([mid - radius, mid + radius], axis=-1), axis=-1)
+
+
+def x_validate(diagonal: np.ndarray, anti: np.ndarray) -> None:
+    """DensityMatrix's checks, in its order and with its messages, of X-shaped states (..., dim)."""
+    # off the X every entry is an exact zero, so the diagonals decide finiteness and
+    # hold the dense check's largest |m - m^H|: 2|Im m[k, k]| or |m[k, ~k] - conj(m[~k, k])|
+    if not (np.isfinite(diagonal).all() and np.isfinite(anti).all()):
+        raise ValueError(_NOT_FINITE)
+    if max(2 * np.abs(diagonal.imag).max(), np.abs(anti - anti[..., ::-1].conj()).max()) > STATE_ATOL:
+        raise ValueError(_NOT_HERMITIAN)
+    _check_trace_and_floor(diagonal.sum(axis=-1), lambda: x_spectrum(diagonal, anti)[..., 0])
 
 
 def x_matrix(diagonal: np.ndarray, anti: np.ndarray) -> np.ndarray:
@@ -277,12 +298,12 @@ def x_matrix(diagonal: np.ndarray, anti: np.ndarray) -> np.ndarray:
     return m
 
 
-def x_parts_of(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """rho.x_parts; ValueError when rho has a nonzero entry off its diagonal and anti-diagonal."""
-    if rho.x_parts is None:
+def x_parts_of(op: DensityMatrix | Projector) -> tuple[np.ndarray, np.ndarray]:
+    """op.x_parts; ValueError when op has a nonzero entry off its diagonal and anti-diagonal."""
+    if op.x_parts is None:
         raise ValueError("state is not an X-state: it has nonzero entries off the diagonal "
                          "and anti-diagonal, so it has no 2x2-block form")
-    return rho.x_parts
+    return op.x_parts
 
 
 def x_trace_distance(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]) -> float:

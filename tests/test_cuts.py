@@ -302,8 +302,10 @@ class TestActivation:
     @pytest.mark.parametrize("two_n", [4, 6])
     def test_gathers_the_named_qubits(self, label, two_n):
         # the families are permutation invariant, so on them a gather of the wrong
-        # qubits goes unseen; a fixed random admixture makes every gather set differ
-        noise = oracles.random_density(2 ** two_n, np.random.default_rng(two_n))
+        # qubits goes unseen; a fixed random admixture, X-shaped as activation requires,
+        # makes every gather set differ, and its complex anti-diagonal and unequal
+        # diagonal[k], diagonal[~k] (a GHZ-diagonal one has neither) the residual pair's order
+        noise = oracles.random_x_state(two_n, np.random.default_rng(two_n))
         rho = 0.9 * build_family(two_n, label).entries + 0.1 * noise
         state, supports = DensityMatrix(two_n, rho), _supports(two_n - 2)
         for together in itertools.combinations(range(1, two_n + 1), two_n - 2):
@@ -314,6 +316,47 @@ class TestActivation:
                 assert abs(got.probability - prob) <= 1e-14
                 assert np.abs(got.corrected_state.entries - corrected).max() <= 1e-14
                 assert abs(got.fidelity - fidelity) <= 1e-14
+
+    @pytest.mark.parametrize("two_n", [4, 6])
+    def test_phased_supports_match_dense_reference(self, two_n):
+        # a family support has P[s, ~s] = P[~s, s], so it cannot tell which end of its
+        # anti-diagonal meets which of rho's; cat states (|s> + i sign |~s>) / sqrt(2) can
+        k, label = two_n - 2, FamilyLabel.SIGMA_MINUS
+        supports = {}
+        for f in FamilyLabel:
+            m = np.zeros((2 ** k, 2 ** k), dtype=complex)
+            for s in range(2 ** (k - 1)):  # first bit 0; odd popcount is the "q" class
+                if bin(s).count("1") % 2 == (f.parity_class == "q"):
+                    v = np.zeros(2 ** k, dtype=complex)
+                    v[s], v[2 ** k - 1 - s] = 1 / np.sqrt(2), 1j * f.sign / np.sqrt(2)
+                    m += oracles.proj(v)
+            supports[f] = Projector(k, m)
+        noise = oracles.random_x_state(two_n, np.random.default_rng(10 + two_n))
+        rho = 0.9 * build_family(two_n, label).entries + 0.1 * noise
+        together = list(range(3, two_n + 1))
+        for outcome, got in activation_distill(DensityMatrix(two_n, rho), label, together,
+                                               supports).items():
+            prob, corrected, fidelity = oracles.activation_reference(
+                rho, supports[outcome].entries, together, two_n,
+                CORRECTION_MATRICES[got.correction])
+            assert abs(got.probability - prob) <= 1e-14
+            assert np.abs(got.corrected_state.entries - corrected).max() <= 1e-14
+            assert abs(got.fidelity - fidelity) <= 1e-14
+
+    def test_non_x_state_rejected(self):
+        # a dense admixture has entries off the X, where the closed form does not hold
+        noise = oracles.random_density(16, np.random.default_rng(4))
+        rho = DensityMatrix(4, 0.9 * build_family(4, FamilyLabel.RHO_PLUS).entries + 0.1 * noise)
+        with pytest.raises(ValueError, match="not an X-state"):
+            activation_distill(rho, FamilyLabel.RHO_PLUS, [3, 4], _supports(2))
+
+    def test_non_x_support_rejected(self):
+        # the projector onto |+> x C^2 sums to the right size but sits off the X
+        plus = np.full((2, 2), 0.5)
+        supports = _supports(2) | {FamilyLabel.SIGMA_MINUS: Projector(2, np.kron(plus, np.eye(2)))}
+        with pytest.raises(ValueError, match="not an X-state"):
+            activation_distill(build_family(4, FamilyLabel.RHO_PLUS), FamilyLabel.RHO_PLUS,
+                               [3, 4], supports)
 
     def test_corrections_derived_independently(self):
         # search over single-qubit Paulis for the unique fix of each raw residual
@@ -342,7 +385,7 @@ class TestActivation:
         again = _distill(4, FamilyLabel.RHO_PLUS, [1, 2])
         outcome = first[FamilyLabel.RHO_PLUS]
         assert outcome == outcome
-        # the corrected states are distinct objects, and states compare by identity
+        # outcomes, like the states they hold, compare by identity
         assert (outcome == again[FamilyLabel.RHO_PLUS]) is False
         assert len(set(first.values())) == 4
 

@@ -109,12 +109,12 @@ def _prepare_capturing(*args, blocks: list | None = None, **kwargs):
 def _measured_rows(two_n: int) -> int:
     """Rows an exact prepare_bcabe hands _bell_measure.
 
-    The N recording rows, then at step k one per distinct label prefix: 4**(k+1),
-    or one per tape once each tape has its own.  The four corrected outcomes of a
-    step agree byte for byte, so they add no row.
+    At step k one per distinct label prefix: 4**(k+1), or one per tape once each
+    tape has its own.  The four corrected outcomes of a step agree byte for byte,
+    so they add no row, and the transcript reads its execution off the same pass.
     """
     pairs, tapes = two_n // 2, 2 ** (two_n - 2)
-    return pairs + sum(min(4 ** (k + 1), tapes) for k in range(pairs))
+    return sum(min(4 ** (k + 1), tapes) for k in range(pairs))
 
 
 def _count_measured_rows(monkeypatch, bound: int) -> list[int]:
@@ -435,10 +435,36 @@ class TestPreparation:
 
     @pytest.mark.parametrize("size", [4, 6, 8])
     def test_exact_measures_each_distinct_row_once(self, size, monkeypatch):
-        # 10, 39 and 152 rows, where measuring every branch row takes 22, 339 and 5,444
+        # 8, 36 and 148 rows, where measuring every branch row takes 20, 336 and 5,440
         measured = _count_measured_rows(monkeypatch, _measured_rows(size))
         prepare_bcabe(size, FamilyLabel.SIGMA_MINUS, mode="exact")
         assert measured == [_measured_rows(size)]
+
+    @pytest.mark.parametrize("size, label, seed", [
+        *((size, label, None) for size in (4, 6, 8) for label in ALL_FAMILIES),
+        (4, FamilyLabel.SIGMA_MINUS, 3), (8, FamilyLabel.RHO_MINUS, 3),
+        (6, FamilyLabel.RHO_PLUS, 11), (8, FamilyLabel.SIGMA_PLUS, 11),
+    ])
+    def test_transcript_equals_step_by_step_run(self, size, label, seed):
+        # the transcript of exact mode, or of sampled run 0, equals the one a network writes
+        # when it generates and teleports pair by pair: outcome 0 at every step in exact
+        # mode; in sampled mode run 0's tape bits and Generator.choice picks, drawn here from
+        # a generator seeded alike, which match the outcomes recorded; each probability is
+        # measured on that network's one state
+        mode = "exact" if seed is None else "sampled"
+        _, transcript = prepare_bcabe(size, label, mode=mode, seed=seed or 0, samples=64)
+        rng = np.random.default_rng(seed)
+        tape = "0" * (size - 2) if seed is None else "".join(map(str, rng.integers(0, 2, size - 2)))
+        net = init_network(size)
+        net.tape = tape
+        chosen = bell_correlated_tuples(size, label)[int(tape, 2)]
+        for (leader, partner), bell in zip(net.pairing, chosen):
+            bell_generate(net, leader, bell)
+            branches = teleport(net, leader, partner, net.qubit_order[-1])
+            probs = np.array([prob for prob, _ in branches])
+            net = branches[0 if seed is None else rng.choice(4, p=probs / probs.sum())][1]
+        assert net.build_transcript() == transcript
+        assert net.build_transcript().to_lines() == transcript.to_lines()
 
     def test_sampled_measures_at_most_the_exact_rows(self, monkeypatch):
         # 10,000 runs read the same distinct rows an exact run does, or fewer

@@ -25,6 +25,7 @@ from bcabe.tensor import (
     x_parts_of,
     x_spectrum,
     x_trace_distance,
+    x_validate,
 )
 from bcabe.states import FamilyLabel, build_family
 
@@ -480,6 +481,32 @@ class TestXBuiltDensityMatrix:
                 assert not rho.entries.flags.writeable
                 digest.update(rho.entries.tobytes())
         assert digest.hexdigest() == self.FAMILIES_SHA256
+
+
+class TestStackedXValidation:
+    # one corruption per check, in the order they run
+    CASES = {name: TestXBuiltDensityMatrix.CASES[name]
+             for name in ("nan-on-diagonal", "anti-pair-skew", "trace-off", "negative-eigenvalue")}
+
+    @staticmethod
+    def _stack(states):
+        return tuple(np.stack(part) for part in zip(*states))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_mid_stack_state_raises_its_own_message(self, case):
+        good = x_parts_from(mixed_x_state())
+        other = x_parts_from(random_x_state(3, np.random.default_rng(3)))
+        bad = x_parts_from(_set(mixed_x_state(), self.CASES[case]))
+        with pytest.raises(ValueError) as single:
+            DensityMatrix(3, x_parts=bad)
+        with pytest.raises(ValueError) as stacked:
+            x_validate(*self._stack([good, other, bad, good]))
+        assert str(stacked.value) == str(single.value)
+
+    def test_valid_stack_passes(self):
+        rng = np.random.default_rng(5)
+        x_validate(*self._stack([x_parts_from(random_x_state(3, rng)) for _ in range(5)]))
+        x_validate(*x_parts_from(mixed_x_state()))  # a lone state, with no stack axis
 
 
 class TestStackedXSpectrum:
