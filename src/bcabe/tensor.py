@@ -270,7 +270,8 @@ def x_spectrum(diagonal: np.ndarray, anti: np.ndarray, mask: int | np.ndarray = 
     Cirac, PRA 61, 042314 (2000)).  mask = 0 gives the spectrum of m itself.
 
     mask may be an integer array: the spectra then stack along a new leading
-    axis, row i bit-equal to the spectrum for mask[i] alone.
+    axis, row i bit-equal to the spectrum for mask[i] alone.  With mask = 0,
+    diagonal and anti may instead stack states along leading axes.
     """
     half = diagonal.shape[-1] // 2
     d1, d2 = diagonal[..., :half].real, diagonal[..., ::-1][..., :half].real  # k and ~k = dim - 1 - k
