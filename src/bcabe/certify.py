@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cuts import LP_ATOL, EdgeWeights, activation_distill, lp_lower_bound, npt_one_vs_rest_scan
-from .protocol import ebit_accounting, locc_audit, prepare_bcabe
+from .protocol import default_pairing, ebit_accounting, locc_audit, prepare_bcabe
 from .states import FamilyLabel, build_family, family_support_projector
 from .tensor import STATE_ATOL, DensityMatrix
 
@@ -26,13 +26,13 @@ def cost_certificate(two_n: int, label: FamilyLabel, mode: str = "exact",
                      seed: int = 0, samples: int = 10000):
     """Certify that preparing the family costs exactly N ebits.
 
-    Lower bound: every single-party cut is NPT and activation distills one
-    ebit across it, so each cut needs crossing weight 1; the covering LP is
-    handed the scan's own cut list, so it bounds over exactly the cuts proved
-    NPT, and its optimum is N.  Achieved: the preparation protocol consumes N
-    singlets (audited transcript).  The family state and the four
-    (2N-2)-qubit support projectors are built once, for every check, and the
-    state is kept as certificate.target.  Returns
+    Lower bound: every single-party cut is NPT, and one activation per pair of
+    the protocol's pairing distills an ebit across both its parties' cuts, so
+    each cut needs crossing weight 1; the covering LP, handed the scan's own
+    cut list (the cuts proved NPT), has optimum N.  Achieved: on that pairing
+    the protocol consumes N singlets (audited transcript).  The family state
+    and the four (2N-2)-qubit support projectors are built once, for every
+    check, and the state is kept as certificate.target.  Returns
     (CostCertificate, EnsembleResult, ProtocolTranscript).
     """
     rho = build_family(two_n, label)
@@ -42,18 +42,18 @@ def cost_certificate(two_n: int, label: FamilyLabel, mode: str = "exact",
         if report.classification != "NPT":
             raise RuntimeError(
                 f"cut {report.cut.label()} is not NPT; its crossing weight 1 is unjustified")
-    for k in range(1, two_n + 1):
-        partner = k + 1 if k < two_n else k - 1
-        together = [q for q in range(1, two_n + 1) if q not in (k, partner)]
+    pairing = default_pairing(two_n)
+    for a, b in pairing:
+        together = [q for q in range(1, two_n + 1) if q not in (a, b)]
         for f, outcome in activation_distill(rho, label, together, supports).items():
             if abs(outcome.probability - 0.25) > STATE_ATOL or abs(outcome.fidelity - 1.0) > STATE_ATOL:
                 raise RuntimeError(
-                    f"activation across party {k} failed to distill a clean ebit: outcome "
+                    f"activation across pair ({a}, {b}) failed to distill a clean ebit: outcome "
                     f"{f.value} has probability {outcome.probability} (want 0.25) and fidelity "
                     f"{outcome.fidelity} (want 1), tolerance {STATE_ATOL}")
 
     lower, witness = lp_lower_bound(two_n, [r.cut for r in reports])
-    ensemble, transcript = prepare_bcabe(two_n, label, mode=mode, seed=seed, samples=samples)
+    ensemble, transcript = prepare_bcabe(two_n, label, mode, seed, samples, pairing)
     violations = locc_audit(transcript)
     if violations:
         raise RuntimeError(f"protocol transcript failed the LOCC audit: {violations}")

@@ -4,10 +4,10 @@ A cut splits the 2N parties (one qubit each) into side_a / side_b; canonical
 form keeps party 1 in side_a.  For each cut the partial transpose spectrum
 decides PPT vs NPT; analyze_cut reads the spectra of a whole cut list in
 one pass.  The family states are NPT across every 1:(2N-1) cut and
-PPT across every 2:(2N-2) cut; the single-party cuts each support one
-distillable ebit (witnessed by activation_distill).  lp_lower_bound puts
-crossing weight 1 on each cut of such a list; over the 2N single-party cuts
-its optimum N is the lower bound that `certify` matches with the protocol.
+PPT across every 2:(2N-2) cut; one activation_distill per protocol pair
+leaves an ebit across both its parties' single-party cuts.  lp_lower_bound
+puts crossing weight 1 on each cut of such a list; over the 2N single-party
+cuts its optimum N is the lower bound that `certify` matches with the protocol.
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ class Cut:
 
     def __post_init__(self):
         side = tuple(int(i) for i in self.side_a)
+        if any(q < 1 for q in side):
+            raise ValueError(f"parties are 1-based, got {side}")
         if 1 not in side:
             raise ValueError(f"canonical cuts keep party 1 in side_a, got {side}")
         if any(a >= b for a, b in zip(side, side[1:])):

@@ -324,7 +324,7 @@ class TestCertifyCommand:
         assert main(["certify", "--size", "4", "--family", "rho+", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert err.count("\n") == 1 and "activation across party 1" in err and "0.3" in err
+        assert err.count("\n") == 1 and "activation across pair (1, 2)" in err and "0.3" in err
         assert not out.exists()
 
 

@@ -19,6 +19,7 @@ from bcabe.cuts import (
     lp_lower_bound,
     npt_one_vs_rest_scan,
 )
+from bcabe import certify
 from bcabe.certify import cost_certificate
 from bcabe.states import (CORRECTION_MATRICES, BellLabel, FamilyLabel, bell_state, build_family,
                           family_support_projector, recursion_blocks)
@@ -116,6 +117,8 @@ class TestCutEnumeration:
             Cut(4, (1, 5))          # out of range
         with pytest.raises(ValueError):
             Cut(4, (1, 2, 3, 4))    # not proper
+        with pytest.raises(ValueError):
+            Cut(4, (0, 1))          # below party 1
 
     def test_crossing_pairs(self):
         cut = Cut(4, (1, 2))
@@ -474,6 +477,23 @@ class TestCostCertificate:
         assert certificate.achieved == 3
         assert certificate.exact
         assert trace_distance(ensemble.mixed, build_family(6, FamilyLabel.RHO_PLUS)) < 1e-12
+
+    def test_one_activation_per_protocol_pair(self, monkeypatch):
+        # each pair's activation leaves a Bell pair across both of its parties'
+        # single-party cuts, so the N pairs the protocol spends cover all 2N cuts
+        gathers = []
+        genuine = certify.activation_distill
+
+        def spy(rho, label, together, supports):
+            gathers.append(tuple(together))
+            return genuine(rho, label, together, supports)
+
+        monkeypatch.setattr(certify, "activation_distill", spy)
+        _, _, transcript = cost_certificate(6, FamilyLabel.RHO_PLUS)
+        assert gathers == [(3, 4, 5, 6), (1, 2, 5, 6), (1, 2, 3, 4)]
+        residuals = [tuple(q for q in range(1, 7) if q not in g) for g in gathers]
+        assert all(pair in transcript.pairing for pair in residuals)
+        assert sorted(q for pair in residuals for q in pair) == list(range(1, 7))
 
     def test_sampled_mode_still_counts_singlets(self):
         certificate, _, _ = cost_certificate(4, FamilyLabel.RHO_MINUS, mode="sampled",
