@@ -28,7 +28,7 @@ from .protocol import PROTOCOL_SIZES
 from .states import (
     BellLabel,
     FamilyLabel,
-    bell_state,
+    _bell_x_parts,
     build_family,
     ghz_basis,
     pauli_connection_search,
@@ -119,10 +119,10 @@ def _positive_float(value: str) -> float:
     return float(value)
 
 
-def _smolin_reference() -> DensityMatrix:
-    """Four-qubit family as an equal mixture of doubled Bell pairs."""
-    pairs = [bell_state(label).to_density().entries for label in BellLabel]
-    return DensityMatrix(4, sum(np.kron(pair, pair) for pair in pairs) / 4)
+def _smolin_reference() -> tuple[np.ndarray, np.ndarray]:
+    """Four-qubit family's two diagonals as an equal mixture of doubled Bell pairs."""
+    pairs = [_bell_x_parts(label) for label in BellLabel]
+    return tuple(sum(np.kron(pair[part], pair[part]) for pair in pairs) / 4 for part in (0, 1))
 
 
 def cmd_state(args) -> int:
@@ -168,8 +168,7 @@ def cmd_verify(args) -> int:
 
     results = {"pauli_connections": connections}
     if args.size == 4:
-        equivalence = x_trace_distance(x_parts_of(families[FamilyLabel.RHO_PLUS]),
-                                       x_parts_of(_smolin_reference()))
+        equivalence = x_trace_distance(x_parts_of(families[FamilyLabel.RHO_PLUS]), _smolin_reference())
         checks.append(_check("doubled-bell-mixture-distance", equivalence, STATE_ATOL))
 
     passed = all(c["passed"] for c in checks)

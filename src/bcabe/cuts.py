@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence, Union
 import numpy as np
 
 from . import simplex
-from .states import BELL_CORRECTIONS, CORRECTION_MATRICES, FamilyLabel, recursion_blocks
+from .states import BELL_CORRECTIONS, FamilyLabel, recursion_blocks
 from .tensor import (
     OPERATOR_ATOL,
     DensityMatrix,
@@ -33,10 +33,6 @@ from .tensor import (
 
 NPT_ATOL = OPERATOR_ATOL  # eigenvalues below -NPT_ATOL count as genuinely negative
 LP_ATOL = 1e-9
-
-# an outcome's fix kron(C, I) on x_parts, C on the pair's bit 2: X reads k ^ 2, Z negates anti
-_ACTIVATION_FIXES = {name: (np.arange(4) ^ 2 * ("X" in name), -1 if "Z" in name else 1)
-                     for name in CORRECTION_MATRICES}
 
 
 @dataclass(frozen=True)
@@ -169,11 +165,10 @@ def npt_one_vs_rest_scan(rho: DensityMatrix) -> list[CutReport]:
 def activation_correction_table(label: FamilyLabel) -> dict[FamilyLabel, str]:
     """Measurement outcome -> Pauli correction turning the residual pair into phi+.
 
-    Frozen from the recursion block table after validation by search (see
-    tests): the outcome family is locked to a Bell label on the residual pair,
-    and the correction is the Pauli mapping that Bell state to phi+
-    (phi+ -> I, phi- -> Z, psi+ -> X, psi- -> ZX, the last equal to Y up to
-    phase).
+    Read off states.recursion_blocks: outcome f leaves on the residual pair the
+    Bell label whose index is label's XOR f's, and BELL_CORRECTIONS maps that
+    Bell state to phi+ (X for its psi bit, Z for its minus bit; tests check
+    each entry against a search).
     """
     return {f: BELL_CORRECTIONS[b] for b, f in recursion_blocks(label)}
 
@@ -230,13 +225,15 @@ def activation_distill(rho: DensityMatrix, label: FamilyLabel,
     # with u = ~s the anti-diagonal reads sum_u P[u, ~u] rho[(~u, a), (u, ~a)]
     residuals = projectors @ np.stack([rho_diagonal, rho_anti[::-1]])  # (part, outcome, a)
     probs = residuals[0].sum(axis=1).real
-    table = activation_correction_table(label)
-    flips, signs = zip(*(_ACTIVATION_FIXES[table[f]] for f in FamilyLabel))
-    fixed = (residuals / probs[:, None])[:, np.arange(4)[:, None], np.array(flips)]
-    diagonal, anti = fixed[0], fixed[1] * np.array(signs)[:, None]
+    bells = {f: b for b, f in recursion_blocks(label)}  # the Bell label each outcome leaves
+    # its fix kron(C, I), C on the pair's bit 2: the psi bit's X reads k ^ 2, the minus bit's Z
+    # negates anti
+    index = np.array([bells[f].index for f in FamilyLabel])[:, None]
+    fixed = (residuals / probs[:, None])[:, np.arange(4)[:, None], np.arange(4) ^ (index & 2)]
+    diagonal, anti = fixed[0], fixed[1] * (1 - 2 * (index & 1))
     x_validate(diagonal, anti)
     fidelities = (diagonal[:, 0] + diagonal[:, 3] + anti[:, 0] + anti[:, 3]).real / 2
-    return {f: ActivationOutcome(float(probs[i]), table[f], float(fidelities[i]),
+    return {f: ActivationOutcome(float(probs[i]), BELL_CORRECTIONS[bells[f]], float(fidelities[i]),
                                  (diagonal[i], anti[i]))
             for i, f in enumerate(FamilyLabel)}
 

@@ -39,7 +39,6 @@ ROW_BLOCK branches at a time, in order.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from dataclasses import dataclass, field, replace
 
@@ -53,6 +52,7 @@ from .states import (
     BellLabel,
     FamilyLabel,
     _check_pairing,
+    bell_correlated_tuples,
     bell_state,
 )
 from .tensor import ZERO_PROB_ATOL, DensityMatrix
@@ -359,24 +359,6 @@ class EnsembleResult:
     singlets_used: int
 
 
-def bell_correlated_tuples(two_n: int, label: FamilyLabel) -> list[tuple[BellLabel, ...]]:
-    """The family's Bell-tuple support, in BELL_ORDER enumeration order, for any pairing.
-
-    A Bell product's strings have as many 0s, mod 2, as it has psi labels, and
-    each string s meets its complement with the sign (-1)**(minus labels).  So
-    a tuple is in the support exactly when its psi count is odd for the "q"
-    class and its minus count is odd for the minus sign: 2**(two_n-2) tuples.
-    """
-    if two_n < 2 or two_n % 2:
-        raise ValueError(f"two_n must be even and >= 2, got {two_n}")
-    psi = {BellLabel.PSI_PLUS, BellLabel.PSI_MINUS}
-    minus = {BellLabel.PHI_MINUS, BellLabel.PSI_MINUS}
-    odd_psi, odd_minus = label.parity_class == "q", label.sign == -1
-    return [labels for labels in itertools.product(BELL_ORDER, repeat=two_n // 2)
-            if sum(b in psi for b in labels) % 2 == odd_psi
-            and sum(b in minus for b in labels) % 2 == odd_minus]
-
-
 def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """rows' byte-distinct rows in order of first occurrence, and each row's index among them."""
     seen: dict[bytes, int] = {}  # bytes, not values: -0.0 == 0.0, but a merged row keeps every bit
@@ -470,7 +452,7 @@ def prepare_bcabe(two_n: int, label: FamilyLabel, mode: str = "exact",
     for (leader, partner), bell in zip(net.pairing, tuples[int(tapes[0])]):
         generated = _allocate_pair(net, leader, bell)
         steps.append((generated, *_spend_singlet(net, leader, partner, generated["qubits"][1])))
-    table = np.array([[BELL_ORDER.index(b) for b in labels] for labels in tuples])
+    table = np.array([[b.index for b in labels] for labels in tuples])
     weights, rows, index, kept = _run(net.amplitudes, table[tapes], [s[1] for s in steps], draws)
     weights /= len(tapes)  # every tape, or run, equally likely
     net.tape, net.amplitudes = format(int(tapes[0]), f"0{nbits}b"), rows
@@ -498,6 +480,7 @@ def locc_audit(transcript: ProtocolTranscript) -> list[str]:
     """
     violations: list[str] = []
     ownership = dict(transcript.initial_ownership)
+    ever_live = set(ownership)  # a retired id stays taken
     consumed = [False] * len(transcript.singlets)
 
     def check_party(p) -> bool:
@@ -519,10 +502,11 @@ def locc_audit(transcript: ProtocolTranscript) -> list[str]:
                 violations.append(f"{where}: unknown party {ev.get('party')}")
                 continue
             for q in qubits:
-                if q in ownership:
-                    violations.append(f"{where}: generated qubit {q} already exists")
+                if q in ever_live:
+                    violations.append(f"{where}: generated qubit {q} is not fresh")
                 else:
                     ownership[q] = ev["party"]
+                    ever_live.add(q)
         elif kind in ("local-unitary", "local-measurement"):
             party = ev.get("party")
             if not check_party(party):

@@ -12,19 +12,26 @@ Cat states over these classes,
 form an orthonormal basis of the full Hilbert space.  The four families are
 the uniform mixtures of the cat-state projectors: rho+/- over the "p" class
 with sign +/-, sigma+/- over the "q" class.  At two_n = 2 the classes reduce
-to {00} and {01} and the mixtures reduce to the four Bell projectors, which
-is the base of the recursion implemented by verify_recursion: each family at
-size 2N is an equal four-way mixture of (Bell projector on a qubit pair)
-tensor (family at size 2N-2), with the Bell label and lower family sign
-locked together.  The structure checks take built states: the caller builds
-each family once and hands the same state to every check, which reads it on
-its two diagonals (x_parts) with no dense conjugation or eigensolve.
+to {00} and {01} and the mixtures reduce to the four Bell projectors.
+
+Family and Bell labels share one 2-bit index, their position in FamilyLabel
+or BELL_ORDER: bit 1 is the "q" class (psi), bit 0 the minus sign.  A Bell
+product carries the family whose index is the XOR of its labels' indices.
+That one rule gives every table here: each Bell state's bits and sign, the
+Pauli that maps it to phi+ (BELL_CORRECTIONS), the Bell-tuple support
+(bell_correlated_tuples) and the recursion checked by verify_recursion, in
+which each family at size 2N is an equal four-way mixture of (Bell projector
+on a qubit pair) tensor (family at size 2N-2) over the four recursion_blocks.
+The structure checks take built states: the caller builds each family once
+and hands the same state to every check, which reads it on its two diagonals
+(x_parts) with no dense conjugation or eigensolve.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
@@ -45,7 +52,19 @@ from .tensor import (
 )
 
 
-class FamilyLabel(Enum):
+class _BellIndexed(Enum):
+    """A label whose position is its 2-bit index: bit 1 psi (the "q" class), bit 0 minus."""
+
+    @functools.cached_property
+    def index(self) -> int:
+        return list(type(self)).index(self)
+
+    @property
+    def sign(self) -> int:
+        return 1 - 2 * (self.index & 1)
+
+
+class FamilyLabel(_BellIndexed):
     RHO_PLUS = "rho+"
     RHO_MINUS = "rho-"
     SIGMA_PLUS = "sigma+"
@@ -53,14 +72,10 @@ class FamilyLabel(Enum):
 
     @property
     def parity_class(self) -> str:
-        return "p" if self in (FamilyLabel.RHO_PLUS, FamilyLabel.RHO_MINUS) else "q"
-
-    @property
-    def sign(self) -> int:
-        return +1 if self in (FamilyLabel.RHO_PLUS, FamilyLabel.SIGMA_PLUS) else -1
+        return "pq"[self.index >> 1]
 
 
-class BellLabel(Enum):
+class BellLabel(_BellIndexed):
     PHI_PLUS = "phi+"
     PHI_MINUS = "phi-"
     PSI_PLUS = "psi+"
@@ -68,23 +83,12 @@ class BellLabel(Enum):
 
 
 # fixed enumeration order used everywhere tuples of Bell labels are listed
-BELL_ORDER = (BellLabel.PHI_PLUS, BellLabel.PHI_MINUS, BellLabel.PSI_PLUS, BellLabel.PSI_MINUS)
-
-_BELL_BITS = {
-    BellLabel.PHI_PLUS: ("00", +1),
-    BellLabel.PHI_MINUS: ("00", -1),
-    BellLabel.PSI_PLUS: ("01", +1),
-    BellLabel.PSI_MINUS: ("01", -1),
-}
+BELL_ORDER = tuple(BellLabel)
 
 # single-qubit Pauli (applied to the first qubit of the pair) that maps each
-# Bell state onto phi+; ZX means apply X then Z and equals Y up to phase
-BELL_CORRECTIONS = {
-    BellLabel.PHI_PLUS: "I",
-    BellLabel.PHI_MINUS: "Z",
-    BellLabel.PSI_PLUS: "X",
-    BellLabel.PSI_MINUS: "ZX",
-}
+# Bell state onto phi+: X for the psi bit, Z for the minus bit; ZX means apply
+# X then Z and equals Y up to phase
+BELL_CORRECTIONS = {b: "Z" * (b.index & 1) + "X" * (b.index >> 1) or "I" for b in BELL_ORDER}
 
 CORRECTION_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -159,8 +163,14 @@ def ghz_basis(two_n: int) -> list[GhzBasisState]:
 
 @functools.cache  # PureState is frozen and its array read-only, so sharing is safe
 def bell_state(label: BellLabel) -> PureState:
-    bits, sign = _BELL_BITS[label]
-    return ghz_state(BasisString(bits), sign).state
+    """Cat state on base "0b", b the label's psi bit, with the label's sign."""
+    return ghz_state(BasisString(f"0{label.index >> 1}"), label.sign).state
+
+
+def _bell_x_parts(label: BellLabel) -> tuple[np.ndarray, np.ndarray]:
+    """The Bell projector's two diagonals, read off its amplitudes a: a a* and a a[::-1]*."""
+    a = bell_state(label).amplitudes
+    return a * a.conj(), a * a[::-1].conj()
 
 
 def _cat_parts(two_n: int, label: FamilyLabel) -> tuple[np.ndarray, np.ndarray]:
@@ -196,25 +206,12 @@ def family_support_projector(two_n: int, label: FamilyLabel) -> Projector:
 def recursion_blocks(label: FamilyLabel) -> tuple[tuple[BellLabel, FamilyLabel], ...]:
     """The four (Bell label, lower family) blocks whose equal mixture gives `label`.
 
-    For rho with sign s: (phi+, rho s), (phi-, rho -s), (psi+, sigma s), (psi-, sigma -s).
-    For sigma with sign s the phi and psi roles swap.
+    The Bell index is the XOR of the family's and the lower family's indices.
+    The lower families come with the family's sign first, rho before sigma:
+    for rho+ the blocks are (phi+, rho+), (phi-, rho-), (psi+, sigma+), (psi-, sigma-).
     """
-    s = label.sign
-    rho = {+1: FamilyLabel.RHO_PLUS, -1: FamilyLabel.RHO_MINUS}
-    sig = {+1: FamilyLabel.SIGMA_PLUS, -1: FamilyLabel.SIGMA_MINUS}
-    if label.parity_class == "p":
-        return (
-            (BellLabel.PHI_PLUS, rho[s]),
-            (BellLabel.PHI_MINUS, rho[-s]),
-            (BellLabel.PSI_PLUS, sig[s]),
-            (BellLabel.PSI_MINUS, sig[-s]),
-        )
-    return (
-        (BellLabel.PSI_PLUS, rho[s]),
-        (BellLabel.PSI_MINUS, rho[-s]),
-        (BellLabel.PHI_PLUS, sig[s]),
-        (BellLabel.PHI_MINUS, sig[-s]),
-    )
+    lower = sorted(FamilyLabel, key=lambda f: f.index ^ (label.index & 1))
+    return tuple((BELL_ORDER[label.index ^ f.index], f) for f in lower)
 
 
 @dataclass(frozen=True)
@@ -239,7 +236,7 @@ def verify_recursion(families: Mapping[FamilyLabel, DensityMatrix]) -> list[Recu
         raise ValueError(f"families must share one even size >= 4, got "
                          f"{[families[f].num_qubits for f in FamilyLabel]}")
     lower = {f: x_parts_of(build_family(two_n - 2, f)) for f in FamilyLabel}
-    bells = {b: x_parts_of(bell_state(b).to_density()) for b in BellLabel}
+    bells = {b: _bell_x_parts(b) for b in BellLabel}
     out = []
     for label in FamilyLabel:
         target = x_parts_of(families[label])
@@ -283,6 +280,20 @@ def bell_product_state(labels: tuple[BellLabel, ...], pairing: tuple[tuple[int, 
     # tensor slot order is `slots`; rearrange so output qubit k is physical k
     axes = [slots.index(q) for q in range(1, num_qubits + 1)]
     return PureState(num_qubits, v.reshape((2,) * num_qubits).transpose(axes).reshape(-1))
+
+
+def bell_correlated_tuples(two_n: int, label: FamilyLabel) -> list[tuple[BellLabel, ...]]:
+    """The family's Bell-tuple support, in BELL_ORDER enumeration order, for any pairing.
+
+    A Bell product's strings have as many 0s, mod 2, as it has psi labels, and
+    each string s meets its complement with the sign (-1)**(minus labels).  So
+    a tuple is in the support exactly when the XOR of its Bell indices is the
+    family's index: 2**(two_n-2) tuples.
+    """
+    if two_n < 2 or two_n % 2:
+        raise ValueError(f"two_n must be even and >= 2, got {two_n}")
+    return [tuple(BELL_ORDER[i] for i in t) for t in itertools.product(range(4), repeat=two_n // 2)
+            if functools.reduce(operator.xor, t) == label.index]
 
 
 def _check_pairing(pairing, num_qubits: int) -> None:

@@ -627,6 +627,18 @@ class TestTranscript:
         violations = locc_audit(doctored)
         assert any("retired" in v for v in violations)
 
+    def test_audit_flags_reused_retired_qubit_id(self, canonical):
+        # qubits 6 and 1 were measured at event 1, so their ids are no longer fresh
+        measurement = canonical.events[1]
+        assert measurement["kind"] == "local-measurement" and measurement["qubits"] == [6, 1]
+        reuse = {"kind": "bell-generated", "party": 1, "qubits": [6, 1], "label": "phi+"}
+        doctored = ProtocolTranscript(
+            canonical.num_parties, canonical.pairing, canonical.tape_bits,
+            canonical.initial_ownership, canonical.singlets,
+            canonical.events + (reuse,))
+        at = f"event {len(canonical.events)}"
+        assert locc_audit(doctored) == [f"{at}: generated qubit {q} is not fresh" for q in (6, 1)]
+
     def test_audit_flags_unknown_kind(self, canonical):
         doctored = ProtocolTranscript(
             canonical.num_parties, canonical.pairing, canonical.tape_bits,

@@ -60,6 +60,15 @@ BASE_CASE = {
     FamilyLabel.SIGMA_MINUS: "psi-",
 }
 
+# every family's (Bell label, lower family) blocks in recursion_blocks order, which
+# verify_recursion sums in and so reaches the verify report's bits
+RECURSION_BLOCKS = {
+    "rho+": [("phi+", "rho+"), ("phi-", "rho-"), ("psi+", "sigma+"), ("psi-", "sigma-")],
+    "rho-": [("phi+", "rho-"), ("phi-", "rho+"), ("psi+", "sigma-"), ("psi-", "sigma+")],
+    "sigma+": [("psi+", "rho+"), ("psi-", "rho-"), ("phi+", "sigma+"), ("phi-", "sigma-")],
+    "sigma-": [("psi+", "rho-"), ("psi-", "rho+"), ("phi+", "sigma-"), ("phi-", "sigma+")],
+}
+
 
 class TestParityStrings:
     def test_frozen_families_at_four(self):
@@ -213,6 +222,18 @@ class TestRecursion:
             assert len(blocks) == 4
             assert {b for b, _ in blocks} == set(BellLabel)
             assert {f for _, f in blocks} == set(FamilyLabel)
+
+    @pytest.mark.parametrize("label", list(FamilyLabel))
+    def test_blocks_table_frozen(self, label):
+        assert recursion_blocks(label) == tuple(
+            (BellLabel(b), FamilyLabel(f)) for b, f in RECURSION_BLOCKS[label.value])
+
+    def test_label_indices(self):
+        # bit 1 is psi (the "q" class), bit 0 the minus sign
+        assert [(f.index, f.parity_class, f.sign) for f in FamilyLabel] == [
+            (k, *FAMILY_TO_ORACLE[f]) for k, f in enumerate(FAMILY_TO_ORACLE)]
+        assert [(b.index, b.sign) for b in BELL_ORDER] == [(0, +1), (1, -1), (2, +1), (3, -1)]
+        assert [b.value for b in BELL_ORDER] == ["phi+", "phi-", "psi+", "psi-"]
 
     def test_rejects_base_size(self):
         with pytest.raises(ValueError):
