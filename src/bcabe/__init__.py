@@ -12,7 +12,6 @@ from .cuts import (
     Cut,
     CutReport,
     EdgeWeights,
-    activation_correction_table,
     activation_distill,
     analyze_cut,
     enumerate_cuts,
@@ -59,7 +58,6 @@ from .tensor import (
     STATE_ATOL,
     ZERO_PROB_ATOL,
     DensityMatrix,
-    Projector,
     PureState,
     QubitSubset,
     apply_unitary_on_subset,

@@ -31,9 +31,10 @@ def cost_certificate(two_n: int, label: FamilyLabel, mode: str = "exact",
     each cut needs crossing weight 1; the covering LP, handed the scan's own
     cut list (the cuts proved NPT), has optimum N.  Achieved: on that pairing
     the protocol consumes N singlets (audited transcript).  The family state
-    and the four (2N-2)-qubit support projectors are built once, for every
-    check, and the state is kept as certificate.target.  Returns
-    (CostCertificate, EnsembleResult, ProtocolTranscript).
+    and the two diagonals of the four (2N-2)-qubit support projectors are
+    built once, for every check, and the state is kept as
+    certificate.target.  Returns (CostCertificate, EnsembleResult,
+    ProtocolTranscript).
     """
     rho = build_family(two_n, label)
     supports = {f: family_support_projector(two_n - 2, f) for f in FamilyLabel}

@@ -26,9 +26,7 @@ from .certify import cost_certificate
 from .cuts import LP_ATOL, NPT_ATOL, analyze_cut, enumerate_cuts
 from .protocol import PROTOCOL_SIZES
 from .states import (
-    BellLabel,
     FamilyLabel,
-    _bell_x_parts,
     build_family,
     ghz_basis,
     pauli_connection_search,
@@ -121,7 +119,7 @@ def _positive_float(value: str) -> float:
 
 def _smolin_reference() -> tuple[np.ndarray, np.ndarray]:
     """Four-qubit family's two diagonals as an equal mixture of doubled Bell pairs."""
-    pairs = [_bell_x_parts(label) for label in BellLabel]
+    pairs = [build_family(2, f).x_parts for f in FamilyLabel]  # the Bell projectors
     return tuple(sum(np.kron(pair[part], pair[part]) for pair in pairs) / 4 for part in (0, 1))
 
 

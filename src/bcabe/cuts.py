@@ -3,11 +3,13 @@
 A cut splits the 2N parties (one qubit each) into side_a / side_b; canonical
 form keeps party 1 in side_a.  For each cut the partial transpose spectrum
 decides PPT vs NPT; analyze_cut reads the spectra of a whole cut list in
-one pass.  The family states are NPT across every 1:(2N-1) cut and
-PPT across every 2:(2N-2) cut; one activation_distill per protocol pair
-leaves an ebit across both its parties' single-party cuts.  lp_lower_bound
-puts crossing weight 1 on each cut of such a list; over the 2N single-party
-cuts its optimum N is the lower bound that `certify` matches with the protocol.
+one pass off the state's two diagonals (x_parts).  The family states are NPT
+across every 1:(2N-1) cut and PPT across every 2:(2N-2) cut; one
+activation_distill per protocol pair, which takes the four family supports
+as (diagonal, anti) pairs, leaves an ebit across both its parties'
+single-party cuts.  lp_lower_bound puts crossing weight 1 on each cut of
+such a list; over the 2N single-party cuts its optimum N is the lower bound
+that `certify` matches with the protocol.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .states import BELL_CORRECTIONS, FamilyLabel, recursion_blocks
 from .tensor import (
     OPERATOR_ATOL,
     DensityMatrix,
-    Projector,
     QubitSubset,
     x_parts_of,
     x_spectrum,
@@ -129,19 +130,15 @@ def enumerate_cuts(num_parties: int, side_size: int | None = None) -> list[Cut]:
 def analyze_cut(rho: DensityMatrix, cuts: Sequence[Cut]) -> list[CutReport]:
     """Partial-transpose spectra across the cuts: min eigenvalue, negativity, class.
 
-    Returns one report per cut, in order.  rho must be an X-state: every
-    nonzero entry sits at rho[k, k] or rho[k, ~k], with ~k the bitwise
-    complement of k.  GHZ-diagonal states, the four families included, have
-    this shape.  DensityMatrix finds the shape once, when it is built, and
-    keeps the two diagonals as x_parts; one tensor.x_spectrum call reads
-    every cut's spectrum off them, with side_a as the transposed bits, in
-    O(2^n) per cut and without scanning rho, instead of a 2^n x 2^n
-    eigensolve per cut.
+    Returns one report per cut, in order.  rho must be an X-state built on
+    its two diagonals, DensityMatrix(n, x_parts=...), as build_family builds
+    the families: every nonzero entry sits at rho[k, k] or rho[k, ~k], with ~k
+    the bitwise complement of k.  One tensor.x_spectrum call reads every cut's
+    spectrum off x_parts, with side_a as the transposed bits, in O(2^n) per
+    cut and without scanning rho, instead of a 2^n x 2^n eigensolve per cut.
 
-    Raises ValueError (tensor.x_parts_of) on any nonzero entry off the X
-    pattern.  The test is exact zero, not a tolerance: dropping entries of
-    size t could move eigenvalues by up to t, more than NPT_ATOL for t above
-    it.
+    Raises ValueError (tensor.x_parts_of) on a state built from a matrix,
+    whatever its zero pattern.
     """
     n = rho.num_qubits
     if any(cut.num_parties != n for cut in cuts):
@@ -162,49 +159,36 @@ def npt_one_vs_rest_scan(rho: DensityMatrix) -> list[CutReport]:
 
 # --- activation ---------------------------------------------------------------
 
-def activation_correction_table(label: FamilyLabel) -> dict[FamilyLabel, str]:
-    """Measurement outcome -> Pauli correction turning the residual pair into phi+.
-
-    Read off states.recursion_blocks: outcome f leaves on the residual pair the
-    Bell label whose index is label's XOR f's, and BELL_CORRECTIONS maps that
-    Bell state to phi+ (X for its psi bit, Z for its minus bit; tests check
-    each entry against a search).
-    """
-    return {f: BELL_CORRECTIONS[b] for b, f in recursion_blocks(label)}
-
-
 @dataclass(frozen=True, eq=False)
 class ActivationOutcome:
     probability: float
     correction: str
     fidelity: float  # with phi+
-    x_parts: tuple[np.ndarray, np.ndarray] = field(repr=False)  # of the corrected residual
-
-    @cached_property
-    def corrected_state(self) -> DensityMatrix:  # two-qubit residual after correction
-        return DensityMatrix(2, x_parts=self.x_parts)
+    x_parts: tuple[np.ndarray, np.ndarray] = field(repr=False)  # of the corrected residual pair
 
 
 def activation_distill(rho: DensityMatrix, label: FamilyLabel,
                        together: Union[QubitSubset, Iterable[int]],
-                       supports: Mapping[FamilyLabel, Projector]
+                       supports: Mapping[FamilyLabel, tuple[np.ndarray, np.ndarray]]
                        ) -> dict[FamilyLabel, ActivationOutcome]:
     """Measure the family supports on 2N-2 gathered qubits of rho; read out a Bell pair.
 
-    supports[f] is the projector onto family f's (2N-2)-qubit support; the
-    four sum to identity.  When rho is the 2N-qubit family `label`, each
-    outcome occurs with probability 1/4 and leaves the two excluded qubits in
-    a Bell state fixed by the outcome; the tabulated single-qubit Pauli C on
-    the lower-indexed residual qubit turns it into phi+ exactly.
+    supports[f] is the (diagonal, anti) pair of the projector onto family f's
+    (2N-2)-qubit support (states.family_support_projector); the four sum to
+    identity.  When rho is the 2N-qubit family `label`, each outcome occurs
+    with probability 1/4 and leaves the two excluded qubits in a Bell state
+    fixed by the outcome; the tabulated single-qubit Pauli C on the
+    lower-indexed residual qubit turns it into phi+ exactly.
 
-    rho and each support P must be X-shaped (else ValueError), and so then is
-    an outcome's residual Tr_T[(P x I) rho], T the gathered qubits: with s over
-    T's bits and a over the pair's, diagonal sum_s P[s, s] rho[(s, a), (s, a)]
-    and anti-diagonal sum_s P[~s, s] rho[(s, a), (~s, ~a)], one matmul for the
-    four supports.  Its trace is the outcome's probability, its fix an index
-    flip and a sign, its fidelity with phi+ (d[0] + d[3] + anti[0] + anti[3]) / 2.
-    One tensor.x_validate call checks the four corrected outcomes; each
-    corrected_state is built from its x_parts when first read.
+    rho must be an X-state built on x_parts (else ValueError), and each
+    support two vectors of length 2**(2N-2) (else ValueError).  Then an
+    outcome's residual Tr_T[(P x I) rho], T the gathered qubits, is X-shaped
+    too: with s over T's bits and a over the pair's, diagonal
+    sum_s P[s, s] rho[(s, a), (s, a)] and anti-diagonal
+    sum_s P[~s, s] rho[(s, a), (~s, ~a)], one matmul for the four supports.
+    Its trace is the outcome's probability, its fix an index flip and a sign,
+    its fidelity with phi+ (d[0] + d[3] + anti[0] + anti[3]) / 2.  One
+    tensor.x_validate call checks the four corrected outcomes' x_parts.
     """
     two_n = rho.num_qubits
     if two_n < 4 or two_n % 2:
@@ -214,14 +198,16 @@ def activation_distill(rho: DensityMatrix, label: FamilyLabel,
     if len(together) != two_n - 2:
         raise ValueError(f"together must gather {two_n - 2} qubits, got {len(together)}")
     k = two_n - 2
-    if any(supports[f].num_qubits != k for f in FamilyLabel):
-        raise ValueError(f"supports must act on {k} qubits")
+    shapes = [[np.shape(part) for part in supports[f]] for f in FamilyLabel]
+    if any(shape != [(2 ** k,)] * 2 for shape in shapes):
+        raise ValueError(f"each support must be two vectors of length {2 ** k}, "
+                         f"got shapes {shapes}")
 
     # rho's two diagonals indexed (s, a): the gathered qubits first, then the residual pair
     rest = [q for q in range(1, two_n + 1) if q not in together.indices]
     parts = np.stack(x_parts_of(rho)).reshape((2,) * (two_n + 1)).transpose([0, *together, *rest])
     rho_diagonal, rho_anti = parts.reshape(2, 2 ** k, 4)
-    projectors = np.array([x_parts_of(supports[f]) for f in FamilyLabel]).transpose(1, 0, 2)
+    projectors = np.array([supports[f] for f in FamilyLabel], dtype=complex).transpose(1, 0, 2)
     # with u = ~s the anti-diagonal reads sum_u P[u, ~u] rho[(~u, a), (u, ~a)]
     residuals = projectors @ np.stack([rho_diagonal, rho_anti[::-1]])  # (part, outcome, a)
     probs = residuals[0].sum(axis=1).real

@@ -470,13 +470,24 @@ def prepare_bcabe(two_n: int, label: FamilyLabel, mode: str = "exact",
 
 # --- transcript consumers ------------------------------------------------------
 
+_BITS = ("00", "01", "10", "11")
+# kind -> (qubits it acts on, allowed values of its other fields), as the protocol writes them
+_EVENT_SHAPES = {
+    "bell-generated": (2, {"label": tuple(b.value for b in BELL_ORDER)}),
+    "local-measurement": (2, {"basis": ("bell",), "outcome": _BITS}),
+    "local-unitary": (1, {"name": tuple(BELL_CORRECTIONS.values())}),
+    "classical-message": (0, {"bits": _BITS}),
+}
+
+
 def locc_audit(transcript: ProtocolTranscript) -> list[str]:
     """Replay a transcript; return violations (empty list means it passes).
 
     Checks that every quantum event touches only qubits its party owns at
     that moment, that generated qubit ids are fresh, that measured qubits
     stay retired, and that no singlet is consumed twice.  Malformed events
-    (not an object, wrongly typed fields) are reported as violations too.
+    (not an object, wrongly typed fields, a shape off _EVENT_SHAPES) are
+    reported as violations too, one per event.
     """
     violations: list[str] = []
     ownership = dict(transcript.initial_ownership)
@@ -493,9 +504,16 @@ def locc_audit(transcript: ProtocolTranscript) -> list[str]:
             continue
         kind = ev.get("kind")
         qubits = ev.get("qubits", [])
-        if kind in ("bell-generated", "local-unitary", "local-measurement") and not (
-                isinstance(qubits, list) and all(map(_is_int, qubits))):
-            violations.append(f"{where}: qubits must be a list of qubit ids, got {qubits!r}")
+        count, allowed = _EVENT_SHAPES.get(kind, (0, {})) if isinstance(kind, str) else (0, {})
+        if count and not (isinstance(qubits, list) and all(map(_is_int, qubits))
+                          and len(qubits) == count):
+            violations.append(f"{where}: qubits must be a list of qubit ids, {count} for {kind}, "
+                              f"got {qubits!r}")
+            continue
+        bad = next((key for key, values in allowed.items() if ev.get(key) not in values), None)
+        if bad:
+            violations.append(f"{where}: {kind} {bad} must be one of {allowed[bad]}, "
+                              f"got {ev.get(bad)!r}")
             continue
         if kind == "bell-generated":
             if not check_party(ev.get("party")):

@@ -22,9 +22,12 @@ Pauli that maps it to phi+ (BELL_CORRECTIONS), the Bell-tuple support
 (bell_correlated_tuples) and the recursion checked by verify_recursion, in
 which each family at size 2N is an equal four-way mixture of (Bell projector
 on a qubit pair) tensor (family at size 2N-2) over the four recursion_blocks.
-The structure checks take built states: the caller builds each family once
-and hands the same state to every check, which reads it on its two diagonals
-(x_parts) with no dense conjugation or eigensolve.
+Every family, and each family's support, is built on its two diagonals: the
+families as DensityMatrix(2N, x_parts=...), whose size-2 members are the four
+Bell projectors, and the supports as (diagonal, anti) pairs.  The structure
+checks take built states: the caller builds each family once and hands the
+same state to every check, which reads it on x_parts with no dense
+conjugation or eigensolve.
 """
 
 from __future__ import annotations
@@ -41,12 +44,10 @@ import numpy as np
 from .tensor import (
     STATE_ATOL,
     DensityMatrix,
-    Projector,
     PureState,
     PAULIS,
     fidelity_with_pure,
     trace_distance,
-    x_matrix,
     x_parts_of,
     x_trace_distance,
 )
@@ -167,12 +168,6 @@ def bell_state(label: BellLabel) -> PureState:
     return ghz_state(BasisString(f"0{label.index >> 1}"), label.sign).state
 
 
-def _bell_x_parts(label: BellLabel) -> tuple[np.ndarray, np.ndarray]:
-    """The Bell projector's two diagonals, read off its amplitudes a: a a* and a a[::-1]*."""
-    a = bell_state(label).amplitudes
-    return a * a.conj(), a * a[::-1].conj()
-
-
 def _cat_parts(two_n: int, label: FamilyLabel) -> tuple[np.ndarray, np.ndarray]:
     """The two diagonals of the sum of the family's cat-state projectors.
 
@@ -180,6 +175,8 @@ def _cat_parts(two_n: int, label: FamilyLabel) -> tuple[np.ndarray, np.ndarray]:
     to the products a dense outer product of its cat vector forms, a label's
     entry on each diagonal; no two share one.
     """
+    if two_n < 2 or two_n % 2:
+        raise ValueError(f"two_n must be even and >= 2, got {two_n}")
     member, a = _class_members(two_n, label.parity_class), 1.0 / np.sqrt(2.0)
     return (np.where(member, a * a, 0.0).astype(complex),
             np.where(member, (label.sign * a) * a, 0.0).astype(complex))  # anti[k] = m[k, ~k]
@@ -192,15 +189,16 @@ def build_family(two_n: int, label: FamilyLabel) -> DensityMatrix:
     matching the label (phi+/- for rho+/-, psi+/- for sigma+/-).  It is built
     on its two diagonals, each entry the dense sum's divided the same way.
     """
-    if two_n < 2 or two_n % 2:
-        raise ValueError(f"two_n must be even and >= 2, got {two_n}")
     count = 2 ** (two_n - 2)
     return DensityMatrix(two_n, x_parts=tuple(part / count for part in _cat_parts(two_n, label)))
 
 
-def family_support_projector(two_n: int, label: FamilyLabel) -> Projector:
-    """Projector onto the span of the family's cat states (rank 2**(two_n-2))."""
-    return Projector(two_n, x_matrix(*_cat_parts(two_n, label)))
+def family_support_projector(two_n: int, label: FamilyLabel) -> tuple[np.ndarray, np.ndarray]:
+    """The two diagonals of the projector onto the span of the family's cat states.
+
+    Rank 2**(two_n-2); the four families' projectors sum to the identity.
+    """
+    return _cat_parts(two_n, label)
 
 
 def recursion_blocks(label: FamilyLabel) -> tuple[tuple[BellLabel, FamilyLabel], ...]:
@@ -225,7 +223,8 @@ def verify_recursion(families: Mapping[FamilyLabel, DensityMatrix]) -> list[Recu
     """Check every built family against its one-step recursion, both block placements.
 
     families maps each label to its X-shaped state at one size 2N >= 4; only
-    the four lower families are built here.  Both diagonals of A x B are the
+    the four lower families and the four Bell projectors, the families at size
+    2 with the same index, are built here.  Both diagonals of A x B are the
     krons of those of A and B.  Returns 8 trace distances: 4 families x
     {leading, trailing} position of the Bell-pair block, which agree because
     the families are permutation invariant; leading (qubits 1-2) is the
@@ -235,8 +234,8 @@ def verify_recursion(families: Mapping[FamilyLabel, DensityMatrix]) -> list[Recu
     if two_n < 4 or two_n % 2 or any(families[f].num_qubits != two_n for f in FamilyLabel):
         raise ValueError(f"families must share one even size >= 4, got "
                          f"{[families[f].num_qubits for f in FamilyLabel]}")
-    lower = {f: x_parts_of(build_family(two_n - 2, f)) for f in FamilyLabel}
-    bells = {b: _bell_x_parts(b) for b in BellLabel}
+    lower = {f: build_family(two_n - 2, f).x_parts for f in FamilyLabel}
+    bells = {b: build_family(2, f).x_parts for b, f in zip(BellLabel, FamilyLabel)}  # shared index
     out = []
     for label in FamilyLabel:
         target = x_parts_of(families[label])

@@ -5,12 +5,15 @@ computational-basis index, so a basis label |a1 a2 ... an> reads left to
 right.  Everything is dense complex128 and sized for desk-scale systems;
 dimensions are capped at 2**MAX_QUBITS per object.
 
-An X-shaped DensityMatrix (nonzero entries only on the diagonal and the
-anti-diagonal, as in every GHZ-diagonal state) keeps both diagonals as
-x_parts, is validated on them alone, and may be built from them, its dense
-entries formed when first read.  x_spectrum gives its spectrum and those of
-its partial transposes in closed form, for one or a stack of transposed
-subsets, and is its PSD check.  x_trace_distance compares two on x_parts.
+An X-shaped operator (nonzero entries only on the diagonal and the
+anti-diagonal, as in every GHZ-diagonal state) is given by those two
+diagonals.  The caller chooses that form: DensityMatrix(n, x_parts=...) keeps
+them as x_parts, is validated on them alone and forms its dense entries when
+first read; a DensityMatrix built from a matrix is checked densely and has no
+x_parts, whatever its zero pattern.  x_spectrum gives the spectrum of an
+X-shaped matrix and those of its partial transposes in closed form, for one or
+a stack of transposed subsets, and is its PSD check.  x_trace_distance
+compares two on their diagonals.
 
 All operations are pure functions: inputs are never mutated and the wrapped
 numpy arrays are marked read-only on construction.
@@ -107,20 +110,16 @@ class PureState:
             raise ValueError(f"state norm {norm} deviates from 1 by more than {STATE_ATOL}")
         object.__setattr__(self, "amplitudes", _frozen(a))
 
-    def to_density(self) -> "DensityMatrix":
-        return DensityMatrix(self.num_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
-
 
 @dataclass(frozen=True, eq=False, init=False)
 class DensityMatrix:
     """Hermitian, unit-trace, PSD (within tolerance) operator on num_qubits qubits.
 
-    Built from its matrix, DensityMatrix(n, entries), or from the two diagonals
-    of an X-shaped one, DensityMatrix(n, x_parts=(diagonal, anti)), with
-    anti[k] = entries[k, ~k]; then entries is formed on first read.  x_parts is
-    read-only; from a matrix it is found once here, before any other check,
-    when every other entry is exactly zero, and None otherwise.  x_validate
-    checks it then, reaching the dense checks' verdicts on x_parts alone.
+    Built from its matrix, DensityMatrix(n, entries), and checked densely, with
+    x_parts None; or from the two diagonals of an X-shaped one,
+    DensityMatrix(n, x_parts=(diagonal, anti)), with anti[k] = entries[k, ~k],
+    and checked by x_validate, which reaches the dense checks' verdicts on
+    x_parts alone; then entries is formed on first read.  x_parts is read-only.
     """
 
     num_qubits: int
@@ -134,7 +133,6 @@ class DensityMatrix:
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError(f"density matrix must be square, got shape {m.shape}")
             object.__setattr__(self, "entries", m)
-            x_parts = _x_diagonals(m)
         else:
             x_parts = diagonal, anti = tuple(_frozen(part) for part in x_parts)
             if diagonal.ndim != 1 or anti.shape != diagonal.shape or diagonal.size < 2:
@@ -169,40 +167,6 @@ def _check_trace_and_floor(trace, lowest) -> None:
     lo = float(np.min(lowest()))
     if lo < -OPERATOR_ATOL:
         raise ValueError(f"matrix has eigenvalue {lo} below the -{OPERATOR_ATOL} PSD floor")
-
-
-@dataclass(frozen=True, eq=False)
-class Projector:
-    """Hermitian idempotent operator (within OPERATOR_ATOL) on num_qubits qubits, with x_parts."""
-
-    num_qubits: int
-    entries: np.ndarray
-    x_parts: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"projector must be square, got shape {m.shape}")
-        n = _qubit_count_for(m.shape[0])
-        if n != self.num_qubits:
-            raise ValueError(f"matrix dimension {m.shape[0]} does not match {self.num_qubits} qubits")
-        if not np.isfinite(m).all():
-            raise ValueError("projector entries must be finite")
-        if np.abs(m - m.conj().T).max() > OPERATOR_ATOL:
-            raise ValueError("projector is not Hermitian within tolerance")
-        if np.abs(m @ m - m).max() > OPERATOR_ATOL:
-            raise ValueError("projector is not idempotent within tolerance")
-        object.__setattr__(self, "entries", _frozen(m))
-        object.__setattr__(self, "x_parts", _x_diagonals(self.entries))
-
-
-def _x_diagonals(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """m's frozen diagonal and anti-diagonal when every other entry is exactly zero, else None."""
-    parts = _frozen(np.diagonal(m)), _frozen(np.fliplr(m).diagonal())
-    # count real and imaginary parts apart: exact, and faster than complex count_nonzero;
-    # at dim 1 the two diagonals are one entry counted twice, so the dense path runs
-    counts = [np.count_nonzero(np.ascontiguousarray(a).view(np.float64)) for a in (m, *parts)]
-    return parts if counts[0] == counts[1] + counts[2] else None
 
 
 # --- public operations ---------------------------------------------------------
@@ -299,12 +263,12 @@ def x_matrix(diagonal: np.ndarray, anti: np.ndarray) -> np.ndarray:
     return m
 
 
-def x_parts_of(op: DensityMatrix | Projector) -> tuple[np.ndarray, np.ndarray]:
-    """op.x_parts; ValueError when op has a nonzero entry off its diagonal and anti-diagonal."""
-    if op.x_parts is None:
-        raise ValueError("state is not an X-state: it has nonzero entries off the diagonal "
-                         "and anti-diagonal, so it has no 2x2-block form")
-    return op.x_parts
+def x_parts_of(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """rho.x_parts; ValueError when rho was built from a matrix, not from its two diagonals."""
+    if rho.x_parts is None:
+        raise ValueError("state is not an X-state: it was built from a dense matrix, not from "
+                         "its diagonal and anti-diagonal, so it has no 2x2-block form")
+    return rho.x_parts
 
 
 def x_trace_distance(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]) -> float:

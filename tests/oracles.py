@@ -41,6 +41,32 @@ def proj(v: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def density_of(psi: PureState) -> DensityMatrix:
+    """|psi><psi| built from its dense matrix, so checked densely and with no x_parts."""
+    return DensityMatrix(psi.num_qubits, proj(psi.amplitudes))
+
+
+def x_parts_from(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """m's diagonal and anti-diagonal, anti[k] = m[k, ~k], once every other entry is checked zero.
+
+    The package never reads an X shape off a matrix: this is how a test hands
+    a dense X-shaped oracle matrix to DensityMatrix(n, x_parts=...) or to
+    activation_distill as a support.  NaN counts as nonzero.
+    """
+    m = np.asarray(m, dtype=complex)
+    k = np.arange(len(m))
+    off_x = m.copy()
+    off_x[k, k] = off_x[k, k[::-1]] = 0
+    if np.count_nonzero(off_x):
+        raise ValueError("matrix has nonzero entries off its diagonal and anti-diagonal")
+    return m[k, k].copy(), m[k, k[::-1]].copy()
+
+
+def x_density(m: np.ndarray) -> DensityMatrix:
+    """The X-shaped density matrix m, built on its two diagonals (x_parts_from)."""
+    return DensityMatrix(len(m).bit_length() - 1, x_parts=x_parts_from(m))
+
+
 def smolin_state() -> np.ndarray:
     """Equal mixture of the four two-Bell-pair products."""
     m = sum(np.kron(proj(b), proj(b)) for b in BELL_VECTORS.values())

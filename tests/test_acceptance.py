@@ -190,7 +190,7 @@ def test_9_property_suites():
             assert abs(prob - 0.25) < 1e-12
             state = PureState(len(branch.qubit_order), branch.amplitudes)
             discard = [i + 1 for i, q in enumerate(branch.qubit_order) if q != 2]
-            carried = partial_trace(state.to_density(), discard)
+            carried = partial_trace(oracles.density_of(state), discard)
             assert np.allclose(carried.entries, np.outer(payload, payload.conj()),
                                atol=1e-12)
 

@@ -23,7 +23,7 @@ from bcabe.cli import main, write_state_file
 from bcabe.states import BasisString, FamilyLabel, build_family, ghz_state
 from bcabe.tensor import DensityMatrix
 
-from oracles import read_state_file
+from oracles import read_state_file, x_density
 
 
 def _load(path):
@@ -155,11 +155,11 @@ class TestVerifyCommand:
         assert _digest(out) == VERIFY_PAYLOAD_SHA256[size]
 
     def test_builds_each_family_once(self, tmp_path, monkeypatch):
-        # four families at the size, shared by every check, and four at the size below
-        # for the recursion
+        # four families at the size, shared by every check, and for the recursion four at
+        # the size below and the four Bell projectors, the families at size 2
         calls = _count_calls(monkeypatch, ["build_family"])
         assert main(["verify", "--size", "6", "--out", str(tmp_path / "verify6.json")]) == 0
-        assert calls == {"build_family": 8}
+        assert calls == {"build_family": 12}
 
     @pytest.mark.parametrize("size", [4, 6, 8])
     def test_makes_no_dense_call(self, size, tmp_path, monkeypatch):
@@ -178,10 +178,12 @@ class TestVerifyCommand:
         # and the doubled-Bell comparison all see the drift; the drifted state is
         # still permutation invariant
         genuine = build_family(4, FamilyLabel.RHO_PLUS)
-        drifted = DensityMatrix(4, 0.9 * genuine.entries + 0.1 * np.eye(16) / 16)
+        drifted = x_density(0.9 * genuine.entries + 0.1 * np.eye(16) / 16)
 
-        def tampered(two_n, label):
-            return drifted if label is FamilyLabel.RHO_PLUS else build_family(two_n, label)
+        def tampered(two_n, label):  # the size-2 Bell projectors stay genuine
+            if (two_n, label) == (4, FamilyLabel.RHO_PLUS):
+                return drifted
+            return build_family(two_n, label)
 
         monkeypatch.setattr(cli, "build_family", tampered)
         out = tmp_path / "verify.json"

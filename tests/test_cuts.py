@@ -12,7 +12,6 @@ from bcabe.cuts import (
     Cut,
     CutReport,
     EdgeWeights,
-    activation_correction_table,
     activation_distill,
     analyze_cut,
     enumerate_cuts,
@@ -25,11 +24,11 @@ from bcabe.states import (CORRECTION_MATRICES, BellLabel, FamilyLabel, bell_stat
                           family_support_projector, recursion_blocks)
 from bcabe.tensor import (
     DensityMatrix,
-    Projector,
     apply_unitary_on_subset,
     fidelity_with_pure,
     partial_transpose,
     trace_distance,
+    x_matrix,
     x_spectrum,
 )
 
@@ -63,7 +62,7 @@ CORRECTION_TABLES = {
 }
 
 
-def _supports(k: int) -> dict[FamilyLabel, Projector]:
+def _supports(k: int) -> dict[FamilyLabel, tuple[np.ndarray, np.ndarray]]:
     return {f: family_support_projector(k, f) for f in FamilyLabel}
 
 
@@ -201,7 +200,8 @@ class TestCutSpectra:
 
     def test_negativity_matches_bell_state(self):
         # for [phi+] across 1:1 the negativity is 1/2 and the minimum is -1/2
-        [report] = analyze_cut(bell_state(BellLabel.PHI_PLUS).to_density(), [Cut(2, (1,))])
+        phi_plus = oracles.x_density(oracles.proj(bell_state(BellLabel.PHI_PLUS).amplitudes))
+        [report] = analyze_cut(phi_plus, [Cut(2, (1,))])
         assert report.classification == "NPT"
         assert report.min_eigenvalue == pytest.approx(-0.5, abs=1e-12)
         assert report.negativity == pytest.approx(0.5, abs=1e-12)
@@ -222,7 +222,7 @@ class TestCutSpectra:
             analyze_cut(build_family(4, FamilyLabel.RHO_PLUS), [Cut(4, (1,)), Cut(6, (1,))])
 
     def test_cuts_scan_no_entries(self, monkeypatch):
-        # the X shape is found once, when the state is built, not again on every cut
+        # the cuts read the state's two diagonals, never a scan of its entries
         rho = build_family(8, FamilyLabel.RHO_PLUS)
         calls = []
         count_nonzero = np.count_nonzero
@@ -237,12 +237,19 @@ class TestCutSpectra:
         with pytest.raises(ValueError, match="not an X-state"):
             analyze_cut(rho, [Cut(4, (1,))])
 
+    def test_dense_x_shaped_state_rejected(self):
+        # the X shape is the caller's choice, x_parts=..., never found in a matrix
+        rho = DensityMatrix(4, build_family(4, FamilyLabel.RHO_PLUS).entries)
+        assert rho.x_parts is None
+        with pytest.raises(ValueError, match="not an X-state"):
+            analyze_cut(rho, [Cut(4, (1,))])
+
 
     @pytest.mark.parametrize("size", [4, 6, 8])
     def test_reports_equal_single_cut_readout(self, size):
         # one stacked readout of every cut gives the fields each cut gives alone
         states = [build_family(size, label) for label in ALL_FAMILIES]
-        states.append(DensityMatrix(size, oracles.random_x_state(size, np.random.default_rng(size))))
+        states.append(oracles.x_density(oracles.random_x_state(size, np.random.default_rng(size))))
         cuts = enumerate_cuts(size)
         for rho in states:
             assert analyze_cut(rho, cuts) == [single_cut_report(rho, cut) for cut in cuts]
@@ -252,16 +259,22 @@ class TestCutSpectra:
         assert analyze_cut(build_family(4, FamilyLabel.RHO_PLUS), []) == []
 
 
+def _corrections(two_n: int, label: FamilyLabel) -> dict[FamilyLabel, str]:
+    """Each outcome's correction, as activation_distill names it with qubits 3..2N gathered."""
+    return {f: o.correction for f, o in _distill(two_n, label, range(3, two_n + 1)).items()}
+
+
 class TestActivation:
     @pytest.mark.parametrize("label", ALL_FAMILIES)
     def test_correction_table_frozen(self, label):
-        assert activation_correction_table(label) == CORRECTION_TABLES[label]
+        for two_n in (4, 6):
+            assert _corrections(two_n, label) == CORRECTION_TABLES[label]
 
     @pytest.mark.parametrize("label", ALL_FAMILIES)
     def test_table_consistent_with_recursion(self, label):
         # outcome family on qubits 3..2N pairs with the Bell label left on 1,2
         blocks = dict(recursion_blocks(label))
-        table = activation_correction_table(label)
+        table = _corrections(4, label)
         for bell, family in blocks.items():
             expected = {"phi+": "I", "phi-": "Z", "psi+": "X", "psi-": "ZX"}[bell.value]
             assert table[family] == expected
@@ -294,11 +307,11 @@ class TestActivation:
         together = [q for q in range(1, two_n + 1) if q not in residual]
         rho = build_family(two_n, label).entries
         for outcome, got in _distill(two_n, label, together).items():
-            support = family_support_projector(two_n - 2, outcome).entries
+            support = x_matrix(*family_support_projector(two_n - 2, outcome))
             prob, corrected, fidelity = oracles.activation_reference(
                 rho, support, together, two_n, CORRECTION_MATRICES[got.correction])
             assert abs(got.probability - prob) <= 1e-14
-            assert np.abs(got.corrected_state.entries - corrected).max() <= 1e-14
+            assert np.abs(x_matrix(*got.x_parts) - corrected).max() <= 1e-14
             assert abs(got.fidelity - fidelity) <= 1e-14
 
     @pytest.mark.parametrize("label", ALL_FAMILIES)
@@ -310,14 +323,14 @@ class TestActivation:
         # diagonal[k], diagonal[~k] (a GHZ-diagonal one has neither) the residual pair's order
         noise = oracles.random_x_state(two_n, np.random.default_rng(two_n))
         rho = 0.9 * build_family(two_n, label).entries + 0.1 * noise
-        state, supports = DensityMatrix(two_n, rho), _supports(two_n - 2)
+        state, supports = oracles.x_density(rho), _supports(two_n - 2)
         for together in itertools.combinations(range(1, two_n + 1), two_n - 2):
             for outcome, got in activation_distill(state, label, together, supports).items():
                 prob, corrected, fidelity = oracles.activation_reference(
-                    rho, supports[outcome].entries, list(together), two_n,
+                    rho, x_matrix(*supports[outcome]), list(together), two_n,
                     CORRECTION_MATRICES[got.correction])
                 assert abs(got.probability - prob) <= 1e-14
-                assert np.abs(got.corrected_state.entries - corrected).max() <= 1e-14
+                assert np.abs(x_matrix(*got.x_parts) - corrected).max() <= 1e-14
                 assert abs(got.fidelity - fidelity) <= 1e-14
 
     @pytest.mark.parametrize("two_n", [4, 6])
@@ -325,7 +338,7 @@ class TestActivation:
         # a family support has P[s, ~s] = P[~s, s], so it cannot tell which end of its
         # anti-diagonal meets which of rho's; cat states (|s> + i sign |~s>) / sqrt(2) can
         k, label = two_n - 2, FamilyLabel.SIGMA_MINUS
-        supports = {}
+        dense = {}
         for f in FamilyLabel:
             m = np.zeros((2 ** k, 2 ** k), dtype=complex)
             for s in range(2 ** (k - 1)):  # first bit 0; odd popcount is the "q" class
@@ -333,31 +346,35 @@ class TestActivation:
                     v = np.zeros(2 ** k, dtype=complex)
                     v[s], v[2 ** k - 1 - s] = 1 / np.sqrt(2), 1j * f.sign / np.sqrt(2)
                     m += oracles.proj(v)
-            supports[f] = Projector(k, m)
+            dense[f] = m
+        supports = {f: oracles.x_parts_from(m) for f, m in dense.items()}
         noise = oracles.random_x_state(two_n, np.random.default_rng(10 + two_n))
         rho = 0.9 * build_family(two_n, label).entries + 0.1 * noise
         together = list(range(3, two_n + 1))
-        for outcome, got in activation_distill(DensityMatrix(two_n, rho), label, together,
+        for outcome, got in activation_distill(oracles.x_density(rho), label, together,
                                                supports).items():
             prob, corrected, fidelity = oracles.activation_reference(
-                rho, supports[outcome].entries, together, two_n,
-                CORRECTION_MATRICES[got.correction])
+                rho, dense[outcome], together, two_n, CORRECTION_MATRICES[got.correction])
             assert abs(got.probability - prob) <= 1e-14
-            assert np.abs(got.corrected_state.entries - corrected).max() <= 1e-14
+            assert np.abs(x_matrix(*got.x_parts) - corrected).max() <= 1e-14
             assert abs(got.fidelity - fidelity) <= 1e-14
 
     def test_non_x_state_rejected(self):
-        # a dense admixture has entries off the X, where the closed form does not hold
+        # a state built from a matrix has no x_parts, and off the X the closed form does not hold
         noise = oracles.random_density(16, np.random.default_rng(4))
         rho = DensityMatrix(4, 0.9 * build_family(4, FamilyLabel.RHO_PLUS).entries + 0.1 * noise)
         with pytest.raises(ValueError, match="not an X-state"):
             activation_distill(rho, FamilyLabel.RHO_PLUS, [3, 4], _supports(2))
 
-    def test_non_x_support_rejected(self):
-        # the projector onto |+> x C^2 sums to the right size but sits off the X
-        plus = np.full((2, 2), 0.5)
-        supports = _supports(2) | {FamilyLabel.SIGMA_MINUS: Projector(2, np.kron(plus, np.eye(2)))}
-        with pytest.raises(ValueError, match="not an X-state"):
+    @pytest.mark.parametrize("support", [
+        x_matrix(*family_support_projector(2, FamilyLabel.SIGMA_MINUS)),  # a dense matrix
+        family_support_projector(2, FamilyLabel.SIGMA_MINUS)[:1],         # one vector
+        tuple(part[:2] for part in family_support_projector(2, FamilyLabel.SIGMA_MINUS)),
+    ], ids=["matrix", "one-vector", "short"])
+    def test_malformed_support_rejected(self, support):
+        # a support is given by its two diagonals, each of length 2**(2N-2)
+        supports = _supports(2) | {FamilyLabel.SIGMA_MINUS: support}
+        with pytest.raises(ValueError, match="two vectors of length 4"):
             activation_distill(build_family(4, FamilyLabel.RHO_PLUS), FamilyLabel.RHO_PLUS,
                                [3, 4], supports)
 
@@ -369,8 +386,8 @@ class TestActivation:
         phi_plus = bell_state(BellLabel.PHI_PLUS)
         outcomes = _distill(4, FamilyLabel.RHO_MINUS, [3, 4])
         for outcome in outcomes.values():
-            raw = apply_unitary_on_subset(
-                outcome.corrected_state, candidates[outcome.correction].conj().T, [1])
+            raw = apply_unitary_on_subset(DensityMatrix(2, x_parts=outcome.x_parts),
+                                          candidates[outcome.correction].conj().T, [1])
             found = [name for name, matrix in candidates.items()
                      if abs(fidelity_with_pure(apply_unitary_on_subset(raw, matrix, [1]),
                                                phi_plus) - 1.0) < 1e-10]
@@ -378,7 +395,7 @@ class TestActivation:
 
     def test_zero_probability_outcome_raises_value_error(self):
         # a zero support gives the residual 0 / 0; the finiteness check rejects it
-        zero = {f: Projector(2, np.zeros((4, 4))) for f in FamilyLabel}
+        zero = {f: (np.zeros(4), np.zeros(4)) for f in FamilyLabel}
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
             activation_distill(build_family(4, FamilyLabel.RHO_PLUS), FamilyLabel.RHO_PLUS,
                                [3, 4], zero)

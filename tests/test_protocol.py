@@ -78,7 +78,7 @@ def _teleport_roundtrip(payload: np.ndarray) -> list[tuple[float, np.ndarray]]:
         assert branch.owner_of(2) == 2
         state = PureState(len(branch.qubit_order), branch.amplitudes)
         discard = [i + 1 for i, q in enumerate(branch.qubit_order) if q != 2]
-        reduced = partial_trace(state.to_density(), discard)
+        reduced = partial_trace(oracles.density_of(state), discard)
         out.append((prob, reduced.entries))
     return out
 
@@ -152,7 +152,7 @@ class TestNetworkSetup:
         assert len(net.singlets) == 2
         # each singlet half is maximally mixed on its own
         state = PureState(4, net.amplitudes)
-        marginal = partial_trace(state.to_density(), [2, 3, 4])
+        marginal = partial_trace(oracles.density_of(state), [2, 3, 4])
         assert np.allclose(marginal.entries, np.eye(2) / 2)
 
     def test_custom_pairing(self):
@@ -214,7 +214,7 @@ class TestTeleport:
             assert prob == pytest.approx(0.25, abs=1e-12)
             state = PureState(len(branch.qubit_order), branch.amplitudes)
             discard = [i + 1 for i, q in enumerate(branch.qubit_order) if q not in (5, 2)]
-            pair = partial_trace(state.to_density(), discard)
+            pair = partial_trace(oracles.density_of(state), discard)
             slot5 = [q for q in branch.qubit_order if q in (5, 2)]
             want = oracles.BELL_VECTORS["psi-"]
             if slot5 != [5, 2]:
@@ -582,6 +582,12 @@ class TestTranscript:
         {"kind": "singlet-consumed", "pair": 7, "index": 1},
         ["not", "an", "event"],
         "singlet-consumed",
+        # well typed, but not the shape the protocol writes: one violation each
+        {"kind": "bell-generated", "party": 1, "qubits": [], "label": "phi+"},
+        {"kind": "bell-generated", "party": 1, "qubits": [9, 10, 11], "label": "nope"},
+        {"kind": "local-unitary", "party": 2, "qubits": [], "name": "Q"},
+        {"kind": "local-measurement", "party": 2, "qubits": [2], "basis": "bell", "outcome": "xx"},
+        {"kind": "classical-message", "from": 1, "to": 2, "bits": "hello"},
     ])
     def test_audit_reports_malformed_events(self, canonical, event):
         doctored = ProtocolTranscript(

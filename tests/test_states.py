@@ -27,6 +27,7 @@ from bcabe.states import (
     verify_recursion,
 )
 from bcabe.tensor import (
+    OPERATOR_ATOL,
     PAULI_Z,
     STATE_ATOL,
     DensityMatrix,
@@ -36,6 +37,7 @@ from bcabe.tensor import (
     PAULIS,
     partial_trace,
     trace_distance,
+    x_matrix,
 )
 
 import oracles
@@ -152,7 +154,7 @@ class TestBuildFamily:
         want = oracles.family_reference(two_n, cls, sign)
         assert np.array_equal(build_family(two_n, label).entries, want)
         count = 2 ** (two_n - 2)
-        assert np.array_equal(family_support_projector(two_n, label).entries, want * count)
+        assert np.array_equal(x_matrix(*family_support_projector(two_n, label)), want * count)
 
     def test_smolin_equivalence(self):
         # rho+ at four qubits is the equal mixture of doubled Bell pairs
@@ -184,18 +186,26 @@ class TestBuildFamily:
             assert overlap == pytest.approx(0.0, abs=1e-12)
 
     def test_support_projector(self):
-        p = family_support_projector(4, FamilyLabel.SIGMA_MINUS)
-        assert np.trace(p.entries).real == pytest.approx(4, abs=1e-12)
+        p = x_matrix(*family_support_projector(4, FamilyLabel.SIGMA_MINUS))
+        assert np.trace(p).real == pytest.approx(4, abs=1e-12)
         rho = build_family(4, FamilyLabel.SIGMA_MINUS)
-        np.testing.assert_allclose(p.entries @ rho.entries, rho.entries, atol=1e-12)
+        np.testing.assert_allclose(p @ rho.entries, rho.entries, atol=1e-12)
 
-    def test_supports_sum_to_identity(self):
-        total = sum(family_support_projector(4, f).entries for f in FamilyLabel)
-        np.testing.assert_allclose(total, np.eye(16), atol=1e-12)
+    @pytest.mark.parametrize("k", [2, 4, 6])  # the support sizes certify measures, 2N - 2
+    def test_supports_are_projectors_summing_to_identity(self, k):
+        # the dense projector checks, on the matrices the two diagonals stand for
+        supports = [x_matrix(*family_support_projector(k, f)) for f in FamilyLabel]
+        for p in supports:
+            assert np.abs(p - p.conj().T).max() <= OPERATOR_ATOL
+            assert np.abs(p @ p - p).max() <= OPERATOR_ATOL
+            assert np.linalg.matrix_rank(p) == 2 ** (k - 2)
+        np.testing.assert_allclose(sum(supports), np.eye(2 ** k), atol=OPERATOR_ATOL)
 
     def test_odd_size_rejected(self):
-        with pytest.raises(ValueError):
-            build_family(3, FamilyLabel.RHO_PLUS)
+        for build in (build_family, family_support_projector):
+            for two_n in (0, 3):
+                with pytest.raises(ValueError, match="even and >= 2"):
+                    build(two_n, FamilyLabel.RHO_PLUS)
 
 
 def families(two_n: int) -> dict[FamilyLabel, DensityMatrix]:
@@ -203,7 +213,7 @@ def families(two_n: int) -> dict[FamilyLabel, DensityMatrix]:
 
 
 def random_x(two_n: int, seed: int) -> DensityMatrix:
-    return DensityMatrix(two_n, oracles.random_x_state(two_n, np.random.default_rng(seed)))
+    return oracles.x_density(oracles.random_x_state(two_n, np.random.default_rng(seed)))
 
 
 class TestRecursion:
@@ -247,8 +257,8 @@ class TestRecursion:
     def test_reads_the_given_targets(self):
         # a drifted target shows in its own two checks and in no other
         given = families(4)
-        given[FamilyLabel.RHO_MINUS] = DensityMatrix(
-            4, 0.9 * given[FamilyLabel.RHO_MINUS].entries + 0.1 * np.eye(16) / 16)
+        given[FamilyLabel.RHO_MINUS] = oracles.x_density(
+            0.9 * given[FamilyLabel.RHO_MINUS].entries + 0.1 * np.eye(16) / 16)
         failed = {(c.family, c.block_position) for c in verify_recursion(given)
                   if c.distance >= 1e-12}
         assert failed == {(FamilyLabel.RHO_MINUS, "leading"), (FamilyLabel.RHO_MINUS, "trailing")}
@@ -279,7 +289,7 @@ class TestPauliConnections:
         image = apply_unitary_on_subset(rho_a, PAULI_Z, [1]).entries.copy()
         image[0, 15] += 3 * STATE_ATOL
         image[15, 0] += 3 * STATE_ATOL
-        rho_b = DensityMatrix(4, image)
+        rho_b = oracles.x_density(image)
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
@@ -294,8 +304,8 @@ class TestPauliConnections:
     def test_phase_flip_toggles_cat_sign(self):
         # Z on qubit 1 sends each + cat state to its - partner
         for base in enumerate_parity_strings(4, "p"):
-            plus = ghz_state(base, +1).state.to_density()
-            minus = ghz_state(base, -1).state.to_density()
+            plus = oracles.density_of(ghz_state(base, +1).state)
+            minus = oracles.density_of(ghz_state(base, -1).state)
             moved = apply_unitary_on_subset(plus, PAULI_Z, [1])
             assert trace_distance(moved, minus) < 1e-12
 
@@ -336,7 +346,7 @@ class TestBellTupleDecomposition:
         assert sum(w for _, w in got) == pytest.approx(1.0, abs=1e-12)
 
     def test_non_bell_correlated_state_raises(self):
-        rho = PureState(4, oracles.ket("0000")).to_density()
+        rho = oracles.density_of(PureState(4, oracles.ket("0000")))
         with pytest.raises(NotBellCorrelated):
             bell_tuple_decomposition(rho, ((1, 2), (3, 4)))
 
@@ -367,7 +377,7 @@ class TestPermutationInvariance:
         assert permutation_invariance_check(build_family(two_n, label)) < 1e-12
 
     def test_sees_a_non_invariant_state(self):
-        rho = PureState(4, oracles.ket("0001")).to_density()
+        rho = oracles.x_density(oracles.proj(oracles.ket("0001")))
         assert permutation_invariance_check(rho) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -389,7 +399,9 @@ class TestCheckersMatchDenseOracles:
     @pytest.mark.parametrize("two_n", [4, 6])
     def test_pauli_search_matches_dense_scan(self, two_n):
         rho = random_x(two_n, two_n + 1)
-        candidates = [(q, name, apply_unitary_on_subset(rho, PAULIS[name], [q]))
+        # a Pauli moves X-shaped entries onto the X, so each image is an X-state again
+        candidates = [(q, name, oracles.x_density(
+                           apply_unitary_on_subset(rho, PAULIS[name], [q]).entries))
                       for q in range(1, two_n + 1) for name in ("X", "Y", "Z")]
         for _, _, image in candidates:
             first = next((q, name) for q, name, moved in candidates

@@ -13,7 +13,6 @@ from bcabe.tensor import (
     PAULI_X,
     STATE_ATOL,
     DensityMatrix,
-    Projector,
     PureState,
     QubitSubset,
     apply_unitary_on_subset,
@@ -32,6 +31,7 @@ from bcabe.states import FamilyLabel, build_family
 from oracles import (
     BELL_VECTORS,
     dense_family_build,
+    density_of,
     embed_reference,
     ket,
     permute_qubits_matrix,
@@ -42,6 +42,8 @@ from oracles import (
     random_unitary,
     random_x_state,
     tensor_product,
+    x_density,
+    x_parts_from,
 )
 
 # Frozen expected values, computed by hand:
@@ -56,7 +58,7 @@ PHI_PLUS_PT_SPECTRUM = np.array([-0.5, 0.5, 0.5, 0.5])
 
 
 def phi_plus() -> DensityMatrix:
-    return PureState(2, BELL_VECTORS["phi+"]).to_density()
+    return density_of(PureState(2, BELL_VECTORS["phi+"]))
 
 
 class TestContainers:
@@ -78,15 +80,10 @@ class TestContainers:
         with pytest.raises(ValueError, match="Hermitian"):
             DensityMatrix(1, m)
 
-    def test_projector_requires_idempotence(self):
-        with pytest.raises(ValueError, match="idempotent"):
-            Projector(1, 0.5 * np.eye(2, dtype=complex))
-
     @pytest.mark.parametrize("make", [
         lambda: PureState(1, np.array([np.nan, 0])),
         lambda: DensityMatrix(1, np.full((2, 2), np.nan)),
-        lambda: Projector(1, np.full((2, 2), np.nan)),
-    ], ids=["pure", "density", "projector"])
+    ], ids=["pure", "density"])
     def test_nan_rejected(self, make):
         # every threshold comparison is False against NaN, so only a finiteness check catches it
         with pytest.raises(ValueError, match="finite"):
@@ -105,7 +102,7 @@ class TestContainers:
         # the generated eq and hash over ndarray fields raised; the containers compare by identity
         for make in (lambda: PureState(1, ket("0")),
                      lambda: DensityMatrix(1, np.eye(2) / 2),
-                     lambda: Projector(1, np.eye(2))):
+                     lambda: DensityMatrix(1, x_parts=(np.full(2, 0.5), np.zeros(2)))):
             a, b = make(), make()
             assert (a == b) is False
             assert a == a
@@ -216,8 +213,8 @@ class TestEigenvaluesAndDistances:
             assert np.linalg.norm(m @ v - lam * v) <= 1e-9 * norm
 
     def test_trace_distance_orthogonal_pure_states(self):
-        a = PureState(2, ket("00")).to_density()
-        b = PureState(2, ket("11")).to_density()
+        a = density_of(PureState(2, ket("00")))
+        b = density_of(PureState(2, ket("11")))
         assert trace_distance(a, b) == pytest.approx(1.0, abs=1e-12)
 
     def test_trace_distance_self_is_zero(self):
@@ -239,9 +236,9 @@ class TestEigenvaluesAndDistances:
     @pytest.mark.parametrize("n", [4, 6])
     def test_x_trace_distance_matches_dense(self, n):
         rng = np.random.default_rng(n)
-        a, b = (DensityMatrix(n, random_x_state(n, rng)) for _ in range(2))
-        assert x_trace_distance(a.x_parts, b.x_parts) == pytest.approx(trace_distance(a, b),
-                                                                         abs=1e-12)
+        a, b = (random_x_state(n, rng) for _ in range(2))
+        assert x_trace_distance(x_parts_from(a), x_parts_from(b)) == pytest.approx(
+            trace_distance(a, b), abs=1e-12)
 
     def test_x_parts_of_rejects_dense_state(self):
         with pytest.raises(ValueError, match="not an X-state"):
@@ -253,13 +250,13 @@ class TestEigenvaluesAndDistances:
         assert fidelity_with_pure(rho, PureState(2, ket("01"))) == pytest.approx(0.0, abs=1e-12)
         # consistency: fidelity = 1 - trace distance when rho is the projector
         psi = PureState(2, BELL_VECTORS["psi-"])
-        rho2 = psi.to_density()
+        rho2 = density_of(psi)
         assert fidelity_with_pure(rho2, psi) == pytest.approx(1.0 - trace_distance(rho2, rho2), abs=1e-12)
 
 
 class TestApplyUnitary:
     def test_single_qubit_flip(self):
-        s = apply_unitary_on_subset(PureState(2, ket("00")).to_density(), PAULI_X, [2])
+        s = apply_unitary_on_subset(density_of(PureState(2, ket("00"))), PAULI_X, [2])
         np.testing.assert_allclose(s.entries, np.outer(ket("01"), ket("01")), atol=1e-15)
 
     def test_matches_embedded_matrix_on_density(self):
@@ -281,7 +278,7 @@ class TestApplyUnitary:
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
-            apply_unitary_on_subset(PureState(1, ket("0")).to_density(),
+            apply_unitary_on_subset(density_of(PureState(1, ket("0"))),
                                     np.array([[1, 0], [0, 2.0]]), [1])
 
 
@@ -334,12 +331,15 @@ class TestXShapedValidation:
                 if abs(dense[0] + OPERATOR_ATOL) < 1e-12:
                     continue
                 if dense[0] >= -OPERATOR_ATOL:
-                    assert DensityMatrix(n, m).x_parts is not None
+                    DensityMatrix(n, m)
+                    x_validate(*x_parts_from(m))
                     accepted += 1
                 else:
                     assert dense[0] < -100 * OPERATOR_ATOL  # well below the floor, not at its edge
                     with pytest.raises(ValueError, match="PSD"):
                         DensityMatrix(n, m)
+                    with pytest.raises(ValueError, match="PSD"):
+                        x_validate(*x_parts_from(m))
                     rejected += 1
         assert accepted >= 30 and rejected >= 30
 
@@ -394,7 +394,8 @@ def _set(m, entries):
 
 
 class TestXPathValidation:
-    # each case is a corrupted mixed_x_state; only "nan-off-x" leaves the X shape
+    # each case is a corrupted mixed_x_state; only "nan-off-x" leaves the X shape, so it has
+    # no x_parts to validate
     CASES = {
         "nan-on-diagonal": {(2, 2): np.nan},
         "inf-on-anti": {(0, 7): np.inf},
@@ -415,17 +416,20 @@ class TestXPathValidation:
         with pytest.raises(ValueError) as exc:
             DensityMatrix(3, m)
         assert str(exc.value) == expected
+        if case == "nan-off-x":
+            with pytest.raises(ValueError, match="off its diagonal"):
+                x_parts_from(m)
+            return
+        with pytest.raises(ValueError) as exc:
+            x_validate(*x_parts_from(m))
+        assert str(exc.value) == expected
 
     def test_accepts_skew_within_tolerance(self):
         m = _set(mixed_x_state(), {(1, 6): mixed_x_state()[1, 6] + STATE_ATOL / 2})
         assert dense_verdict(m) is None
-        rho = DensityMatrix(3, m)
-        assert rho.x_parts is not None and rho.x_parts[1][1] == m[1, 6]
-        assert DensityMatrix(3, mixed_x_state()).x_parts is not None
-
-
-def x_parts_from(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return np.diagonal(m).copy(), np.fliplr(m).diagonal().copy()
+        rho = x_density(m)  # x_validate accepts it
+        assert rho.x_parts[1][1] == m[1, 6]
+        assert DensityMatrix(3, m).x_parts is None
 
 
 class TestXBuiltDensityMatrix:
@@ -514,7 +518,7 @@ class TestStackedXSpectrum:
         rng = np.random.default_rng(11)
         for n in (4, 6, 8):
             states = [build_family(n, label) for label in FamilyLabel]
-            states.append(DensityMatrix(n, random_x_state(n, rng)))
+            states.append(x_density(random_x_state(n, rng)))
             masks = np.arange(2 ** n)
             for diagonal, anti in (rho.x_parts for rho in states):
                 stacked = x_spectrum(diagonal, anti, masks)
