@@ -34,19 +34,15 @@ from .protocol import (
 from .states import (
     BELL_CORRECTIONS,
     BELL_ORDER,
-    BasisString,
     BellLabel,
     FamilyLabel,
-    GhzBasisState,
     NotBellCorrelated,
     bell_product_state,
     bell_state,
     bell_tuple_decomposition,
     build_family,
-    complement,
     family_support_projector,
     ghz_basis,
-    ghz_state,
     pauli_connection_search,
     permutation_invariance_check,
     recursion_blocks,

@@ -1,6 +1,6 @@
 """Command-line interface: state export, invariant verification, cut reports, certificates.
 
-Commands write JSON files.  A state file holds one matrix or vector as
+Commands write JSON files.  A state file holds one density matrix as
 row-major [re, im] pairs; JSON's shortest-round-trip float encoding makes the
 write/read cycle lossless.  A report file has a "header" object (generation
 timestamp, excluded from reproducibility comparisons) next to a deterministic
@@ -33,7 +33,7 @@ from .states import (
     permutation_invariance_check,
     verify_recursion,
 )
-from .tensor import STATE_ATOL, DensityMatrix, PureState, trace_distance, x_parts_of, x_trace_distance
+from .tensor import STATE_ATOL, DensityMatrix, trace_distance, x_parts_of, x_trace_distance
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -44,14 +44,9 @@ def _complex_pairs(flat: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in flat]
 
 
-def write_state_file(path: str, obj: DensityMatrix | PureState) -> None:
-    if isinstance(obj, DensityMatrix):
-        kind, flat = "density", obj.entries.reshape(-1)
-    elif isinstance(obj, PureState):
-        kind, flat = "pure", obj.amplitudes
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-    payload = {"qubits": obj.num_qubits, "kind": kind, "data": _complex_pairs(flat)}
+def write_state_file(path: str, rho: DensityMatrix) -> None:
+    payload = {"qubits": rho.num_qubits, "kind": "density",
+               "data": _complex_pairs(rho.entries.reshape(-1))}
     with open(path, "w") as fh:
         json.dump(payload, fh)
         fh.write("\n")
@@ -142,9 +137,8 @@ def cmd_verify(args) -> int:
     worst = max(check.distance for check in verify_recursion(families))
     checks.append(_check("recursion-max-distance", worst, STATE_ATOL))
 
-    basis = ghz_basis(args.size)
-    vectors = np.array([b.state.amplitudes for b in basis])
-    gram_residual = float(np.abs(vectors.conj() @ vectors.T - np.eye(len(basis))).max())
+    vectors = ghz_basis(args.size)
+    gram_residual = float(np.abs(vectors.conj() @ vectors.T - np.eye(len(vectors))).max())
     checks.append(_check("ghz-basis-gram-residual", gram_residual, STATE_ATOL))
 
     connections = {}

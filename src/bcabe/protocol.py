@@ -54,6 +54,7 @@ from .states import (
     _check_pairing,
     bell_correlated_tuples,
     bell_state,
+    ghz_basis,
 )
 from .tensor import ZERO_PROB_ATOL, DensityMatrix
 
@@ -61,7 +62,7 @@ PROTOCOL_SIZES = (4, 6, 8)
 ROW_BLOCK = 256  # branches mixed together, in either mode; bounds a mix block's memory
 
 # per outcome in BELL_ORDER: the ket, the bra as a (2, 2) tensor, the receiver's Pauli fix
-_BELL_KETS = np.array([bell_state(b).amplitudes for b in BELL_ORDER])
+_BELL_KETS = ghz_basis(2)
 _BELL_BRAS = _BELL_KETS.conj().reshape(4, 2, 2)
 _CORRECTIONS = [CORRECTION_MATRICES[BELL_CORRECTIONS[b]] for b in BELL_ORDER]
 
@@ -485,13 +486,15 @@ def locc_audit(transcript: ProtocolTranscript) -> list[str]:
 
     Checks that every quantum event touches only qubits its party owns at
     that moment, that generated qubit ids are fresh, that measured qubits
-    stay retired, and that no singlet is consumed twice.  Malformed events
-    (not an object, wrongly typed fields, a shape off _EVENT_SHAPES) are
-    reported as violations too, one per event.
+    stay retired, that no singlet is consumed twice, that a message carries
+    its sender's last outcome and that a correction fixes the bits its party
+    last received.  Malformed events (not an object, wrongly typed fields, a
+    shape off _EVENT_SHAPES) are reported as violations too, one per event.
     """
     violations: list[str] = []
     ownership = dict(transcript.initial_ownership)
     ever_live = set(ownership)  # a retired id stays taken
+    outcomes, fixes = {}, {}  # per party: last Bell outcome, the fix its last valid bits call for
     consumed = [False] * len(transcript.singlets)
 
     def check_party(p) -> bool:
@@ -539,12 +542,20 @@ def locc_audit(transcript: ProtocolTranscript) -> list[str]:
                         f"{where}: nonlocal quantum operation, party {party} acted on "
                         f"qubit {q} owned by party {owner}")
             if kind == "local-measurement":
+                outcomes[party] = ev["outcome"]
                 for q in qubits:
                     ownership.pop(q, None)
+            elif ev["name"] != fixes.get(party):
+                violations.append(f"{where}: correction {ev['name']} fits no outcome received")
         elif kind == "classical-message":
             src, dst = ev.get("from"), ev.get("to")
             if not check_party(src) or not check_party(dst) or src == dst:
                 violations.append(f"{where}: bad message endpoints {src} -> {dst}")
+            elif ev["bits"] != outcomes.get(src):
+                fixes[dst] = None  # misreported bits justify no correction
+                violations.append(f"{where}: bits {ev['bits']} are not party {src}'s last outcome")
+            else:
+                fixes[dst] = BELL_CORRECTIONS[BELL_ORDER[int(ev["bits"], 2)]]
         elif kind == "singlet-consumed":
             idx = ev.get("index")
             if not _is_int(idx) or not 0 <= idx < len(transcript.singlets):

@@ -9,16 +9,17 @@ Cat states over these classes,
 
     (|s> + sign |s_bar>) / sqrt(2),
 
-form an orthonormal basis of the full Hilbert space.  The four families are
-the uniform mixtures of the cat-state projectors: rho+/- over the "p" class
-with sign +/-, sigma+/- over the "q" class.  At two_n = 2 the classes reduce
-to {00} and {01} and the mixtures reduce to the four Bell projectors.
+form an orthonormal basis of the full Hilbert space, the rows of ghz_basis.
+The four families are the uniform mixtures of the cat-state projectors:
+rho+/- over the "p" class with sign +/-, sigma+/- over the "q" class.  At
+two_n = 2 the classes reduce to {00} and {01}, the cat vectors to the Bell
+states and the mixtures to the four Bell projectors.
 
 Family and Bell labels share one 2-bit index, their position in FamilyLabel
 or BELL_ORDER: bit 1 is the "q" class (psi), bit 0 the minus sign.  A Bell
 product carries the family whose index is the XOR of its labels' indices.
-That one rule gives every table here: each Bell state's bits and sign, the
-Pauli that maps it to phi+ (BELL_CORRECTIONS), the Bell-tuple support
+That one rule gives every table here: each Bell state's row of ghz_basis(2),
+the Pauli that maps it to phi+ (BELL_CORRECTIONS), the Bell-tuple support
 (bell_correlated_tuples) and the recursion checked by verify_recursion, in
 which each family at size 2N is an equal four-way mixture of (Bell projector
 on a qubit pair) tensor (family at size 2N-2) over the four recursion_blocks.
@@ -103,69 +104,34 @@ class NotBellCorrelated(Exception):
     """The state is not a mixture of Bell-label products over the given pairing."""
 
 
-@dataclass(frozen=True)
-class BasisString:
-    """Computational-basis label of even length, read qubit 1 first."""
-
-    bits: str
-
-    def __post_init__(self):
-        if set(self.bits) - {"0", "1"}:
-            raise ValueError(f"bits must be 0/1, got {self.bits!r}")
-        if len(self.bits) < 2 or len(self.bits) % 2:
-            raise ValueError(f"length must be even and >= 2, got {len(self.bits)}")
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    @property
-    def index(self) -> int:
-        return int(self.bits, 2)
-
-
-def complement(s: BasisString) -> BasisString:
-    """Flip every bit."""
-    return BasisString("".join("1" if c == "0" else "0" for c in s.bits))
-
-
 def _class_members(two_n: int, parity_class: str) -> np.ndarray:
     # per label: a string of the class (the first half, first bit 0) or a complement of one; with
     # two_n even, a label's 0s (even for "p", odd for "q") have the parity of its bit count
     return np.bitwise_count(np.arange(2 ** two_n)) % 2 == (parity_class == "q")
 
 
-@dataclass(frozen=True)
-class GhzBasisState:
-    """Cat state (|base> + sign |base_bar>)/sqrt(2) with canonical base (first bit 0)."""
+def ghz_basis(two_n: int) -> np.ndarray:
+    """All 2**two_n cat vectors as the rows of one read-only array.
 
-    base: BasisString
-    sign: int
-    state: PureState
-
-
-def ghz_state(base: BasisString, sign: int) -> GhzBasisState:
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if base.bits[0] != "0":
-        raise ValueError(f"canonical base must start with 0, got {base.bits!r}")
-    n = len(base)
-    amps = np.zeros(2 ** n, dtype=complex)
-    amps[base.index] = 1.0 / np.sqrt(2.0)
-    amps[complement(base).index] = sign / np.sqrt(2.0)
-    return GhzBasisState(base, sign, PureState(n, amps))
-
-
-def ghz_basis(two_n: int) -> list[GhzBasisState]:
-    """All 2**two_n cat states: both parity classes, both signs, lexicographic bases."""
-    return [ghz_state(BasisString(format(k, f"0{two_n}b")), sign) for cls in ("p", "q")
-            for k in np.flatnonzero(_class_members(two_n, cls)[:2 ** (two_n - 1)])
-            for sign in (+1, -1)]
+    Rows: "p" class then "q" class, canonical bases (first bit 0) ascending in
+    each, sign + before -; at two_n = 2, the Bell states in BELL_ORDER.
+    """
+    if two_n < 2 or two_n % 2:
+        raise ValueError(f"two_n must be even and >= 2, got {two_n}")
+    dim, a = 2 ** two_n, 1.0 / np.sqrt(2.0)
+    canonical = [np.flatnonzero(_class_members(two_n, cls)[:dim // 2]) for cls in "pq"]
+    bases = np.repeat(np.concatenate(canonical), 2)  # each canonical base, for sign + then -
+    rows, vectors = np.arange(dim), np.zeros((dim, dim), dtype=complex)
+    vectors[rows, bases] = a
+    vectors[rows, dim - 1 - bases] = np.where(rows % 2, -a, a)  # the complement, with the sign
+    vectors.flags.writeable = False
+    return vectors
 
 
 @functools.cache  # PureState is frozen and its array read-only, so sharing is safe
 def bell_state(label: BellLabel) -> PureState:
-    """Cat state on base "0b", b the label's psi bit, with the label's sign."""
-    return ghz_state(BasisString(f"0{label.index >> 1}"), label.sign).state
+    """The label's row of ghz_basis(2): BELL_ORDER is that table's row order."""
+    return PureState(2, ghz_basis(2)[label.index])
 
 
 def _cat_parts(two_n: int, label: FamilyLabel) -> tuple[np.ndarray, np.ndarray]:
@@ -223,25 +189,25 @@ def verify_recursion(families: Mapping[FamilyLabel, DensityMatrix]) -> list[Recu
     """Check every built family against its one-step recursion, both block placements.
 
     families maps each label to its X-shaped state at one size 2N >= 4; only
-    the four lower families and the four Bell projectors, the families at size
-    2 with the same index, are built here.  Both diagonals of A x B are the
-    krons of those of A and B.  Returns 8 trace distances: 4 families x
-    {leading, trailing} position of the Bell-pair block, which agree because
-    the families are permutation invariant; leading (qubits 1-2) is the
-    documented convention.
+    the lower families and the Bell projectors (the size-2 families with the
+    same index; at 2N = 4 the same four) are built here, each once.  Both
+    diagonals of A x B are the krons of those of A and B.  Returns 8 trace
+    distances: 4 families x {leading, trailing} position of the Bell-pair
+    block, which agree because the families are permutation invariant;
+    leading (qubits 1-2) is the documented convention.
     """
     two_n = families[FamilyLabel.RHO_PLUS].num_qubits
     if two_n < 4 or two_n % 2 or any(families[f].num_qubits != two_n for f in FamilyLabel):
         raise ValueError(f"families must share one even size >= 4, got "
                          f"{[families[f].num_qubits for f in FamilyLabel]}")
-    lower = {f: build_family(two_n - 2, f).x_parts for f in FamilyLabel}
-    bells = {b: build_family(2, f).x_parts for b, f in zip(BellLabel, FamilyLabel)}  # shared index
+    built = {(size, f.index): build_family(size, f).x_parts  # at size 2, a Bell label's too
+             for size in {2, two_n - 2} for f in FamilyLabel}
     out = []
     for label in FamilyLabel:
         target = x_parts_of(families[label])
-        for position in ("leading", "trailing"):
-            pairs = [(bells[b], lower[f]) if position == "leading" else (lower[f], bells[b])
-                     for b, f in recursion_blocks(label)]
+        leading = [(built[2, b.index], built[two_n - 2, f.index])
+                   for b, f in recursion_blocks(label)]
+        for position, pairs in (("leading", leading), ("trailing", [(y, x) for x, y in leading])):
             mixture = [sum(np.kron(x[part], y[part]) for x, y in pairs) / 4.0 for part in (0, 1)]
             out.append(RecursionCheck(label, position, x_trace_distance(target, mixture)))
     return out

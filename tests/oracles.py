@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 
-from bcabe.states import BasisString, _class_members
+from bcabe.states import _class_members
 from bcabe.tensor import DensityMatrix, PureState
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -32,9 +32,23 @@ def ket(bits: str) -> np.ndarray:
     return v
 
 
+def complement(bits: str) -> str:
+    """Flip every bit."""
+    return "".join("1" if c == "0" else "0" for c in bits)
+
+
 def ghz_vec(base: str, sign: int) -> np.ndarray:
-    comp = "".join("1" if c == "0" else "0" for c in base)
-    return (ket(base) + sign * ket(comp)) * SQ2
+    return (ket(base) + sign * ket(complement(base))) * SQ2
+
+
+def ghz_rows(two_n: int) -> np.ndarray:
+    """Every cat vector, built one at a time: "p" then "q" bases ascending, sign + before -.
+
+    Each holds 1/sqrt(2) at its base and sign/sqrt(2) at the complement, so
+    bcabe.states.ghz_basis must match the stack bit for bit.
+    """
+    return np.array([ghz_vec(base, sign) for cls in ("p", "q")
+                     for base in parity_filter(two_n, cls) for sign in (+1, -1)])
 
 
 def proj(v: np.ndarray) -> np.ndarray:
@@ -92,7 +106,7 @@ def parity_filter(two_n: int, family: str) -> list[str]:
     return out
 
 
-def enumerate_parity_strings(two_n: int, parity_class: str) -> list[BasisString]:
+def enumerate_parity_strings(two_n: int, parity_class: str) -> list[str]:
     """The package's canonical strings of one parity class, sizes and class checked.
 
     Canonical means the first bit is 0; the complements are the remaining
@@ -105,7 +119,7 @@ def enumerate_parity_strings(two_n: int, parity_class: str) -> list[BasisString]
     if parity_class not in ("p", "q"):
         raise ValueError(f"parity class must be 'p' or 'q', got {parity_class!r}")
     canonical = np.flatnonzero(_class_members(two_n, parity_class)[:2 ** (two_n - 1)])
-    return [BasisString(format(k, f"0{two_n}b")) for k in canonical]
+    return [format(k, f"0{two_n}b") for k in canonical]
 
 
 def tensor_product(a, b):
@@ -360,8 +374,4 @@ def read_state_file(path):
         if data.size != dim * dim:
             raise ValueError(f"density file needs {dim * dim} entries, found {data.size}")
         return DensityMatrix(qubits, data.reshape(dim, dim))
-    if payload["kind"] == "pure":
-        if data.size != 2 ** qubits:
-            raise ValueError(f"pure file needs {2 ** qubits} entries, found {data.size}")
-        return PureState(qubits, data)
     raise ValueError(f"unknown state kind {payload['kind']!r}")

@@ -645,6 +645,31 @@ class TestTranscript:
         at = f"event {len(canonical.events)}"
         assert locc_audit(doctored) == [f"{at}: generated qubit {q} is not fresh" for q in (6, 1)]
 
+    @pytest.mark.parametrize("edits, expected", [
+        # the measurement at event 1 still reads 00; the correction fits the sent bits only
+        ({3: {"bits": "11"}, 4: {"name": "ZX"}},
+         ["event 3: bits 11 are not party 1's last outcome",
+          "event 4: correction ZX fits no outcome received"]),
+        ({4: {"name": "Z"}}, ["event 4: correction Z fits no outcome received"]),
+        ({3: None}, ["event 3: correction I fits no outcome received"]),  # no message sent
+        # measured, sent and corrected alike: consistent, so clean
+        ({1: {"outcome": "11"}, 3: {"bits": "11"}, 4: {"name": "ZX"}}, []),
+    ], ids=["misreported-bits", "wrong-fix", "no-message", "consistent"])
+    def test_audit_ties_correction_to_outcome(self, canonical, edits, expected):
+        events = list(canonical.events)
+        assert [events[k]["kind"] for k in (1, 3, 4)] == [
+            "local-measurement", "classical-message", "local-unitary"]
+        assert (events[1]["outcome"], events[3]["bits"], events[4]["name"]) == ("00", "00", "I")
+        for k, fields in sorted(edits.items(), reverse=True):
+            if fields is None:
+                del events[k]
+            else:
+                events[k] = events[k] | fields
+        doctored = ProtocolTranscript(
+            canonical.num_parties, canonical.pairing, canonical.tape_bits,
+            canonical.initial_ownership, canonical.singlets, tuple(events))
+        assert locc_audit(doctored) == expected
+
     def test_audit_flags_unknown_kind(self, canonical):
         doctored = ProtocolTranscript(
             canonical.num_parties, canonical.pairing, canonical.tape_bits,

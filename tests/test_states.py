@@ -9,7 +9,6 @@ import pytest
 
 from bcabe.states import (
     BELL_ORDER,
-    BasisString,
     BellLabel,
     FamilyLabel,
     NotBellCorrelated,
@@ -17,10 +16,8 @@ from bcabe.states import (
     bell_state,
     bell_tuple_decomposition,
     build_family,
-    complement,
     family_support_projector,
     ghz_basis,
-    ghz_state,
     pauli_connection_search,
     permutation_invariance_check,
     recursion_blocks,
@@ -74,13 +71,13 @@ RECURSION_BLOCKS = {
 
 class TestParityStrings:
     def test_frozen_families_at_four(self):
-        assert [s.bits for s in enumerate_parity_strings(4, "p")] == P_STRINGS_4
-        assert [s.bits for s in enumerate_parity_strings(4, "q")] == Q_STRINGS_4
+        assert enumerate_parity_strings(4, "p") == P_STRINGS_4
+        assert enumerate_parity_strings(4, "q") == Q_STRINGS_4
 
     @pytest.mark.parametrize("two_n", [4, 6, 8])
     def test_matches_brute_force_filter(self, two_n):
         for cls in ("p", "q"):
-            got = [s.bits for s in enumerate_parity_strings(two_n, cls)]
+            got = enumerate_parity_strings(two_n, cls)
             assert got == oracles.parity_filter(two_n, cls)
 
     @pytest.mark.parametrize("two_n", [4, 6, 8])
@@ -90,10 +87,10 @@ class TestParityStrings:
 
     @pytest.mark.parametrize("two_n", [4, 6])
     def test_classes_and_complements_partition_all_strings(self, two_n):
-        p = {s.bits for s in enumerate_parity_strings(two_n, "p")}
-        q = {s.bits for s in enumerate_parity_strings(two_n, "q")}
-        pbar = {complement(BasisString(s)).bits for s in p}
-        qbar = {complement(BasisString(s)).bits for s in q}
+        p = set(enumerate_parity_strings(two_n, "p"))
+        q = set(enumerate_parity_strings(two_n, "q"))
+        pbar = {oracles.complement(s) for s in p}
+        qbar = {oracles.complement(s) for s in q}
         union = p | q | pbar | qbar
         assert len(p) + len(q) + len(pbar) + len(qbar) == 2 ** two_n
         assert len(union) == 2 ** two_n
@@ -104,31 +101,40 @@ class TestParityStrings:
         with pytest.raises(ValueError):
             enumerate_parity_strings(2, "p")
 
-    def test_complement(self):
-        assert complement(BasisString("0011")).bits == "1100"
-
 
 class TestGhzBasis:
     def test_amplitudes(self):
-        g = ghz_state(BasisString("0011"), -1)
-        v = g.state.amplitudes
+        # p-class bases 0000, 0011, ...: row 3 is base 0011 with sign -
+        v = ghz_basis(4)[3]
         np.testing.assert_allclose(v[int("0011", 2)], 1 / np.sqrt(2))
         np.testing.assert_allclose(v[int("1100", 2)], -1 / np.sqrt(2))
         assert np.count_nonzero(v) == 2
 
-    def test_non_canonical_base_rejected(self):
-        with pytest.raises(ValueError, match="start with 0"):
-            ghz_state(BasisString("10"), +1)
+    @pytest.mark.parametrize("two_n", [2, 4, 6, 8])
+    def test_rows_match_per_vector_oracle(self, two_n):
+        got, want = ghz_basis(two_n), oracles.ghz_rows(two_n)
+        assert got.shape == want.shape == (2 ** two_n, 2 ** two_n)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
-    def test_bad_sign_rejected(self):
-        with pytest.raises(ValueError, match="sign"):
-            ghz_state(BasisString("00"), 2)
+    def test_read_only(self):
+        basis = ghz_basis(4)
+        assert not basis.flags.writeable
+        with pytest.raises(ValueError):
+            basis[0, 0] = 0
+
+    @pytest.mark.parametrize("two_n", [-2, 0, 1, 3, 5])
+    def test_bad_sizes_rejected(self, two_n):
+        with pytest.raises(ValueError, match="even and >= 2"):
+            ghz_basis(two_n)
+
+    @pytest.mark.parametrize("label", BELL_ORDER)
+    def test_bell_state_is_its_row(self, label):
+        assert np.array_equal(bell_state(label).amplitudes, ghz_basis(2)[label.index])
 
     @pytest.mark.parametrize("two_n", [4, 6])
     def test_orthonormal_basis(self, two_n):
-        states = ghz_basis(two_n)
-        assert len(states) == 2 ** two_n
-        mat = np.array([g.state.amplitudes for g in states])
+        mat = ghz_basis(two_n)
+        assert len(mat) == 2 ** two_n
         gram = mat.conj() @ mat.T
         residual = np.abs(gram - np.eye(2 ** two_n)).max()
         assert residual < 1e-12
@@ -169,7 +175,7 @@ class TestBuildFamily:
 
     def test_fidelity_with_single_cat_state(self):
         rho = build_family(4, FamilyLabel.RHO_PLUS)
-        first = ghz_state(BasisString("0000"), +1).state
+        first = PureState(4, ghz_basis(4)[0])
         assert fidelity_with_pure(rho, first) == pytest.approx(0.25, abs=1e-12)
 
     def test_single_qubit_marginal_is_maximally_mixed(self):
@@ -302,10 +308,11 @@ class TestPauliConnections:
                                     build_family(6, FamilyLabel.RHO_MINUS))
 
     def test_phase_flip_toggles_cat_sign(self):
-        # Z on qubit 1 sends each + cat state to its - partner
-        for base in enumerate_parity_strings(4, "p"):
-            plus = oracles.density_of(ghz_state(base, +1).state)
-            minus = oracles.density_of(ghz_state(base, -1).state)
+        # Z on qubit 1 sends each + cat state (even rows) to its - partner (the next row)
+        basis = ghz_basis(4)
+        for row in range(0, 16, 2):
+            plus = oracles.density_of(PureState(4, basis[row]))
+            minus = oracles.density_of(PureState(4, basis[row + 1]))
             moved = apply_unitary_on_subset(plus, PAULI_Z, [1])
             assert trace_distance(moved, minus) < 1e-12
 
