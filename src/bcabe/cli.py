@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from functools import cache
@@ -24,7 +25,7 @@ import numpy as np
 
 from .certify import cost_certificate
 from .cuts import LP_ATOL, NPT_ATOL, analyze_cut, enumerate_cuts
-from .protocol import PROTOCOL_SIZES
+from .protocol import PROTOCOL_SIZES, ProtocolError
 from .states import (
     FamilyLabel,
     build_family,
@@ -38,6 +39,7 @@ from .tensor import STATE_ATOL, DensityMatrix, trace_distance, x_parts_of, x_tra
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_IO = 3
+SAMPLED_DELTA = 1e-6  # chance that sampling noise alone fails a correct sampled certify
 
 
 def _complex_pairs(flat: np.ndarray) -> list[list[float]]:
@@ -203,6 +205,19 @@ def cmd_cuts(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 
 
+def sampled_threshold(two_n: int, samples: int) -> float:
+    """The distance a correct sampled run exceeds with probability at most SAMPLED_DELTA.
+
+    The runs' tape shares p^ over K = 2**(2N-2) equally likely tapes obey
+    P(||p^ - p||_1 >= e) <= (2**K - 2) exp(-M e**2 / 2) (Weissman et al., HP
+    Labs 2003), and the tapes' Bell products are orthonormal, so the prepared
+    state lies at trace distance ||p^ - p||_1 / 2 from the family.
+    """
+    k = 2 ** (two_n - 2)
+    log_types = k * math.log(2.0) + math.log1p(-2.0 ** (1 - k))  # ln(2**K - 2)
+    return 0.5 * math.sqrt(2.0 / samples * (log_types + math.log(1.0 / SAMPLED_DELTA)))
+
+
 def cmd_certify(args) -> int:
     given = [f"--{name}" for name in ("seed", "samples", "tolerance") if getattr(args, name) is not None]
     if given and args.mode == "exact":
@@ -211,11 +226,12 @@ def cmd_certify(args) -> int:
     try:
         certificate, ensemble, transcript = cost_certificate(
             args.size, args.family, mode=args.mode, seed=seed, samples=samples)
-    except RuntimeError as exc:  # a failed step of the certificate: a cut, activation, LP or audit
+    except (RuntimeError, ProtocolError) as exc:  # a failed step: cut, activation, LP, run, audit
         print(f"certify failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     distance = trace_distance(ensemble.mixed, certificate.target)
-    state_tol = STATE_ATOL if args.mode == "exact" else args.tolerance or 0.05
+    state_tol = (STATE_ATOL if args.mode == "exact"
+                 else args.tolerance or sampled_threshold(args.size, samples))
     checks = [
         _check("lower-bound-equals-achieved",
                abs(certificate.lower_bound - certificate.achieved), LP_ATOL),
@@ -290,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--samples", type=_at_least(1),
                         help="sampled-mode run count (default 10000)")
     p_cert.add_argument("--tolerance", type=_positive_float,
-                        help="sampled-mode distance threshold (default 0.05)")
+                        help="sampled-mode distance threshold (default: derived from --size "
+                             "and --samples)")
     p_cert.set_defaults(func=cmd_certify, usage_error=p_cert.error)
     return parser
 

@@ -26,14 +26,13 @@ qubits) because each pair is generated and teleported before the next.
 locc_audit replays a transcript against the ownership history derived from
 the header and flags any nonlocal quantum operation or singlet double-spend.
 
-prepare_bcabe books the schedule (qubit ids, ownership, singlets) with no
-amplitudes, through bell_generate's and teleport's helpers, then advances every
-execution in one pass over byte-distinct rows.  The four corrected outcomes of
-a step agree bit for bit, so a step Bell-measures one row per distinct label
-prefix with _bell_measure (148 rows at size 8, not 5,440); the transcript logs
-branch 0's outcomes and probabilities.  Each row ends as a Bell product (2**N
-nonzeros of 2**(2N)); _mix adds the branches' nonzero terms into the mixture
-ROW_BLOCK branches at a time, in order.
+prepare_bcabe runs the protocol once, step by step, for the transcript: exact
+mode keeps outcome 00 at every step, sampled mode the first run's pick.  Every
+step's four corrected branches agree, so every branch of a tape ends in that
+tape's Bell product; the run checks both facts and raises ProtocolError if
+either fails.  The mixture is then the tapes' Bell products, each weighted by
+its tape's share of the tapes (exact) or of the runs (sampled), formed in one
+matrix product.
 """
 
 from __future__ import annotations
@@ -53,13 +52,13 @@ from .states import (
     FamilyLabel,
     _check_pairing,
     bell_correlated_tuples,
+    bell_product_state,
     bell_state,
     ghz_basis,
 )
-from .tensor import ZERO_PROB_ATOL, DensityMatrix
+from .tensor import STATE_ATOL, ZERO_PROB_ATOL, DensityMatrix
 
 PROTOCOL_SIZES = (4, 6, 8)
-ROW_BLOCK = 256  # branches mixed together, in either mode; bounds a mix block's memory
 
 # per outcome in BELL_ORDER: the ket, the bra as a (2, 2) tensor, the receiver's Pauli fix
 _BELL_KETS = ghz_basis(2)
@@ -182,7 +181,7 @@ class NetworkState:
 
     num_parties: int
     pairing: tuple[tuple[int, int], ...]
-    amplitudes: np.ndarray                  # live qubits' joint state, or a block of rows
+    amplitudes: np.ndarray                  # live qubits' joint state
     qubit_order: list[int]                  # qubit id per tensor slot
     ownership: dict[int, int]               # qubit id -> party
     singlets: tuple[tuple[int, int, int, int], ...]  # (party_a, party_b, qubit_a, qubit_b)
@@ -248,73 +247,37 @@ def init_network(two_n: int, pairing: tuple[tuple[int, int], ...] | None = None)
     )
 
 
-def _allocate_pair(net: NetworkState, party: int, label: BellLabel) -> dict:
-    """bell_generate's bookkeeping, no amplitudes: two fresh qubits for party; returns its event."""
+def bell_generate(net: NetworkState, party: int, label: BellLabel) -> NetworkState:
+    """Party locally creates a fresh two-qubit Bell state; both halves stay local."""
     if not 1 <= party <= net.num_parties:
         raise ProtocolError(f"unknown party {party}")
     qubits = [net.next_qubit_id, net.next_qubit_id + 1]
     net.next_qubit_id += 2
     net.qubit_order += qubits
     net.ownership.update(dict.fromkeys(qubits, party))
-    return {"kind": "bell-generated", "party": party, "qubits": qubits, "label": label.value}
-
-
-def bell_generate(net: NetworkState, party: int, label: BellLabel) -> NetworkState:
-    """Party locally creates a fresh two-qubit Bell state; both halves stay local."""
-    net.events.append(_allocate_pair(net, party, label))
+    net.events.append({"kind": "bell-generated", "party": party, "qubits": qubits,
+                       "label": label.value})
     net.amplitudes = np.kron(net.amplitudes, bell_state(label).amplitudes)
     return net
 
 
 def _bell_measure(amps: np.ndarray, slot_q: int, slot_h: int, slot_r: int
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Bell-measure slots slot_q, slot_h of each row of amps, shape (rows, 2**n).
+                  ) -> list[tuple[float, np.ndarray]]:
+    """Bell-measure slots slot_q, slot_h of the state amps: (probability, state) per outcome.
 
-    Returns the probabilities (rows, 4) and the normalized states corrected
-    on slot_r (counted without the measured slots), (rows, 4, 2**(n-2)), in
-    BELL_ORDER.  Each row's result is bit-identical to measuring it alone.
+    Outcomes in BELL_ORDER; each state is normalized and corrected on slot_r
+    (counted without the measured slots).
     """
-    rows, n = amps.shape[0], amps.shape[1].bit_length() - 1
-    t = amps.reshape((rows,) + (2,) * n)
-    probs, states = np.empty((rows, 4)), np.empty((rows, 4, 2 ** (n - 2)), dtype=complex)
+    t, out = amps.reshape((2,) * (amps.size.bit_length() - 1)), []
     for m, bra in enumerate(_BELL_BRAS):
-        reduced = np.tensordot(bra, t, axes=([0, 1], [slot_q + 1, slot_h + 1])).reshape(rows, -1)
-        probs[:, m] = np.vecdot(reduced, reduced).real  # each row's np.vdot, bit for bit
-        reduced = reduced / np.sqrt(probs[:, m])[:, None]
+        reduced = np.tensordot(bra, t, axes=([0, 1], [slot_q, slot_h]))
+        prob = float(np.vdot(reduced, reduced).real)
+        reduced = reduced / np.sqrt(prob)
         if m:
-            moved = np.tensordot(_CORRECTIONS[m], reduced.reshape((rows,) + (2,) * (n - 2)),
-                                 axes=([1], [slot_r + 1]))
-            reduced = np.moveaxis(moved, 0, slot_r + 1)
-        states[:, m] = reduced.reshape(rows, -1)
-    return probs, states
-
-
-def _spend_singlet(net: NetworkState, sender: int, receiver: int, qubit: int):
-    """teleport's bookkeeping, no amplitudes; returns _bell_measure's slots and events(m, prob)."""
-    if net.owner_of(qubit) != sender:
-        raise ProtocolError(f"qubit {qubit} is not held by party {sender}")
-    idx = next((i for i, (a, b, _, _) in enumerate(net.singlets)
-                if i not in net.consumed and {a, b} == {sender, receiver}), None)
-    if idx is None:
-        raise ProtocolError(f"no available singlet between parties {sender} and {receiver}")
-    party_a, party_b, qubit_a, qubit_b = net.singlets[idx]
-    send_half, recv_half = (qubit_a, qubit_b) if party_a == sender else (qubit_b, qubit_a)
-    rest = [q for q in net.qubit_order if q not in (qubit, send_half)]
-    slots = (net.qubit_order.index(qubit), net.qubit_order.index(send_half),
-             rest.index(recv_half))
-    net.qubit_order = rest
-    del net.ownership[qubit], net.ownership[send_half]
-    net.consumed.add(idx)
-
-    def events(m: int, prob: float) -> list[dict]:  # the step's, keeping outcome m
-        outcome = format(m, "02b")
-        return [{"kind": "local-measurement", "party": sender, "qubits": [qubit, send_half],
-                 "basis": "bell", "outcome": outcome, "probability": prob},
-                {"kind": "singlet-consumed", "pair": [party_a, party_b], "index": idx},
-                {"kind": "classical-message", "from": sender, "to": receiver, "bits": outcome},
-                {"kind": "local-unitary", "party": receiver, "qubits": [recv_half],
-                 "name": BELL_CORRECTIONS[BELL_ORDER[m]]}]
-    return slots, events
+            reduced = np.moveaxis(np.tensordot(_CORRECTIONS[m], reduced, axes=([1], [slot_r])),
+                                  0, slot_r)
+        out.append((prob, reduced.reshape(-1)))
+    return out
 
 
 def teleport(net: NetworkState, sender: int, receiver: int, qubit: int
@@ -328,93 +291,58 @@ def teleport(net: NetworkState, sender: int, receiver: int, qubit: int
     Branches below ZERO_PROB_ATOL are dropped (they cannot occur with a
     phi+ resource, which yields probability 1/4 each).
     """
+    if net.owner_of(qubit) != sender:
+        raise ProtocolError(f"qubit {qubit} is not held by party {sender}")
+    idx = next((i for i, (a, b, _, _) in enumerate(net.singlets)
+                if i not in net.consumed and {a, b} == {sender, receiver}), None)
+    if idx is None:
+        raise ProtocolError(f"no available singlet between parties {sender} and {receiver}")
+    party_a, party_b, qubit_a, qubit_b = net.singlets[idx]
+    send_half, recv_half = (qubit_a, qubit_b) if party_a == sender else (qubit_b, qubit_a)
     spent = net.clone()
-    slots, events = _spend_singlet(spent, sender, receiver, qubit)
-    probs, states = _bell_measure(net.amplitudes[None], *slots)
-    # each branch is cloned, so no two share a list or an array
-    return [(p, replace(spent, amplitudes=states[0, m], events=spent.events + events(m, p)).clone())
-            for m, p in enumerate(probs[0].tolist()) if p >= ZERO_PROB_ATOL]
+    spent.qubit_order = [q for q in net.qubit_order if q not in (qubit, send_half)]
+    del spent.ownership[qubit], spent.ownership[send_half]
+    spent.consumed.add(idx)
+    outcomes = _bell_measure(net.amplitudes, net.qubit_order.index(qubit),
+                             net.qubit_order.index(send_half), spent.qubit_order.index(recv_half))
+    branches = []
+    for m, (prob, state) in enumerate(outcomes):
+        if prob < ZERO_PROB_ATOL:
+            continue
+        outcome = format(m, "02b")
+        events = [{"kind": "local-measurement", "party": sender, "qubits": [qubit, send_half],
+                   "basis": "bell", "outcome": outcome, "probability": prob},
+                  {"kind": "singlet-consumed", "pair": [party_a, party_b], "index": idx},
+                  {"kind": "classical-message", "from": sender, "to": receiver, "bits": outcome},
+                  {"kind": "local-unitary", "party": receiver, "qubits": [recv_half],
+                   "name": BELL_CORRECTIONS[BELL_ORDER[m]]}]
+        # each branch is cloned, so no two share a list or an array
+        branches.append((prob, replace(spent, amplitudes=state,
+                                       events=spent.events + events).clone()))
+    return branches
 
 
-def _pick(probs: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Outcome per row, chosen from uniform draws the way Generator.choice(4, p=...) does."""
-    cdf = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
-    cdf /= cdf[:, -1:]
-    return (cdf <= draws[:, None]).sum(axis=1)
+def _pick(probs: np.ndarray, draw: float) -> int:
+    """The outcome a uniform draw chooses, the way Generator.choice(4, p=probs) does."""
+    cdf = np.cumsum(probs / probs.sum())
+    cdf /= cdf[-1]
+    return int((cdf <= draw).sum())
 
 
 def _final_state(net: NetworkState) -> np.ndarray:
-    """net.amplitudes as (rows, 2**n), reordered so slot k holds party k+1's qubit."""
+    """net.amplitudes reordered so slot k holds party k+1's qubit."""
     if sorted(net.ownership.values()) != list(range(1, net.num_parties + 1)):
         raise ProtocolError("finalization requires exactly one qubit per party")
-    src = [net.qubit_order.index(q) + 1 for q in sorted(net.ownership, key=net.ownership.get)]
-    rows = net.amplitudes.reshape((-1,) + (2,) * net.num_parties)
-    return rows.transpose([0] + src).reshape(len(rows), -1)
+    src = [net.qubit_order.index(q) for q in sorted(net.ownership, key=net.ownership.get)]
+    return net.amplitudes.reshape((2,) * net.num_parties).transpose(src).reshape(-1)
 
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Outcome of a full preparation: the branches' mixture and the singlets consumed."""
+    """Outcome of a full preparation: the tapes' mixture and the singlets consumed."""
 
     mixed: DensityMatrix
     singlets_used: int
-
-
-def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """rows' byte-distinct rows in order of first occurrence, and each row's index among them."""
-    seen: dict[bytes, int] = {}  # bytes, not values: -0.0 == 0.0, but a merged row keeps every bit
-    index = np.array([seen.setdefault(row.tobytes(), len(seen)) for row in rows])
-    return rows[np.unique(index, return_index=True)[1]], index
-
-
-def _run(initial: np.ndarray, labels: np.ndarray, slots, draws: np.ndarray | None
-         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, float]]]:
-    """Advance every execution from `initial`; return (weights, rows, index, kept).
-
-    labels[e, k] is execution e's BELL_ORDER index at pair k.  Without draws
-    each execution (a tape) keeps all four outcomes, its branches growing x4
-    per step in order b*4+m, weighted by their probabilities, executions one
-    after another; else execution e is one branch that keeps draws[e, k]'s
-    pick.  Branch b's state is rows[index[b]], rows byte-distinct; a step
-    measures each distinct (row, label) once, with the bits it has alone.
-    kept[k] is branch 0's (outcome, probability) at step k, for the transcript.
-    """
-    rows, index, weights = initial[None], np.zeros(len(labels), dtype=np.intp), np.ones(len(labels))
-    owner, kept = np.arange(len(labels)), []  # the execution whose labels each branch reads
-    for k, slot in enumerate(slots):
-        keys, inv = np.unique(index * 4 + labels[owner, k], return_inverse=True)
-        grown = rows[keys // 4, :, None] * _BELL_KETS[keys % 4][:, None, :]
-        probs, states = _bell_measure(grown.reshape(len(keys), -1), *slot)
-        rows, child = _distinct(states.reshape(-1, states.shape[2]))
-        child = child.reshape(-1, 4)[inv]
-        if draws is None:
-            weights = (weights[:, None] * probs[inv]).reshape(-1)
-            index, owner, m = child.reshape(-1), np.repeat(owner, 4), 0
-        else:
-            picks = _pick(probs[inv], draws[:, k])
-            index, m = child[np.arange(len(child)), picks], int(picks[0])
-        kept.append((m, float(probs[inv[0], m])))
-    return weights, rows, index, kept
-
-
-def _nonzero_columns(rows: np.ndarray) -> np.ndarray:
-    """Each row's nonzero columns, padded with zero columns to the densest row's count."""
-    width = np.count_nonzero(rows, axis=1).max()
-    return np.argpartition(rows == 0, width - 1, axis=1)[:, :width]  # nonzeros first
-
-
-def _mix(out: np.ndarray, weights: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-         index: np.ndarray) -> None:
-    """Add weights[b] * |r><r| for r = rows[index[b]] into flat out over cols, branches in order.
-
-    cols is _nonzero_columns(rows), found once per distinct row.  Zero terms
-    leave a sum unchanged, so blocks mixed one after another into an out that
-    starts at +0.0 equal the dense branch-ordered sum bit for bit.
-    """
-    dim, cols = rows.shape[1], cols[index]
-    vals = rows[index[:, None], cols]
-    terms = (weights[:, None] * vals)[:, :, None] * vals[:, None, :].conj()
-    np.add.at(out, (cols[:, :, None] * dim + cols[:, None, :]).ravel(), terms.ravel())
 
 
 def prepare_bcabe(two_n: int, label: FamilyLabel, mode: str = "exact",
@@ -423,15 +351,18 @@ def prepare_bcabe(two_n: int, label: FamilyLabel, mode: str = "exact",
                   ) -> tuple[EnsembleResult, ProtocolTranscript]:
     """Run the N-singlet preparation of the target family.
 
-    Exact mode enumerates all 2**(2N-2) tape values times 4**N measurement
-    branches and returns the exact ensemble, at every size in PROTOCOL_SIZES
-    (16,384 branches at 8); the transcript is the canonical execution
-    (all-zero tape, first outcome everywhere), and seed is ignored.  Sampled
-    mode draws `samples` independent runs from a generator seeded with seed;
-    the transcript is the first run's, read off the one pass in which all
-    tapes, or runs, advance over byte-distinct rows.  The branches are mixed
-    ROW_BLOCK at a time, only their nonzero terms, in order.  singlets_used
-    counts the singlets the schedule consumed.
+    Exact mode weighs each of the 2**(2N-2) tapes equally, at every size in
+    PROTOCOL_SIZES; its transcript is the all-zero tape's run keeping
+    outcome 00 at every step, and seed is ignored.  Sampled mode draws
+    `samples` independent runs from a generator seeded with seed, each its
+    tape bits and then one uniform per pair step, and weighs each tape by its
+    share of the runs; its transcript is the first run's, keeping the
+    outcome that run's uniforms pick.  The transcript's network generates
+    and teleports pair by pair; every step's four branches must agree within
+    STATE_ATOL and the run must end in its tape's Bell product, else
+    ProtocolError.  So every branch of a tape ends in that product, and the
+    mixture is sum_t w_t |v_t><v_t| over the tapes' Bell products v_t on the
+    pairing.  singlets_used counts the singlets the run consumed.
     """
     net = init_network(two_n, pairing)  # checks the size and the pairing
     nbits = two_n - 2
@@ -440,7 +371,6 @@ def prepare_bcabe(two_n: int, label: FamilyLabel, mode: str = "exact",
     elif mode == "sampled":
         if samples < 1:
             raise ValueError(f"samples must be positive, got {samples}")
-        # each run draws its tape bits, then one uniform per pair step for the outcome
         rng = np.random.default_rng(seed)
         bits, draws = np.empty((samples, nbits), dtype=np.int64), np.empty((samples, two_n // 2))
         for s in range(samples):
@@ -449,24 +379,21 @@ def prepare_bcabe(two_n: int, label: FamilyLabel, mode: str = "exact",
     else:
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
     tuples = bell_correlated_tuples(two_n, label)
-    steps = []  # per pair: its bell-generated event, _bell_measure's slots, its teleport events
-    for (leader, partner), bell in zip(net.pairing, tuples[int(tapes[0])]):
-        generated = _allocate_pair(net, leader, bell)
-        steps.append((generated, *_spend_singlet(net, leader, partner, generated["qubits"][1])))
-    table = np.array([[b.index for b in labels] for labels in tuples])
-    weights, rows, index, kept = _run(net.amplitudes, table[tapes], [s[1] for s in steps], draws)
-    weights /= len(tapes)  # every tape, or run, equally likely
-    net.tape, net.amplitudes = format(int(tapes[0]), f"0{nbits}b"), rows
-    for (generated, _, events), (m, prob) in zip(steps, kept):
-        net.events += [generated, *events(m, prob)]
-    rows = _final_state(net)
-    cols, out = _nonzero_columns(rows), np.zeros(4 ** two_n, dtype=complex)
-    for start in range(0, len(index), ROW_BLOCK):
-        block = slice(start, start + ROW_BLOCK)
-        _mix(out, weights[block], rows, cols, index[block])
-    mixed = DensityMatrix(two_n, out.reshape(2 ** two_n, -1))
-    singlets_used = len(net.consumed)
-    return EnsembleResult(mixed, singlets_used), net.build_transcript()
+    net.tape = format(int(tapes[0]), f"0{nbits}b")
+    for k, ((leader, partner), bell) in enumerate(zip(net.pairing, tuples[int(tapes[0])])):
+        bell_generate(net, leader, bell)
+        probs, branches = zip(*teleport(net, leader, partner, net.qubit_order[-1]))
+        if len(branches) != 4 or any(np.abs(b.amplitudes - branches[0].amplitudes).max()
+                                     > STATE_ATOL for b in branches):
+            raise ProtocolError(f"the teleport branches of pair ({leader}, {partner}) differ")
+        net = branches[0 if draws is None else _pick(np.array(probs), draws[0, k])]
+    rows = bell_product_state(tuples, net.pairing, two_n)
+    overlap = abs(np.vdot(rows[int(tapes[0])], _final_state(net)))
+    if abs(overlap - 1.0) > STATE_ATOL:
+        raise ProtocolError(f"the run ends at overlap {overlap} with tape {net.tape}'s product")
+    weights = np.bincount(tapes, minlength=len(tuples)) / len(tapes)
+    mixed = DensityMatrix(two_n, (rows.T * weights) @ rows.conj())
+    return EnsembleResult(mixed, len(net.consumed)), net.build_transcript()
 
 
 # --- transcript consumers ------------------------------------------------------
@@ -488,8 +415,9 @@ def locc_audit(transcript: ProtocolTranscript) -> list[str]:
     that moment, that generated qubit ids are fresh, that measured qubits
     stay retired, that no singlet is consumed twice, that a message carries
     its sender's last outcome and that a correction fixes the bits its party
-    last received.  Malformed events (not an object, wrongly typed fields, a
-    shape off _EVENT_SHAPES) are reported as violations too, one per event.
+    last received, once.  Malformed events (not an object, wrongly typed
+    fields, a shape off _EVENT_SHAPES) are reported as violations too, one
+    per event.
     """
     violations: list[str] = []
     ownership = dict(transcript.initial_ownership)
@@ -545,7 +473,7 @@ def locc_audit(transcript: ProtocolTranscript) -> list[str]:
                 outcomes[party] = ev["outcome"]
                 for q in qubits:
                     ownership.pop(q, None)
-            elif ev["name"] != fixes.get(party):
+            elif ev["name"] != fixes.pop(party, None):  # a fix is spent once applied
                 violations.append(f"{where}: correction {ev['name']} fits no outcome received")
         elif kind == "classical-message":
             src, dst = ev.get("from"), ev.get("to")

@@ -38,7 +38,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -47,7 +47,6 @@ from .tensor import (
     DensityMatrix,
     PureState,
     PAULIS,
-    fidelity_with_pure,
     trace_distance,
     x_parts_of,
     x_trace_distance,
@@ -234,17 +233,21 @@ def pauli_connection_search(rho_a: DensityMatrix, rho_b: DensityMatrix):
     return None
 
 
-def bell_product_state(labels: tuple[BellLabel, ...], pairing: tuple[tuple[int, int], ...],
-                       num_qubits: int) -> PureState:
-    """Product of Bell states placed on the listed qubit pairs."""
+def bell_product_state(tuples: Sequence[tuple[BellLabel, ...]],
+                       pairing: tuple[tuple[int, int], ...], num_qubits: int) -> np.ndarray:
+    """Each tuple's product of Bell states on the listed qubit pairs, one row per tuple.
+
+    Row t holds, bit for bit, the kron of tuple t's Bell vectors pair by pair,
+    with its slots moved so that output qubit k is physical qubit k.
+    """
     _check_pairing(pairing, num_qubits)
-    v = np.ones(1, dtype=complex)
-    for lbl in labels:
-        v = np.kron(v, bell_state(lbl).amplitudes)
+    index = np.array([[b.index for b in labels] for labels in tuples]).reshape(-1, len(pairing))
+    rows, kets = np.ones((len(index), 1), dtype=complex), ghz_basis(2)
+    for column in index.T:
+        rows = (rows[:, :, None] * kets[column][:, None, :]).reshape(len(index), -1)
     slots = [q for pair in pairing for q in pair]
-    # tensor slot order is `slots`; rearrange so output qubit k is physical k
-    axes = [slots.index(q) for q in range(1, num_qubits + 1)]
-    return PureState(num_qubits, v.reshape((2,) * num_qubits).transpose(axes).reshape(-1))
+    axes = [0] + [slots.index(q) + 1 for q in range(1, num_qubits + 1)]
+    return rows.reshape((-1,) + (2,) * num_qubits).transpose(axes).reshape(len(index), -1)
 
 
 def bell_correlated_tuples(two_n: int, label: FamilyLabel) -> list[tuple[BellLabel, ...]]:
@@ -277,23 +280,17 @@ def bell_tuple_decomposition(rho: DensityMatrix, pairing: tuple[tuple[int, int],
     BELL_ORDER enumeration order.  Raises NotBellCorrelated when the kept
     tuples fail to reconstruct rho to within STATE_ATOL trace distance.
     """
-    _check_pairing(pairing, rho.num_qubits)
-    n_pairs = len(pairing)
-    kept: list[tuple[tuple[BellLabel, ...], float]] = []
-    recon = np.zeros_like(rho.entries)
-    for labels in itertools.product(BELL_ORDER, repeat=n_pairs):
-        basis_state = bell_product_state(labels, pairing, rho.num_qubits)
-        w = fidelity_with_pure(rho, basis_state)
-        if w > STATE_ATOL:
-            kept.append((labels, w))
-            v = basis_state.amplitudes
-            recon += w * np.outer(v, v.conj())
+    tuples = list(itertools.product(BELL_ORDER, repeat=len(pairing)))
+    rows = bell_product_state(tuples, pairing, rho.num_qubits)  # checks the pairing
+    weights = ((rows.conj() @ rho.entries) * rows).sum(axis=1).real  # each <v|rho|v>
+    keep = np.flatnonzero(weights > STATE_ATOL)
+    recon = (rows[keep].T * weights[keep]) @ rows[keep].conj()
     gap = trace_distance(recon, rho.entries)
     if gap > STATE_ATOL:
         raise NotBellCorrelated(
             f"state is not Bell-correlated over pairing {pairing}: "
             f"reconstruction misses by trace distance {gap:.3e}")
-    return kept
+    return [(tuples[t], float(weights[t])) for t in keep]
 
 
 def permutation_invariance_check(rho: DensityMatrix) -> float:

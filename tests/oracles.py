@@ -357,8 +357,9 @@ def protocol_branches(two_n: int, tuples: list[tuple[str, ...]]) -> list[tuple[f
 def mix_reference(weights: np.ndarray, amps: np.ndarray) -> np.ndarray:
     """Dense mixture sum_b weights[b] |amps[b]><amps[b]| over every entry of every row.
 
-    numpy's einsum adds the rows one after another, so the sparse mix in
-    bcabe.protocol must match this bit for bit.
+    Over protocol_branches it mixes every branch of every tape, the reference
+    that bcabe.protocol's mixture of the tapes' Bell products is held to.
+    Every branch of a tape is that tape's product, so the two agree to rounding.
     """
     return np.einsum("b,bi,bj->ij", weights, amps, amps.conj())
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import bcabe.certify as certify
 import bcabe.cli as cli
 import bcabe.cuts as cuts
+import bcabe.protocol as protocol
 import bcabe.states as states
 import bcabe.tensor as tensor
 from bcabe.cli import main, write_state_file
@@ -253,6 +254,35 @@ class TestCertifyCommand:
         results = _load(out)["results"]
         assert results["achieved"] == 2 and results["exact"] is True
 
+    @pytest.mark.parametrize("seed, distance", [(0, 0.0750), (1, 0.0674), (2, 0.0541)])
+    def test_sampled_threshold_derived_from_size_and_samples(self, seed, distance, tmp_path):
+        # 2,000 runs over K = 64 tapes: these distances are sampling noise, and each failed
+        # the fixed threshold 0.05 that preceded the derived one
+        out = tmp_path / "cert8s.json"
+        assert main(["certify", "--size", "8", "--family", "rho+", "--mode", "sampled",
+                     "--samples", "2000", "--seed", str(seed), "--out", str(out)]) == 0
+        check = _load(out)["checks"][1]
+        assert check["check"] == "prepared-state-distance"
+        assert check["threshold"] == cli.sampled_threshold(8, 2000)
+        assert round(check["threshold"], 4) == 0.1206
+        assert check["measured"] == pytest.approx(distance, abs=5e-5)
+
+    def test_sampled_distance_of_twice_the_threshold_fails(self, tmp_path, monkeypatch):
+        eps = cli.sampled_threshold(6, 500)
+        monkeypatch.setattr(cli, "trace_distance", lambda a, b: 2 * eps)
+        out = tmp_path / "cert6s.json"
+        assert main(["certify", "--size", "6", "--family", "sigma-", "--mode", "sampled",
+                     "--samples", "500", "--out", str(out)]) == 1
+        check = _load(out)["checks"][1]
+        assert (check["measured"], check["threshold"], check["passed"]) == (2 * eps, eps, False)
+
+    def test_given_tolerance_wins(self, tmp_path):
+        out = tmp_path / "cert8s.json"
+        assert main(["certify", "--size", "8", "--family", "rho+", "--mode", "sampled",
+                     "--samples", "2000", "--seed", "0", "--tolerance", "0.05",
+                     "--out", str(out)]) == 1
+        assert _load(out)["checks"][1]["threshold"] == 0.05
+
     def test_builds_family_and_supports_once(self, tmp_path, monkeypatch):
         # the cut scan, every activation and the distance check share one build
         calls = _count_calls(monkeypatch, ["build_family", "family_support_projector"])
@@ -324,6 +354,18 @@ class TestCertifyCommand:
         assert err.count("\n") == 1 and "activation across pair (1, 2)" in err and "0.3" in err
         assert not out.exists()
 
+
+    def test_failed_protocol_run_exits_one_without_traceback(self, tmp_path, monkeypatch, capsys):
+        # a doctored fix fails the protocol run's own check on its teleport branches
+        fixes = list(protocol._CORRECTIONS)
+        fixes[1] = np.eye(2, dtype=complex)
+        monkeypatch.setattr(protocol, "_CORRECTIONS", fixes)
+        out = tmp_path / "cert.json"
+        assert main(["certify", "--size", "4", "--family", "rho+", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == "certify failed: the teleport branches of pair (1, 2) differ\n"
+        assert not out.exists()
 
 FAMILIES = ("rho+", "rho-", "sigma+", "sigma-")
 WRITTEN_REPORTS = ([["cuts", "--size", str(size), "--family", f] for size in (4, 6, 8) for f in FAMILIES]

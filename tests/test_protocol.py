@@ -11,11 +11,8 @@ import pytest
 
 from bcabe import protocol
 from bcabe.protocol import (
-    ROW_BLOCK,
     ProtocolError,
     _bell_measure,
-    _mix,
-    _nonzero_columns,
     _pick,
     ProtocolTranscript,
     bell_correlated_tuples,
@@ -27,15 +24,22 @@ from bcabe.protocol import (
     prepare_bcabe,
     teleport,
 )
-from bcabe.states import BellLabel, FamilyLabel, bell_tuple_decomposition, build_family
+from bcabe.states import (
+    BELL_ORDER,
+    BellLabel,
+    FamilyLabel,
+    bell_product_state,
+    bell_tuple_decomposition,
+    build_family,
+)
 from bcabe.tensor import PureState, partial_trace, trace_distance
 
 import oracles
 
 ALL_FAMILIES = list(FamilyLabel)
 
-# recorded from the per-branch engine; the id hashes every event,
-# including each measurement probability to the last bit
+# recorded from the per-branch engine and unchanged since; the id hashes
+# every event, including each measurement probability to the last bit
 EXACT_TRANSCRIPT_IDS = [
     (4, FamilyLabel.RHO_PLUS, "2254ac81a5edb148"),
     (4, FamilyLabel.RHO_MINUS, "552fd07bafd1f5a9"),
@@ -47,20 +51,21 @@ EXACT_TRANSCRIPT_IDS = [
     (6, FamilyLabel.SIGMA_MINUS, "370580cf4ee63994"),
 ]
 
+# the tapes' Bell products mixed in one matrix product; the per-branch engines before it
+# gave other last bits, within 4e-16 in trace distance
 EXACT_MIXTURE_SHA256 = [
-    (4, FamilyLabel.RHO_PLUS, "3159c0c395be065e55b8ff37d2fd072ff39ee87eab086d89415a9f0e2500ebd4"),
-    (4, FamilyLabel.RHO_MINUS, "6c215c95bad29c8151b81f99767c0fb6e40de02b3826a415528f7d9feb7e42dd"),
-    (4, FamilyLabel.SIGMA_PLUS, "c5303bce4fbd589631763507106c932b255a130cca2c6d9ef47d07feed6a1587"),
-    (4, FamilyLabel.SIGMA_MINUS, "f7e804ac34a93dd7622104d0dc45dd8ca96512f3ff0e9a85db72cfd58ed3bf2c"),
-    (6, FamilyLabel.RHO_PLUS, "3df99cc3c58d042e2092ccb86d7af3a0401c69a534ec6a0911880199cf5ce5c1"),
-    (6, FamilyLabel.RHO_MINUS, "7553d79fbea46a588b2f79a25bfe654e7758b19a46ff3227c841ab8e55baeffa"),
-    (6, FamilyLabel.SIGMA_PLUS, "8d5b3382e4d315bd50a253b031dfb234d7d326649b00788522aa8f21077928c4"),
-    (6, FamilyLabel.SIGMA_MINUS, "99c320b656ebefbf05f0621ad3ffd1a8997638532a770b07b7804f418aafbdbf"),
-    # recorded from the dense einsum mix, before the sparse one replaced it
-    (8, FamilyLabel.RHO_PLUS, "e3a9529f61615ddb9aa1d186398c706177e2abcfa06658a8fbaf1c494f2d435f"),
-    (8, FamilyLabel.RHO_MINUS, "11e45f10efc1c4d5972a1f5a5f47e015facf72eef2631a1f903b29cdb0699ef1"),
-    (8, FamilyLabel.SIGMA_PLUS, "88b32d897ed5efc30ac6edd020dff07f4019d0093d2ddb252009ff126f62344f"),
-    (8, FamilyLabel.SIGMA_MINUS, "01682cc58f3a696fefb2b65a0016d79cdb09a22aee07b82804e2c87422c3c2d2"),
+    (4, FamilyLabel.RHO_PLUS, "bfd295434f295f8ddb4a311d5ca4ae838a8f515fe3c31e84f5ea65c0f10b0963"),
+    (4, FamilyLabel.RHO_MINUS, "bcb3d89d23b7f4510bc9f69ddaec2eed7dad2404c563158ba51637062085be24"),
+    (4, FamilyLabel.SIGMA_PLUS, "05ef98574ef3a4ec7a6434394da85b195ed763244823d4531de3cdc6b833cb20"),
+    (4, FamilyLabel.SIGMA_MINUS, "21fb8d444928af9aa7ea28da01c2d518df538952af7827f98fa014965aa80880"),
+    (6, FamilyLabel.RHO_PLUS, "f642c643aab3c731137dc5a8decb20d65059a42e2384f41c2298f8887ee8fb65"),
+    (6, FamilyLabel.RHO_MINUS, "7aa7d5e223f0045d7c0a838ebcba11dcded7ac3a2f0ea1c64f38e91b761d4def"),
+    (6, FamilyLabel.SIGMA_PLUS, "11b3f9c25ccda152446ac349b66d22c5cae1bd2454f4a04df82406d25e2bf05c"),
+    (6, FamilyLabel.SIGMA_MINUS, "d76aee057203e3329ccc0ff99b6d86e3702350a949a10362bfd81b0265988748"),
+    (8, FamilyLabel.RHO_PLUS, "970643378de9c28e9d27f84c24e063f3422c85d865411d8b5410146e2a54813d"),
+    (8, FamilyLabel.RHO_MINUS, "93ec7068d582140c0f9409c476e5faa1f7c19f22c91a62f90e47096bf8c342f8"),
+    (8, FamilyLabel.SIGMA_PLUS, "b85e326004e94562e2e8b435f1d8ccdd5783eee6145064b44a98a446db437edd"),
+    (8, FamilyLabel.SIGMA_MINUS, "94d2f835e65221f50cbfe05bfc7b005ccfc403dd8d8b881160bd51da6a215137"),
 ]
 
 
@@ -83,56 +88,16 @@ def _teleport_roundtrip(payload: np.ndarray) -> list[tuple[float, np.ndarray]]:
     return out
 
 
-def _prepare_capturing(*args, blocks: list | None = None, **kwargs):
-    """prepare_bcabe, plus every branch it mixed: (ensemble, transcript, weights, amps).
+def _sampled_tapes(two_n: int, seed: int, samples: int) -> np.ndarray:
+    """Each sampled run's tape, drawn from the generator stream prepare_bcabe reads.
 
-    Wraps protocol._mix and keeps a copy of each block's weights and of the
-    rows its branches gather, so the branches are read through the one
-    production path; rows in mixing order.  A list given as blocks receives
-    each block's branch count.
+    Each run draws its tape bits, then one uniform per pair step.
     """
-    captured, mix = [], protocol._mix
-
-    def capture(out, weights, rows, cols, index):
-        captured.append((weights.copy(), rows[index]))
-        if blocks is not None:
-            blocks.append(len(index))
-        mix(out, weights, rows, cols, index)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(protocol, "_mix", capture)
-        ensemble, transcript = prepare_bcabe(*args, **kwargs)
-    weights, amps = (np.concatenate(parts) for parts in zip(*captured))
-    return ensemble, transcript, weights, amps
-
-
-def _measured_rows(two_n: int) -> int:
-    """Rows an exact prepare_bcabe hands _bell_measure.
-
-    At step k one per distinct label prefix: 4**(k+1), or one per tape once each
-    tape has its own.  The four corrected outcomes of a step agree byte for byte,
-    so they add no row, and the transcript reads its execution off the same pass.
-    """
-    pairs, tapes = two_n // 2, 2 ** (two_n - 2)
-    return sum(min(4 ** (k + 1), tapes) for k in range(pairs))
-
-
-def _count_measured_rows(monkeypatch, bound: int) -> list[int]:
-    """Spy on protocol._bell_measure: the rows it is handed, summed in a one-item list.
-
-    Fails as soon as the sum passes bound, before the rows of a run whose outcome rows
-    stopped being byte-identical grow x4 per step.
-    """
-    measured, measure = [0], protocol._bell_measure
-
-    def spy(amps, *slots):
-        measured[0] += len(amps)
-        assert measured[0] <= bound, (
-            f"more than {bound} rows Bell-measured: the outcome rows are not byte-identical")
-        return measure(amps, *slots)
-
-    monkeypatch.setattr(protocol, "_bell_measure", spy)
-    return measured
+    rng, tapes = np.random.default_rng(seed), []
+    for _ in range(samples):
+        tapes.append(int("".join(map(str, rng.integers(0, 2, two_n - 2))), 2))
+        rng.random(two_n // 2)
+    return np.array(tapes)
 
 
 class TestTape:
@@ -221,18 +186,18 @@ class TestTeleport:
                 want = want.reshape(2, 2).T.reshape(-1)
             assert np.allclose(pair.entries, np.outer(want, want.conj()), atol=1e-12)
 
-    def test_bell_measure_rows_match_reference(self):
-        # generic rows, so every rounding step shows in the last bits; each
-        # row of the block must equal the single-branch arithmetic exactly
+    def test_bell_measure_matches_reference(self):
+        # generic states, so every rounding step shows in the last bits; each
+        # must equal the single-branch reference arithmetic exactly
         rng = np.random.default_rng(6)
         block = rng.normal(size=(5, 2 ** 10)) + 1j * rng.normal(size=(5, 2 ** 10))
-        probs, states = _bell_measure(block, 9, 3, 4)
         order = list(range(1, 11))
-        for r, row in enumerate(block):
+        for row in block:
+            got = _bell_measure(row, 9, 3, 4)
             want = oracles.bell_measure_reference(row, order, 10, 4, 6)
-            assert probs[r].tolist() == [p for p, _ in want]
-            for m, (_, amps) in enumerate(want):
-                assert states[r, m].tobytes() == amps.tobytes()
+            assert [p for p, _ in got] == [p for p, _ in want]
+            for (_, amps), (_, want_amps) in zip(got, want):
+                assert amps.tobytes() == want_amps.tobytes()
 
     def test_pick_matches_generator_choice(self):
         rng = np.random.default_rng(8)
@@ -240,7 +205,7 @@ class TestTeleport:
         draws = np.array([np.random.default_rng(s).random() for s in range(300)])
         want = [np.random.default_rng(s).choice(4, p=row / row.sum())
                 for s, row in enumerate(probs)]
-        assert _pick(probs, draws).tolist() == want
+        assert [_pick(row, draw) for row, draw in zip(probs, draws)] == want
 
     def test_requires_singlet(self):
         net = init_network(4)
@@ -300,35 +265,59 @@ class TestTupleSupport:
 class TestPreparation:
     @pytest.mark.parametrize("label", ALL_FAMILIES)
     def test_exact_four_qubits(self, label):
-        ensemble, transcript, weights, amps = _prepare_capturing(4, label, mode="exact")
-        assert weights.shape == (64,)  # 4 tapes x 4^2 outcomes
-        assert amps.shape == (64, 16)
+        ensemble, transcript = prepare_bcabe(4, label, mode="exact")
         assert ensemble.singlets_used == 2
         assert ensemble.singlets_used == ebit_accounting(transcript)[0]
-        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(np.linalg.norm(amps, axis=1), 1, atol=1e-12)
+        assert np.trace(ensemble.mixed.entries).real == pytest.approx(1.0, abs=1e-12)
         assert trace_distance(ensemble.mixed, build_family(4, label)) < 1e-12
         assert locc_audit(transcript) == []
 
     @pytest.mark.parametrize("label", [FamilyLabel.RHO_PLUS, FamilyLabel.SIGMA_MINUS])
     def test_exact_six_qubits(self, label):
-        ensemble, transcript, weights, amps = _prepare_capturing(6, label, mode="exact")
-        assert weights.shape == (1024,)  # 16 tapes x 4^3 outcomes
-        assert amps.shape == (1024, 64)
+        ensemble, transcript = prepare_bcabe(6, label, mode="exact")
         assert ensemble.singlets_used == 3
         assert ensemble.singlets_used == ebit_accounting(transcript)[0]
         assert trace_distance(ensemble.mixed, build_family(6, label)) < 1e-12
         assert locc_audit(transcript) == []
 
+    @pytest.mark.parametrize("size", [4, 6])
     @pytest.mark.parametrize("label", ALL_FAMILIES)
-    def test_exact_four_matches_per_branch_oracle(self, label):
-        _, _, weights, amps = _prepare_capturing(4, label, mode="exact")
-        tuples = bell_correlated_tuples(4, label)
-        want = oracles.protocol_branches(4, [tuple(b.value for b in t) for t in tuples])
-        assert len(weights) == len(amps) == len(want)
-        for prob, row, (want_prob, want_amps) in zip(weights, amps, want):
-            assert prob == want_prob
-            assert row.tobytes() == want_amps.tobytes()
+    def test_exact_matches_per_branch_oracle(self, size, label):
+        # the dense simulation of every branch, mixed densely, against the tapes' Bell
+        # products mixed in one product: each branch of a tape is its product, so the
+        # sums differ by rounding alone, each entry within 4 ulps of the largest, 2^-(2N-1)
+        ensemble, _ = prepare_bcabe(size, label, mode="exact")
+        tuples = bell_correlated_tuples(size, label)
+        branches = oracles.protocol_branches(size, [tuple(b.value for b in t) for t in tuples])
+        weights = np.array([prob for prob, _ in branches])
+        amps = np.array([row for _, row in branches])
+        assert len(branches) == len(tuples) * 4 ** (size // 2)
+        want = oracles.mix_reference(weights, amps)
+        bound = 4 * np.spacing(2.0 ** -(size - 1))
+        assert np.abs(ensemble.mixed.entries - want).max() <= bound
+
+    @pytest.mark.parametrize("size, label, seed, pairing", [
+        (4, FamilyLabel.RHO_PLUS, 1, None), (4, FamilyLabel.SIGMA_MINUS, 2, None),
+        (6, FamilyLabel.RHO_MINUS, 1, None), (6, FamilyLabel.SIGMA_PLUS, 2, None),
+        (6, FamilyLabel.RHO_PLUS, 1, ((1, 4), (2, 6), (3, 5))),
+    ])
+    def test_sampled_weights_are_tape_shares(self, size, label, seed, pairing):
+        # a Bell product is not X-shaped, so a mixture kept on the X alone would merge
+        # tuples (phi+ phi+ with phi- phi-) that only the full products tell apart
+        samples = 500
+        ensemble, _ = prepare_bcabe(size, label, mode="sampled", seed=seed, samples=samples,
+                                    pairing=pairing)
+        tuples = bell_correlated_tuples(size, label)
+        counts = np.bincount(_sampled_tapes(size, seed, samples), minlength=len(tuples))
+        shares = {tuples[t]: counts[t] / samples for t in np.flatnonzero(counts)}
+        got = dict(bell_tuple_decomposition(ensemble.mixed, pairing or default_pairing(size)))
+        assert set(got) == set(shares)
+        for labels, weight in got.items():
+            assert weight == pytest.approx(shares[labels], abs=1e-12)
+        # the products are orthonormal, so the distance is half the L1 gap of the weights
+        half_l1 = 0.5 * np.abs(counts / samples - 1 / len(tuples)).sum()
+        assert trace_distance(ensemble.mixed, build_family(size, label)) == pytest.approx(
+            half_l1, abs=1e-12)
 
     @pytest.mark.parametrize("size, label, transcript_id", EXACT_TRANSCRIPT_IDS)
     def test_exact_transcript_id_pinned(self, size, label, transcript_id):
@@ -336,12 +325,12 @@ class TestPreparation:
         assert transcript.transcript_id == transcript_id
 
     @pytest.mark.parametrize("size, label, seed, transcript_id, distance", [
-        (4, FamilyLabel.RHO_PLUS, 7, "dcfec776e530cbfa", 0.027000000000000017),
-        (6, FamilyLabel.SIGMA_MINUS, 3, "c9327b616e2e8cf3", 0.028499999999999834),
+        (4, FamilyLabel.RHO_PLUS, 7, "dcfec776e530cbfa", 0.02700000000000001),
+        (6, FamilyLabel.SIGMA_MINUS, 3, "c9327b616e2e8cf3", 0.02850000000000006),
     ])
     def test_sampled_payload_pinned(self, size, label, seed, transcript_id, distance):
-        # recorded from the per-sample engine, whose generator stream (tape
-        # bits, then one choice per pair step) the batched engine must keep
+        # the transcript ids were recorded from the per-sample engine, whose generator
+        # stream (tape bits, then one choice per pair step) every later engine keeps
         ensemble, transcript = prepare_bcabe(size, label, mode="sampled",
                                              seed=seed, samples=2000)
         assert transcript.transcript_id == transcript_id
@@ -349,96 +338,25 @@ class TestPreparation:
 
     @pytest.mark.parametrize("size, label, digest", EXACT_MIXTURE_SHA256)
     def test_exact_mixture_pinned(self, size, label, digest):
-        # every bit of the exact mixture, so a change to how the branches are
+        # every bit of the exact mixture, so a change to how the tapes are
         # mixed shows here even where the distance to the target does not move
         ensemble, _ = prepare_bcabe(size, label, mode="exact")
         assert hashlib.sha256(ensemble.mixed.entries.tobytes()).hexdigest() == digest
 
-    @pytest.mark.parametrize("size, rows_per_block", [(4, [64]), (6, [256] * 4)])
-    def test_exact_blocks_hold_row_block_rows(self, size, rows_per_block):
-        # ROW_BLOCK // 4^N whole tapes per block: all 4 at size 4, 4 of 16 at size 6
-        assert ROW_BLOCK == 256
-        blocks = []
-        _prepare_capturing(size, FamilyLabel.RHO_PLUS, mode="exact", blocks=blocks)
-        assert blocks == rows_per_block
-
-    @pytest.mark.parametrize("size", [4, 6])
-    @pytest.mark.parametrize("label", ALL_FAMILIES)
-    @pytest.mark.parametrize("tapes_per_block", ["one", "all"])
-    def test_exact_bits_do_not_depend_on_row_block(self, size, label, tapes_per_block,
-                                                   monkeypatch):
-        # one tape per block, or every branch in one block: both keep the pins bit for bit
-        tapes, tape_rows = 2 ** (size - 2), 4 ** (size // 2)
-        row_block = tape_rows * (1 if tapes_per_block == "one" else tapes)
-        monkeypatch.setattr(protocol, "ROW_BLOCK", row_block)
-        blocks = []
-        ensemble, transcript, _, _ = _prepare_capturing(size, label, mode="exact", blocks=blocks)
-        assert blocks == [row_block] * (tapes * tape_rows // row_block)
-        digest = hashlib.sha256(ensemble.mixed.entries.tobytes()).hexdigest()
-        assert digest == dict(((s, f), d) for s, f, d in EXACT_MIXTURE_SHA256)[size, label]
-        pins = dict(((s, f), t) for s, f, t in EXACT_TRANSCRIPT_IDS)
-        assert transcript.transcript_id == pins[size, label]
-
-    @pytest.mark.parametrize("size", [4, 6])
-    @pytest.mark.parametrize("label", ALL_FAMILIES)
-    def test_mix_matches_dense_reference_exact(self, size, label):
-        ensemble, _, weights, amps = _prepare_capturing(size, label, mode="exact")
-        assert oracles.mix_reference(weights, amps).tobytes() == ensemble.mixed.entries.tobytes()
-
-    @pytest.mark.parametrize("size, label, seed", [
-        (4, FamilyLabel.RHO_MINUS, 11),
-        (6, FamilyLabel.SIGMA_PLUS, 12),
-        (8, FamilyLabel.SIGMA_MINUS, 13),
-    ])
-    def test_mix_matches_dense_reference_sampled(self, size, label, seed):
-        # more than one block, the last one partly filled
-        ensemble, _, weights, amps = _prepare_capturing(size, label, mode="sampled",
-                                                        seed=seed, samples=ROW_BLOCK + 44)
-        assert len(amps) == ROW_BLOCK + 44
-        assert oracles.mix_reference(weights, amps).tobytes() == ensemble.mixed.entries.tobytes()
-
-    @pytest.mark.parametrize("sparse_row", [0, 1, ROW_BLOCK - 1, ROW_BLOCK])
-    def test_mix_of_rows_with_unequal_nonzero_counts(self, sparse_row):
-        # Bell products by hand, then one extra exact zero in one row; mixed as
-        # production does, one block of ROW_BLOCK rows and then the rest
-        names = list(oracles.BELL_VECTORS)
-        rng = np.random.default_rng(sparse_row)
-        amps = np.array([np.kron(oracles.BELL_VECTORS[names[a]], oracles.BELL_VECTORS[names[b]])
-                         for a, b in rng.integers(0, 4, (ROW_BLOCK + 8, 2))])
-        amps[sparse_row, np.flatnonzero(amps[sparse_row])[1]] = 0.0
-        weights = rng.random(len(amps))
-        weights /= weights.sum()
-        out, cols = np.zeros(amps.shape[1] ** 2, dtype=complex), _nonzero_columns(amps)
-        index = np.arange(len(amps))
-        _mix(out, weights[:ROW_BLOCK], amps, cols, index[:ROW_BLOCK])
-        _mix(out, weights[ROW_BLOCK:], amps, cols, index[ROW_BLOCK:])
-        assert out.tobytes() == oracles.mix_reference(weights, amps).tobytes()
-
     def test_exact_eight_qubits(self):
-        # mixed block by block, the preparation never holds a table of all the branches
+        # the preparation never holds a table of all the branches
         two_n = 8
         table_bytes = 2 ** (two_n - 2) * 4 ** (two_n // 2) * 2 ** two_n * np.dtype(complex).itemsize
         tracemalloc.start()
         try:
-            prepare_bcabe(two_n, FamilyLabel.RHO_PLUS, mode="exact")
+            ensemble, transcript = prepare_bcabe(two_n, FamilyLabel.RHO_PLUS, mode="exact")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < table_bytes / 4
-        ensemble, transcript, weights, amps = _prepare_capturing(two_n, FamilyLabel.RHO_PLUS,
-                                                                 mode="exact")
-        assert weights.shape == (16384,)  # 64 tapes x 4^4 outcomes
-        assert amps.shape == (16384, 256)
-        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(ensemble.mixed.entries).real == pytest.approx(1.0, abs=1e-12)
         assert trace_distance(ensemble.mixed, build_family(8, FamilyLabel.RHO_PLUS)) < 1e-12
         assert locc_audit(transcript) == []
-
-    @pytest.mark.parametrize("size", [4, 6, 8])
-    def test_exact_measures_each_distinct_row_once(self, size, monkeypatch):
-        # 8, 36 and 148 rows, where measuring every branch row takes 20, 336 and 5,440
-        measured = _count_measured_rows(monkeypatch, _measured_rows(size))
-        prepare_bcabe(size, FamilyLabel.SIGMA_MINUS, mode="exact")
-        assert measured == [_measured_rows(size)]
 
     @pytest.mark.parametrize("size, label, seed", [
         *((size, label, None) for size in (4, 6, 8) for label in ALL_FAMILIES),
@@ -466,15 +384,9 @@ class TestPreparation:
         assert net.build_transcript() == transcript
         assert net.build_transcript().to_lines() == transcript.to_lines()
 
-    def test_sampled_measures_at_most_the_exact_rows(self, monkeypatch):
-        # 10,000 runs read the same distinct rows an exact run does, or fewer
-        measured = _count_measured_rows(monkeypatch, _measured_rows(8))
-        prepare_bcabe(8, FamilyLabel.RHO_MINUS, mode="sampled", seed=0, samples=10000)
-        assert 0 < measured[0] <= _measured_rows(8)
-
     def test_sampled_eight_qubits_memory(self):
         # a table of every run's final row would be samples x 2^(2N) amplitudes;
-        # the runs share their distinct rows, so the peak stays well below it
+        # the runs are mixed by tape, so the peak stays well below it
         two_n, samples = 8, 10000
         table_bytes = samples * 2 ** two_n * np.dtype(complex).itemsize
         tracemalloc.start()
@@ -485,15 +397,32 @@ class TestPreparation:
             tracemalloc.stop()
         assert peak < table_bytes / 4
 
-    def test_every_branch_is_a_bell_product(self):
-        # condition on the tape: the four branches of one tape are identical
-        _, _, _, amps = _prepare_capturing(4, FamilyLabel.RHO_PLUS, mode="exact")
-        by_tape = [amps[i:i + 16] for i in range(0, 64, 16)]
-        for group in by_tape:
-            first = group[0]
-            for row in group:
-                overlap = abs(np.vdot(first, row))
-                assert overlap == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize("label", ALL_FAMILIES)
+    def test_every_branch_is_its_tapes_bell_product(self, label):
+        # the dense simulation of every branch: each ends, up to a global phase, in
+        # the Bell product bell_product_state gives its tape's tuple
+        tuples = bell_correlated_tuples(4, label)
+        rows = bell_product_state(tuples, default_pairing(4), 4)
+        branches = oracles.protocol_branches(4, [tuple(b.value for b in t) for t in tuples])
+        for b, (_, amps) in enumerate(branches):
+            assert abs(np.vdot(rows[b // 16], amps)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_doctored_correction_raises(self, monkeypatch):
+        # the psi+ outcome left unfixed: that branch differs from the other three
+        fixes = list(protocol._CORRECTIONS)
+        fixes[BellLabel.PSI_PLUS.index] = np.eye(2, dtype=complex)
+        monkeypatch.setattr(protocol, "_CORRECTIONS", fixes)
+        with pytest.raises(ProtocolError, match=r"teleport branches of pair \(1, 2\) differ"):
+            prepare_bcabe(6, FamilyLabel.SIGMA_PLUS, mode="exact")
+
+    def test_doctored_generation_raises(self, monkeypatch):
+        # every pair generates its label with the minus bit flipped: each step's branches
+        # agree, but the run ends on a product outside the family's support
+        genuine = protocol.bell_generate
+        monkeypatch.setattr(protocol, "bell_generate", lambda net, party, label: genuine(
+            net, party, BELL_ORDER[label.index ^ 1]))
+        with pytest.raises(ProtocolError, match="overlap 0.0 with tape 0000's product"):
+            prepare_bcabe(6, FamilyLabel.SIGMA_PLUS, mode="exact")
 
     def test_sampled_converges(self):
         target = build_family(4, FamilyLabel.RHO_PLUS)
@@ -647,24 +576,25 @@ class TestTranscript:
 
     @pytest.mark.parametrize("edits, expected", [
         # the measurement at event 1 still reads 00; the correction fits the sent bits only
-        ({3: {"bits": "11"}, 4: {"name": "ZX"}},
+        ({3: [{"bits": "11"}], 4: [{"name": "ZX"}]},
          ["event 3: bits 11 are not party 1's last outcome",
           "event 4: correction ZX fits no outcome received"]),
-        ({4: {"name": "Z"}}, ["event 4: correction Z fits no outcome received"]),
-        ({3: None}, ["event 3: correction I fits no outcome received"]),  # no message sent
+        ({4: [{"name": "Z"}]}, ["event 4: correction Z fits no outcome received"]),
+        ({3: []}, ["event 3: correction I fits no outcome received"]),  # no message sent
         # measured, sent and corrected alike: consistent, so clean
-        ({1: {"outcome": "11"}, 3: {"bits": "11"}, 4: {"name": "ZX"}}, []),
-    ], ids=["misreported-bits", "wrong-fix", "no-message", "consistent"])
+        ({1: [{"outcome": "11"}], 3: [{"bits": "11"}], 4: [{"name": "ZX"}]}, []),
+        # consistent, but the Z applied twice: the second Z undoes the fix it repeats
+        ({1: [{"outcome": "01"}], 3: [{"bits": "01"}], 4: [{"name": "Z"}, {"name": "Z"}]},
+         ["event 5: correction Z fits no outcome received"]),
+    ], ids=["misreported-bits", "wrong-fix", "no-message", "consistent", "doubled-fix"])
     def test_audit_ties_correction_to_outcome(self, canonical, edits, expected):
+        # each edited event is replaced by one copy per listed field update, none deleting it
         events = list(canonical.events)
         assert [events[k]["kind"] for k in (1, 3, 4)] == [
             "local-measurement", "classical-message", "local-unitary"]
         assert (events[1]["outcome"], events[3]["bits"], events[4]["name"]) == ("00", "00", "I")
-        for k, fields in sorted(edits.items(), reverse=True):
-            if fields is None:
-                del events[k]
-            else:
-                events[k] = events[k] | fields
+        for k, updates in sorted(edits.items(), reverse=True):
+            events[k:k + 1] = [events[k] | fields for fields in updates]
         doctored = ProtocolTranscript(
             canonical.num_parties, canonical.pairing, canonical.tape_bits,
             canonical.initial_ownership, canonical.singlets, tuple(events))

@@ -362,10 +362,27 @@ class TestBellTupleDecomposition:
         with pytest.raises(ValueError, match="pairing"):
             bell_tuple_decomposition(rho, ((1, 2), (2, 4)))
 
+    def test_bell_product_rows_match_per_qubit_formula(self):
+        # amplitude of |x>: the product over pairs (a, b), in pairing order, of the pair's Bell
+        # vector at bits x_a x_b; the same multiplications as one kron per tuple, so bit for bit
+        pairing = ((1, 4), (2, 6), (3, 5))
+        tuples = list(itertools.product(BELL_ORDER, repeat=3))
+        rows = bell_product_state(tuples, pairing, 6)
+        assert rows.shape == (64, 64)
+
+        def bit(x, q):
+            return (x >> (6 - q)) & 1
+
+        for labels, row in zip(tuples, rows):
+            want = [np.prod([oracles.BELL_VECTORS[lbl.value][2 * bit(x, a) + bit(x, b)]
+                             for lbl, (a, b) in zip(labels, pairing)]) for x in range(64)]
+            assert row.tobytes() == np.array(want, dtype=complex).tobytes()
+
     def test_bell_product_state_placement(self):
-        psi = bell_product_state((BellLabel.PHI_PLUS, BellLabel.PSI_MINUS), ((1, 3), (2, 4)), 4)
+        rows = bell_product_state([(BellLabel.PHI_PLUS, BellLabel.PSI_MINUS)], ((1, 3), (2, 4)), 4)
         # amplitude of |0 0 0 1>: qubits (1,3) in phi+ contribute |00>, (2,4) psi- gives |01>
-        v = psi.amplitudes
+        assert rows.shape == (1, 16)
+        v = rows[0]
         assert v[int("0001", 2)] == pytest.approx(0.5)
         assert v[int("0100", 2)] == pytest.approx(-0.5)
         assert v[int("1011", 2)] == pytest.approx(0.5)
