@@ -88,16 +88,16 @@ def _teleport_roundtrip(payload: np.ndarray) -> list[tuple[float, np.ndarray]]:
     return out
 
 
-def _sampled_tapes(two_n: int, seed: int, samples: int) -> np.ndarray:
-    """Each sampled run's tape, drawn from the generator stream prepare_bcabe reads.
+def _sampled_runs(two_n: int, seed: int, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each sampled run's tape and uniforms, drawn from the stream prepare_bcabe reads.
 
     Each run draws its tape bits, then one uniform per pair step.
     """
-    rng, tapes = np.random.default_rng(seed), []
+    rng, tapes, draws = np.random.default_rng(seed), [], []
     for _ in range(samples):
         tapes.append(int("".join(map(str, rng.integers(0, 2, two_n - 2))), 2))
-        rng.random(two_n // 2)
-    return np.array(tapes)
+        draws.append(rng.random(two_n // 2))
+    return np.array(tapes), np.array(draws)
 
 
 class TestTape:
@@ -272,7 +272,7 @@ class TestPreparation:
         assert trace_distance(ensemble.mixed, build_family(4, label)) < 1e-12
         assert locc_audit(transcript) == []
 
-    @pytest.mark.parametrize("label", [FamilyLabel.RHO_PLUS, FamilyLabel.SIGMA_MINUS])
+    @pytest.mark.parametrize("label", ALL_FAMILIES)
     def test_exact_six_qubits(self, label):
         ensemble, transcript = prepare_bcabe(6, label, mode="exact")
         assert ensemble.singlets_used == 3
@@ -308,7 +308,7 @@ class TestPreparation:
         ensemble, _ = prepare_bcabe(size, label, mode="sampled", seed=seed, samples=samples,
                                     pairing=pairing)
         tuples = bell_correlated_tuples(size, label)
-        counts = np.bincount(_sampled_tapes(size, seed, samples), minlength=len(tuples))
+        counts = np.bincount(_sampled_runs(size, seed, samples)[0], minlength=len(tuples))
         shares = {tuples[t]: counts[t] / samples for t in np.flatnonzero(counts)}
         got = dict(bell_tuple_decomposition(ensemble.mixed, pairing or default_pairing(size)))
         assert set(got) == set(shares)
@@ -318,6 +318,30 @@ class TestPreparation:
         half_l1 = 0.5 * np.abs(counts / samples - 1 / len(tuples)).sum()
         assert trace_distance(ensemble.mixed, build_family(size, label)) == pytest.approx(
             half_l1, abs=1e-12)
+
+    @pytest.mark.parametrize("size, label, seed", [
+        (4, FamilyLabel.RHO_MINUS, 11),
+        (6, FamilyLabel.SIGMA_PLUS, 12),
+        (8, FamilyLabel.SIGMA_MINUS, 13),
+    ])
+    def test_mix_matches_dense_reference_sampled(self, size, label, seed):
+        # each run's branch simulated densely: its tape's tuple, then at every step the
+        # outcome its uniform picks from the four equal probabilities; the runs mixed
+        # densely at weight 1/M each.  The sums differ by rounding alone, which over M
+        # terms stays within M ulps of the largest entry
+        samples = 300
+        ensemble, _ = prepare_bcabe(size, label, mode="sampled", seed=seed, samples=samples)
+        tuples = bell_correlated_tuples(size, label)
+        tapes, draws = _sampled_runs(size, seed, samples)
+        branches = {t: oracles.protocol_branches(size, [tuple(b.value for b in tuples[t])])
+                    for t in set(tapes.tolist())}
+        amps = []
+        for tape, run in zip(tapes, draws):
+            outcomes = [_pick(np.full(4, 0.25), draw) for draw in run]
+            amps.append(branches[tape][int("".join(map(str, outcomes)), 4)][1])
+        want = oracles.mix_reference(np.full(samples, 1 / samples), np.array(amps))
+        bound = samples * np.spacing(np.abs(want).max())
+        assert np.abs(ensemble.mixed.entries - want).max() <= bound
 
     @pytest.mark.parametrize("size, label, transcript_id", EXACT_TRANSCRIPT_IDS)
     def test_exact_transcript_id_pinned(self, size, label, transcript_id):
@@ -397,20 +421,24 @@ class TestPreparation:
             tracemalloc.stop()
         assert peak < table_bytes / 4
 
+    @pytest.mark.parametrize("size", [4, 6])
     @pytest.mark.parametrize("label", ALL_FAMILIES)
-    def test_every_branch_is_its_tapes_bell_product(self, label):
+    def test_every_branch_is_its_tapes_bell_product(self, size, label):
         # the dense simulation of every branch: each ends, up to a global phase, in
         # the Bell product bell_product_state gives its tape's tuple
-        tuples = bell_correlated_tuples(4, label)
-        rows = bell_product_state(tuples, default_pairing(4), 4)
-        branches = oracles.protocol_branches(4, [tuple(b.value for b in t) for t in tuples])
+        tuples = bell_correlated_tuples(size, label)
+        rows = bell_product_state(tuples, default_pairing(size), size)
+        branches = oracles.protocol_branches(size, [tuple(b.value for b in t) for t in tuples])
+        per_tape = 4 ** (size // 2)
         for b, (_, amps) in enumerate(branches):
-            assert abs(np.vdot(rows[b // 16], amps)) == pytest.approx(1.0, abs=1e-12)
+            assert abs(np.vdot(rows[b // per_tape], amps)) == pytest.approx(1.0, abs=1e-12)
 
-    def test_doctored_correction_raises(self, monkeypatch):
-        # the psi+ outcome left unfixed: that branch differs from the other three
+    @pytest.mark.parametrize("outcome", [BellLabel.PHI_MINUS, BellLabel.PSI_PLUS,
+                                         BellLabel.PSI_MINUS])
+    def test_doctored_correction_raises(self, outcome, monkeypatch):
+        # one outcome left unfixed: that branch differs from the other three
         fixes = list(protocol._CORRECTIONS)
-        fixes[BellLabel.PSI_PLUS.index] = np.eye(2, dtype=complex)
+        fixes[outcome.index] = np.eye(2, dtype=complex)
         monkeypatch.setattr(protocol, "_CORRECTIONS", fixes)
         with pytest.raises(ProtocolError, match=r"teleport branches of pair \(1, 2\) differ"):
             prepare_bcabe(6, FamilyLabel.SIGMA_PLUS, mode="exact")
@@ -441,15 +469,16 @@ class TestPreparation:
         assert distance < 0.05
         assert locc_audit(transcript) == []
 
-    def test_nontrivial_pairing(self):
-        for two_n, pairing in ((4, ((1, 3), (2, 4))), (6, ((1, 4), (2, 6), (3, 5)))):
-            ensemble, transcript = prepare_bcabe(two_n, FamilyLabel.RHO_PLUS, mode="exact",
-                                                 pairing=pairing)
-            target = build_family(two_n, FamilyLabel.RHO_PLUS)
-            assert trace_distance(ensemble.mixed, target) < 1e-12
-            total, weights = ebit_accounting(transcript)
-            assert total == two_n // 2
-            assert set(weights.weights) == set(pairing)
+    @pytest.mark.parametrize("two_n, pairing", [(4, ((1, 3), (2, 4))),
+                                                (6, ((1, 4), (2, 6), (3, 5)))])
+    @pytest.mark.parametrize("label", ALL_FAMILIES)
+    def test_nontrivial_pairing(self, two_n, pairing, label):
+        ensemble, transcript = prepare_bcabe(two_n, label, mode="exact", pairing=pairing)
+        assert trace_distance(ensemble.mixed, build_family(two_n, label)) < 1e-12
+        assert locc_audit(transcript) == []
+        total, weights = ebit_accounting(transcript)
+        assert total == two_n // 2
+        assert set(weights.weights) == set(pairing)
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
