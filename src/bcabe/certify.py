@@ -26,8 +26,9 @@ def cost_certificate(two_n: int, label: FamilyLabel, mode: str = "exact",
                      seed: int = 0, samples: int = 10000):
     """Certify that preparing the family costs exactly N ebits.
 
-    Lower bound: every single-party cut is NPT, and one activation per pair of
-    the protocol's pairing distills an ebit across both its parties' cuts, so
+    Lower bound: every single-party cut is NPT, and activation across each
+    pair of the protocol's pairing (one activation_distill pass over them)
+    distills an ebit across both its parties' cuts, so
     each cut needs crossing weight 1; the covering LP, handed the scan's own
     cut list (the cuts proved NPT), has optimum N.  Achieved: on that pairing
     the protocol consumes N singlets (audited transcript).  The family state
@@ -44,9 +45,8 @@ def cost_certificate(two_n: int, label: FamilyLabel, mode: str = "exact",
             raise RuntimeError(
                 f"cut {report.cut.label()} is not NPT; its crossing weight 1 is unjustified")
     pairing = default_pairing(two_n)
-    for a, b in pairing:
-        together = [q for q in range(1, two_n + 1) if q not in (a, b)]
-        for f, outcome in activation_distill(rho, label, together, supports).items():
+    for (a, b), outcomes in activation_distill(rho, label, pairing, supports).items():
+        for f, outcome in outcomes.items():
             if abs(outcome.probability - 0.25) > STATE_ATOL or abs(outcome.fidelity - 1.0) > STATE_ATOL:
                 raise RuntimeError(
                     f"activation across pair ({a}, {b}) failed to distill a clean ebit: outcome "

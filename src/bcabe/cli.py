@@ -229,7 +229,11 @@ def cmd_certify(args) -> int:
     except (RuntimeError, ProtocolError) as exc:  # a failed step: cut, activation, LP, run, audit
         print(f"certify failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    distance = trace_distance(ensemble.mixed, certificate.target)
+    # an exact run's mixture is kept on its X, like the target: read there, the distance
+    # needs no eigensolve and has the same bits under any BLAS thread count
+    mixed, target = ensemble.mixed, certificate.target
+    distance = (x_trace_distance(mixed.x_parts, target.x_parts) if mixed.x_parts and target.x_parts
+                else trace_distance(mixed, target))
     state_tol = (STATE_ATOL if args.mode == "exact"
                  else args.tolerance or sampled_threshold(args.size, samples))
     checks = [

@@ -5,9 +5,9 @@ form keeps party 1 in side_a.  For each cut the partial transpose spectrum
 decides PPT vs NPT; analyze_cut reads the spectra of a whole cut list in
 one pass off the state's two diagonals (x_parts).  The family states are NPT
 across every 1:(2N-1) cut and PPT across every 2:(2N-2) cut; one
-activation_distill per protocol pair, which takes the four family supports
-as (diagonal, anti) pairs, leaves an ebit across both its parties'
-single-party cuts.  lp_lower_bound puts crossing weight 1 on each cut of
+activation_distill pass, which takes the four family supports as (diagonal,
+anti) pairs, leaves an ebit across each protocol pair, so across both its
+parties' single-party cuts.  lp_lower_bound puts crossing weight 1 on each cut of
 such a list; over the 2N single-party cuts its optimum N is the lower bound
 that `certify` matches with the protocol.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -88,7 +88,7 @@ class CutReport:
 
 @dataclass(frozen=True)
 class EdgeWeights:
-    """Nonnegative weights on unordered party pairs (i < j)."""
+    """Finite nonnegative weights on unordered party pairs (i < j)."""
 
     num_parties: int
     weights: dict[tuple[int, int], float]
@@ -97,6 +97,8 @@ class EdgeWeights:
         for (i, j), w in self.weights.items():
             if not (1 <= i < j <= self.num_parties):
                 raise ValueError(f"bad pair ({i}, {j}) for {self.num_parties} parties")
+            if not np.isfinite(w):
+                raise ValueError(f"non-finite weight {w} on pair ({i}, {j})")
             if w < 0:
                 raise ValueError(f"negative weight {w} on pair ({i}, {j})")
 
@@ -168,60 +170,66 @@ class ActivationOutcome:
 
 
 def activation_distill(rho: DensityMatrix, label: FamilyLabel,
-                       together: Union[QubitSubset, Iterable[int]],
+                       pairs: Iterable[Iterable[int]],
                        supports: Mapping[FamilyLabel, tuple[np.ndarray, np.ndarray]]
-                       ) -> dict[FamilyLabel, ActivationOutcome]:
-    """Measure the family supports on 2N-2 gathered qubits of rho; read out a Bell pair.
+                       ) -> dict[tuple[int, int], dict[FamilyLabel, ActivationOutcome]]:
+    """For each residual pair, measure the family supports on the other 2N-2 qubits of rho.
 
-    supports[f] is the (diagonal, anti) pair of the projector onto family f's
-    (2N-2)-qubit support (states.family_support_projector); the four sum to
-    identity.  When rho is the 2N-qubit family `label`, each outcome occurs
-    with probability 1/4 and leaves the two excluded qubits in a Bell state
-    fixed by the outcome; the tabulated single-qubit Pauli C on the
-    lower-indexed residual qubit turns it into phi+ exactly.
+    Returns {pair: {outcome family: ActivationOutcome}}, pairs in the order
+    given, each two increasing qubits.  supports[f] is the (diagonal, anti)
+    pair of the projector onto family f's (2N-2)-qubit support
+    (states.family_support_projector); the four sum to identity.  When rho
+    is the 2N-qubit family `label`, each outcome occurs with probability 1/4
+    and leaves the pair in a Bell state fixed by the outcome; the tabulated
+    single-qubit Pauli C on the pair's lower qubit turns it into phi+ exactly.
 
     rho must be an X-state built on x_parts (else ValueError), and each
     support two vectors of length 2**(2N-2) (else ValueError).  Then an
     outcome's residual Tr_T[(P x I) rho], T the gathered qubits, is X-shaped
     too: with s over T's bits and a over the pair's, diagonal
     sum_s P[s, s] rho[(s, a), (s, a)] and anti-diagonal
-    sum_s P[~s, s] rho[(s, a), (~s, ~a)], one matmul for the four supports.
-    Its trace is the outcome's probability, its fix an index flip and a sign,
-    its fidelity with phi+ (d[0] + d[3] + anti[0] + anti[3]) / 2.  One
-    tensor.x_validate call checks the four corrected outcomes' x_parts.
+    sum_s P[~s, s] rho[(s, a), (~s, ~a)], one matmul for every pair and the
+    four supports.  Its trace is the outcome's probability, its fix an index
+    flip and a sign, its fidelity with phi+ (d[0] + d[3] + anti[0] + anti[3]) / 2.
+    One tensor.x_validate call checks the 4 x len(pairs) corrected outcomes' x_parts.
     """
     two_n = rho.num_qubits
     if two_n < 4 or two_n % 2:
         raise ValueError(f"two_n must be even and >= 4, got {two_n}")
-    together = QubitSubset.of(together)
-    together.check_range(two_n)
-    if len(together) != two_n - 2:
-        raise ValueError(f"together must gather {two_n - 2} qubits, got {len(together)}")
+    pairs = [QubitSubset(tuple(pair)).indices for pair in pairs]  # 1-based and increasing
+    if any(len(pair) != 2 or pair[-1] > two_n for pair in pairs):
+        raise ValueError(f"each residual pair must be two qubits of 1..{two_n}, got {pairs}")
     k = two_n - 2
     shapes = [[np.shape(part) for part in supports[f]] for f in FamilyLabel]
     if any(shape != [(2 ** k,)] * 2 for shape in shapes):
         raise ValueError(f"each support must be two vectors of length {2 ** k}, "
                          f"got shapes {shapes}")
+    if not pairs:
+        return {}
 
-    # rho's two diagonals indexed (s, a): the gathered qubits first, then the residual pair
-    rest = [q for q in range(1, two_n + 1) if q not in together.indices]
-    parts = np.stack(x_parts_of(rho)).reshape((2,) * (two_n + 1)).transpose([0, *together, *rest])
-    rho_diagonal, rho_anti = parts.reshape(2, 2 ** k, 4)
+    # per pair, rho's two diagonals indexed (s, a): the gathered qubits first, then the pair
+    parts = np.stack(x_parts_of(rho)).reshape((2,) * (two_n + 1))
+    gathered = np.stack([parts.transpose(
+        [0, *(q for q in range(1, two_n + 1) if q not in pair), *pair]).reshape(2, 2 ** k, 4)
+        for pair in pairs])
     projectors = np.array([supports[f] for f in FamilyLabel], dtype=complex).transpose(1, 0, 2)
     # with u = ~s the anti-diagonal reads sum_u P[u, ~u] rho[(~u, a), (u, ~a)]
-    residuals = projectors @ np.stack([rho_diagonal, rho_anti[::-1]])  # (part, outcome, a)
-    probs = residuals[0].sum(axis=1).real
+    gathered[:, 1] = gathered[:, 1, ::-1]
+    residuals = projectors @ gathered  # (pair, part, outcome, a)
+    probs = residuals[:, 0].sum(axis=-1).real
     bells = {f: b for b, f in recursion_blocks(label)}  # the Bell label each outcome leaves
     # its fix kron(C, I), C on the pair's bit 2: the psi bit's X reads k ^ 2, the minus bit's Z
     # negates anti
     index = np.array([bells[f].index for f in FamilyLabel])[:, None]
-    fixed = (residuals / probs[:, None])[:, np.arange(4)[:, None], np.arange(4) ^ (index & 2)]
-    diagonal, anti = fixed[0], fixed[1] * (1 - 2 * (index & 1))
+    fixed = (residuals / probs[:, None, :, None])[..., np.arange(4)[:, None],
+                                                  np.arange(4) ^ (index & 2)]
+    diagonal, anti = fixed[:, 0], fixed[:, 1] * (1 - 2 * (index & 1))
     x_validate(diagonal, anti)
-    fidelities = (diagonal[:, 0] + diagonal[:, 3] + anti[:, 0] + anti[:, 3]).real / 2
-    return {f: ActivationOutcome(float(probs[i]), BELL_CORRECTIONS[bells[f]], float(fidelities[i]),
-                                 (diagonal[i], anti[i]))
-            for i, f in enumerate(FamilyLabel)}
+    fidelities = (diagonal[..., 0] + diagonal[..., 3] + anti[..., 0] + anti[..., 3]).real / 2
+    return {pair: {f: ActivationOutcome(float(probs[p, i]), BELL_CORRECTIONS[bells[f]],
+                                        float(fidelities[p, i]), (diagonal[p, i], anti[p, i]))
+                   for i, f in enumerate(FamilyLabel)}
+            for p, pair in enumerate(pairs)}
 
 
 # --- covering LP ----------------------------------------------------------------

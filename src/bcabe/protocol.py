@@ -31,8 +31,9 @@ mode keeps outcome 00 at every step, sampled mode the first run's pick.  Every
 step's four corrected branches agree, so every branch of a tape ends in that
 tape's Bell product; the run checks both facts and raises ProtocolError if
 either fails.  The mixture is then the tapes' Bell products, each weighted by
-its tape's share of the tapes (exact) or of the runs (sampled), formed in one
-matrix product.
+its tape's share of the tapes (exact) or of the runs (sampled), summed in
+integers over the products' 0/+-1 sign rows, so exactly in any order.  An exact
+run's mixture, the family, is kept on its X; a sampled one is dense as a rule.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .cuts import EdgeWeights
 from .states import (
     BELL_CORRECTIONS,
     BELL_ORDER,
-    CORRECTION_MATRICES,
     BellLabel,
     FamilyLabel,
     _check_pairing,
@@ -60,10 +60,10 @@ from .tensor import STATE_ATOL, ZERO_PROB_ATOL, DensityMatrix
 
 PROTOCOL_SIZES = (4, 6, 8)
 
-# per outcome in BELL_ORDER: the ket, the bra as a (2, 2) tensor, the receiver's Pauli fix
-_BELL_KETS = ghz_basis(2)
-_BELL_BRAS = _BELL_KETS.conj().reshape(4, 2, 2)
-_CORRECTIONS = [CORRECTION_MATRICES[BELL_CORRECTIONS[b]] for b in BELL_ORDER]
+# per outcome in BELL_ORDER: the bra as a (2, 2) tensor, and the receiver's BELL_CORRECTIONS
+# fix as (X, Z) from the index bits: X flips the receiver's bit, Z negates its 1-half
+_BELL_BRAS = ghz_basis(2).conj().reshape(4, 2, 2)
+_FIXES = [(b.index >> 1, b.index & 1) for b in BELL_ORDER]
 
 
 class ProtocolError(Exception):
@@ -191,11 +191,14 @@ class NetworkState:
     initial_ownership: dict[int, int] = field(default_factory=dict)
     next_qubit_id: int = 1
 
-    def clone(self) -> "NetworkState":
-        """A copy that shares only immutable fields and initial_ownership."""
-        return replace(self, amplitudes=self.amplitudes.copy(),
-                       qubit_order=list(self.qubit_order), ownership=dict(self.ownership),
-                       consumed=set(self.consumed), events=list(self.events))
+    def clone(self, amplitudes: np.ndarray, events: list[dict]) -> "NetworkState":
+        """A copy holding amplitudes, which the caller hands over, with events appended.
+
+        It shares only immutable fields and initial_ownership with self.
+        """
+        return replace(self, amplitudes=amplitudes, qubit_order=list(self.qubit_order),
+                       ownership=dict(self.ownership), consumed=set(self.consumed),
+                       events=self.events + events)
 
     def owner_of(self, qubit: int) -> int:
         try:
@@ -230,7 +233,7 @@ def init_network(two_n: int, pairing: tuple[tuple[int, int], ...] | None = None)
     singlets = []
     qid = 1
     for a, b in pairing:
-        amps = np.kron(amps, phi)
+        amps = np.outer(amps, phi).reshape(-1)
         ownership[qid] = a
         ownership[qid + 1] = b
         singlets.append((a, b, qid, qid + 1))
@@ -257,7 +260,7 @@ def bell_generate(net: NetworkState, party: int, label: BellLabel) -> NetworkSta
     net.ownership.update(dict.fromkeys(qubits, party))
     net.events.append({"kind": "bell-generated", "party": party, "qubits": qubits,
                        "label": label.value})
-    net.amplitudes = np.kron(net.amplitudes, bell_state(label).amplitudes)
+    net.amplitudes = np.outer(net.amplitudes, bell_state(label).amplitudes).reshape(-1)
     return net
 
 
@@ -266,17 +269,20 @@ def _bell_measure(amps: np.ndarray, slot_q: int, slot_h: int, slot_r: int
     """Bell-measure slots slot_q, slot_h of the state amps: (probability, state) per outcome.
 
     Outcomes in BELL_ORDER; each state is normalized and corrected on slot_r
-    (counted without the measured slots).
+    (counted without the measured slots) by _FIXES; each is an array of its own.
     """
     t, out = amps.reshape((2,) * (amps.size.bit_length() - 1)), []
-    for m, bra in enumerate(_BELL_BRAS):
+    ahead = (slice(None),) * slot_r  # the axes before the receiver's
+    reverse, one = ahead + (slice(None, None, -1),), ahead + (1,)
+    for bra, (flip, negate) in zip(_BELL_BRAS, _FIXES):
         reduced = np.tensordot(bra, t, axes=([0, 1], [slot_q, slot_h]))
         prob = float(np.vdot(reduced, reduced).real)
-        reduced = reduced / np.sqrt(prob)
-        if m:
-            reduced = np.moveaxis(np.tensordot(_CORRECTIONS[m], reduced, axes=([1], [slot_r])),
-                                  0, slot_r)
-        out.append((prob, reduced.reshape(-1)))
+        fixed = reduced / np.sqrt(prob)
+        if flip:
+            fixed = fixed[reverse]  # a view of the fresh array
+        if negate:
+            fixed[one] = -fixed[one]
+        out.append((prob, fixed.reshape(-1)))
     return out
 
 
@@ -299,10 +305,11 @@ def teleport(net: NetworkState, sender: int, receiver: int, qubit: int
         raise ProtocolError(f"no available singlet between parties {sender} and {receiver}")
     party_a, party_b, qubit_a, qubit_b = net.singlets[idx]
     send_half, recv_half = (qubit_a, qubit_b) if party_a == sender else (qubit_b, qubit_a)
-    spent = net.clone()
-    spent.qubit_order = [q for q in net.qubit_order if q not in (qubit, send_half)]
-    del spent.ownership[qubit], spent.ownership[send_half]
-    spent.consumed.add(idx)
+    gone = (qubit, send_half)
+    # what every branch copies: the measured qubits retired and the singlet spent
+    spent = replace(net, qubit_order=[q for q in net.qubit_order if q not in gone],
+                    ownership={q: p for q, p in net.ownership.items() if q not in gone},
+                    consumed=net.consumed | {idx})
     outcomes = _bell_measure(net.amplitudes, net.qubit_order.index(qubit),
                              net.qubit_order.index(send_half), spent.qubit_order.index(recv_half))
     branches = []
@@ -316,9 +323,8 @@ def teleport(net: NetworkState, sender: int, receiver: int, qubit: int
                   {"kind": "classical-message", "from": sender, "to": receiver, "bits": outcome},
                   {"kind": "local-unitary", "party": receiver, "qubits": [recv_half],
                    "name": BELL_CORRECTIONS[BELL_ORDER[m]]}]
-        # each branch is cloned, so no two share a list or an array
-        branches.append((prob, replace(spent, amplitudes=state,
-                                       events=spent.events + events).clone()))
+        # one copy per branch, holding its own state, so no two share a list or an array
+        branches.append((prob, spent.clone(state, events)))
     return branches
 
 
@@ -362,7 +368,10 @@ def prepare_bcabe(two_n: int, label: FamilyLabel, mode: str = "exact",
     STATE_ATOL and the run must end in its tape's Bell product, else
     ProtocolError.  So every branch of a tape ends in that product, and the
     mixture is sum_t w_t |v_t><v_t| over the tapes' Bell products v_t on the
-    pairing.  singlets_used counts the singlets the run consumed.
+    pairing, w_t = c_t / sum(c) for tape counts c: with v_t = s_t 2**(-N/2), s_t
+    a 0/+-1 row, the integer sum_t c_t s_t s_t^T divided by sum(c) 2**N, built on
+    its two diagonals when it is zero off the X, else from its matrix.
+    singlets_used counts the singlets the run consumed.
     """
     net = init_network(two_n, pairing)  # checks the size and the pairing
     nbits = two_n - 2
@@ -391,8 +400,14 @@ def prepare_bcabe(two_n: int, label: FamilyLabel, mode: str = "exact",
     overlap = abs(np.vdot(rows[int(tapes[0])], _final_state(net)))
     if abs(overlap - 1.0) > STATE_ATOL:
         raise ProtocolError(f"the run ends at overlap {overlap} with tape {net.tape}'s product")
-    weights = np.bincount(tapes, minlength=len(tuples)) / len(tapes)
-    mixed = DensityMatrix(two_n, (rows.T * weights) @ rows.conj())
+    counts, signs = np.bincount(tapes, minlength=len(tuples)), np.sign(rows.real)
+    total = (signs.T * counts) @ signs
+    k, scale = np.arange(len(total)), counts.sum() * 2.0 ** (two_n // 2)
+    diagonal, anti = total[k, k], total[k, k[::-1]]
+    if np.count_nonzero(total) == np.count_nonzero(diagonal) + np.count_nonzero(anti):
+        mixed = DensityMatrix(two_n, x_parts=(diagonal / scale, anti / scale))
+    else:
+        mixed = DensityMatrix(two_n, total / scale)
     return EnsembleResult(mixed, len(net.consumed)), net.build_transcript()
 
 

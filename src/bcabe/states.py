@@ -46,7 +46,6 @@ from .tensor import (
     STATE_ATOL,
     DensityMatrix,
     PureState,
-    PAULIS,
     trace_distance,
     x_parts_of,
     x_trace_distance,
@@ -90,13 +89,6 @@ BELL_ORDER = tuple(BellLabel)
 # Bell state onto phi+: X for the psi bit, Z for the minus bit; ZX means apply
 # X then Z and equals Y up to phase
 BELL_CORRECTIONS = {b: "Z" * (b.index & 1) + "X" * (b.index >> 1) or "I" for b in BELL_ORDER}
-
-CORRECTION_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "Z": PAULIS["Z"],
-    "X": PAULIS["X"],
-    "ZX": PAULIS["Z"] @ PAULIS["X"],
-}
 
 
 class NotBellCorrelated(Exception):

@@ -293,6 +293,10 @@ PAULI_FIX = {
     "psi-": np.array([[0, 1], [-1, 0]], dtype=complex),
 }
 
+# the same fixes under the names bcabe.states.BELL_CORRECTIONS gives them
+CORRECTION_MATRICES = {"I": np.eye(2, dtype=complex), "Z": PAULI_FIX["phi-"],
+                       "X": PAULI_FIX["psi+"], "ZX": PAULI_FIX["psi-"]}
+
 
 def bell_measure_reference(vec: np.ndarray, order: list[int], sent: int, half: int,
                            target: int) -> list[tuple[float, np.ndarray]]:

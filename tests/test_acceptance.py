@@ -115,11 +115,11 @@ def test_5_activation():
         cases = [(4, residual) for residual in itertools.combinations(range(1, 5), 2)]
         cases.append((6, (1, 2)))
         for two_n, residual in cases:
-            together = [q for q in range(1, two_n + 1) if q not in residual]
             supports = {f: family_support_projector(two_n - 2, f) for f in FamilyLabel}
             for label in ALL_FAMILIES:
                 rho = build_family(two_n, label)
-                for outcome in activation_distill(rho, label, together, supports).values():
+                outcomes = activation_distill(rho, label, [residual], supports)[residual]
+                for outcome in outcomes.values():
                     worst_prob = max(worst_prob, abs(outcome.probability - 0.25))
                     worst_fidelity = max(worst_fidelity, abs(outcome.fidelity - 1.0))
         note["detail"] = (f"probability error {worst_prob:.2e}, "

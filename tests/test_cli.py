@@ -7,7 +7,10 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from bcabe.tensor import DensityMatrix
 
 from oracles import read_state_file, x_density
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 def _load(path):
     with open(path) as fh:
@@ -226,6 +230,60 @@ class TestCutsCommand:
 
 
 class TestCertifyCommand:
+    @pytest.mark.parametrize("size", [4, 6, 8])
+    @pytest.mark.parametrize("family", ["rho+", "rho-", "sigma+", "sigma-"])
+    def test_exact_makes_no_dense_call(self, size, family, tmp_path, monkeypatch):
+        # the exact mixture is the family, kept on its X like the target: its validation
+        # and the distance read the two diagonals, with no dense distance and no eigensolve
+        calls = _count_calls(monkeypatch, ["trace_distance"])
+        eigensolves = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: eigensolves.append(m) or eigvalsh(m))
+        out = tmp_path / "cert.json"
+        assert main(["certify", "--size", str(size), "--family", family, "--out", str(out)]) == 0
+        assert calls == {"trace_distance": 0}
+        assert eigensolves == []
+
+    def test_exact_payload_independent_of_blas_threads(self, tmp_path):
+        # the exact mixture is summed in integers and its distance read on the X, so no
+        # payload bit depends on the BLAS summation order or thread count
+        texts = []
+        for threads in ("1", "2"):
+            run = tmp_path / f"threads{threads}"
+            run.mkdir()
+            env = os.environ | {"OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+                [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+            subprocess.run([sys.executable, "-m", "bcabe.cli", "certify", "--size", "8",
+                            "--family", "rho+", "--out", "cert8.json"],
+                           cwd=run, env=env, check=True, capture_output=True)
+            texts.append((_payload(_load(run / "cert8.json")),
+                          (run / "cert8.json.transcript").read_bytes()))
+        assert texts[0] == texts[1]
+
+    def test_dropped_tape_weight_fails_the_distance_check(self, tmp_path, monkeypatch, capsys):
+        # negative control for the X path: an exact run that loses one tape's weight mixes
+        # the other K - 1 tapes, whose products leave nonzero integers off the X, so the
+        # mixture comes out dense and the distance check fails, by 1/K
+        genuine = np.bincount
+
+        def bincount(x, minlength=0):
+            counts = genuine(x, minlength=minlength)
+            counts[-1] = 0
+            return counts
+
+        monkeypatch.setattr(np, "bincount", bincount)
+        ensemble, _ = protocol.prepare_bcabe(4, FamilyLabel.RHO_PLUS)
+        assert ensemble.mixed.x_parts is None
+        off_x, k = ensemble.mixed.entries.copy(), np.arange(16)
+        off_x[k, k] = off_x[k, k[::-1]] = 0
+        assert np.count_nonzero(off_x) > 0
+        out = tmp_path / "cert.json"
+        assert main(["certify", "--size", "4", "--family", "rho+", "--out", str(out)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        check = _load(out)["checks"][1]
+        assert (check["check"], check["passed"]) == ("prepared-state-distance", False)
+        assert check["measured"] == pytest.approx(0.25, abs=1e-12)
+
     def test_exact_four(self, tmp_path):
         out = tmp_path / "cert.json"
         assert main(["certify", "--size", "4", "--family", "rho+",
@@ -344,7 +402,8 @@ class TestCertifyCommand:
         genuine = certify.activation_distill
 
         def skewed(*args):
-            return {f: dataclasses.replace(o, probability=0.3) for f, o in genuine(*args).items()}
+            return {pair: {f: dataclasses.replace(o, probability=0.3) for f, o in outcomes.items()}
+                    for pair, outcomes in genuine(*args).items()}
 
         monkeypatch.setattr(certify, "activation_distill", skewed)
         out = tmp_path / "cert.json"
@@ -356,10 +415,11 @@ class TestCertifyCommand:
 
 
     def test_failed_protocol_run_exits_one_without_traceback(self, tmp_path, monkeypatch, capsys):
-        # a doctored fix fails the protocol run's own check on its teleport branches
-        fixes = list(protocol._CORRECTIONS)
-        fixes[1] = np.eye(2, dtype=complex)
-        monkeypatch.setattr(protocol, "_CORRECTIONS", fixes)
+        # a doctored fix (phi-'s sign left out) fails the protocol run's own check on its
+        # teleport branches
+        fixes = list(protocol._FIXES)
+        fixes[1] = (0, 0)
+        monkeypatch.setattr(protocol, "_FIXES", fixes)
         out = tmp_path / "cert.json"
         assert main(["certify", "--size", "4", "--family", "rho+", "--out", str(out)]) == 1
         err = capsys.readouterr().err

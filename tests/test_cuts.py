@@ -20,7 +20,7 @@ from bcabe.cuts import (
 )
 from bcabe import certify
 from bcabe.certify import cost_certificate
-from bcabe.states import (CORRECTION_MATRICES, BellLabel, FamilyLabel, bell_state, build_family,
+from bcabe.states import (BellLabel, FamilyLabel, bell_state, build_family,
                           family_support_projector, recursion_blocks)
 from bcabe.tensor import (
     DensityMatrix,
@@ -33,6 +33,7 @@ from bcabe.tensor import (
 )
 
 import oracles
+from oracles import CORRECTION_MATRICES
 
 ALL_FAMILIES = list(FamilyLabel)
 
@@ -66,9 +67,10 @@ def _supports(k: int) -> dict[FamilyLabel, tuple[np.ndarray, np.ndarray]]:
     return {f: family_support_projector(k, f) for f in FamilyLabel}
 
 
-def _distill(two_n: int, label: FamilyLabel, together):
-    """activation_distill on the family itself, with its supports built here."""
-    return activation_distill(build_family(two_n, label), label, together, _supports(two_n - 2))
+def _distill(two_n: int, label: FamilyLabel, pair):
+    """activation_distill across one residual pair of the family itself, supports built here."""
+    state = build_family(two_n, label)
+    return activation_distill(state, label, [pair], _supports(two_n - 2))[tuple(pair)]
 
 
 class TestCutEnumeration:
@@ -260,8 +262,8 @@ class TestCutSpectra:
 
 
 def _corrections(two_n: int, label: FamilyLabel) -> dict[FamilyLabel, str]:
-    """Each outcome's correction, as activation_distill names it with qubits 3..2N gathered."""
-    return {f: o.correction for f, o in _distill(two_n, label, range(3, two_n + 1)).items()}
+    """Each outcome's correction, as activation_distill names it across the pair (1, 2)."""
+    return {f: o.correction for f, o in _distill(two_n, label, (1, 2)).items()}
 
 
 class TestActivation:
@@ -283,8 +285,7 @@ class TestActivation:
     def test_four_qubit_residual_pair_roulette(self, label):
         # any residual pair works; gather the other two and distill across it
         for residual in itertools.combinations(range(1, 5), 2):
-            together = [q for q in range(1, 5) if q not in residual]
-            outcomes = _distill(4, label, together)
+            outcomes = _distill(4, label, residual)
             assert set(outcomes) == set(FamilyLabel)
             total = sum(o.probability for o in outcomes.values())
             assert total == pytest.approx(1.0, abs=1e-12)
@@ -293,7 +294,7 @@ class TestActivation:
                 assert outcome.fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_six_qubit_residual_first_pair(self):
-        outcomes = _distill(6, FamilyLabel.RHO_PLUS, [3, 4, 5, 6])
+        outcomes = _distill(6, FamilyLabel.RHO_PLUS, (1, 2))
         for outcome in outcomes.values():
             assert outcome.probability == pytest.approx(0.25, abs=1e-12)
             assert outcome.fidelity == pytest.approx(1.0, abs=1e-12)
@@ -306,7 +307,7 @@ class TestActivation:
     def test_matches_dense_reference(self, label, two_n, residual):
         together = [q for q in range(1, two_n + 1) if q not in residual]
         rho = build_family(two_n, label).entries
-        for outcome, got in _distill(two_n, label, together).items():
+        for outcome, got in _distill(two_n, label, residual).items():
             support = x_matrix(*family_support_projector(two_n - 2, outcome))
             prob, corrected, fidelity = oracles.activation_reference(
                 rho, support, together, two_n, CORRECTION_MATRICES[got.correction])
@@ -319,15 +320,20 @@ class TestActivation:
     def test_gathers_the_named_qubits(self, label, two_n):
         # the families are permutation invariant, so on them a gather of the wrong
         # qubits goes unseen; a fixed random admixture, X-shaped as activation requires,
-        # makes every gather set differ, and its complex anti-diagonal and unequal
-        # diagonal[k], diagonal[~k] (a GHZ-diagonal one has neither) the residual pair's order
+        # makes every residual pair differ, and its complex anti-diagonal and unequal
+        # diagonal[k], diagonal[~k] (a GHZ-diagonal one has neither) the pair's order.
+        # Every pair goes through one call, so a pair reading another's residual shows too
         noise = oracles.random_x_state(two_n, np.random.default_rng(two_n))
         rho = 0.9 * build_family(two_n, label).entries + 0.1 * noise
         state, supports = oracles.x_density(rho), _supports(two_n - 2)
-        for together in itertools.combinations(range(1, two_n + 1), two_n - 2):
-            for outcome, got in activation_distill(state, label, together, supports).items():
+        pairs = list(itertools.combinations(range(1, two_n + 1), 2))
+        results = activation_distill(state, label, pairs, supports)
+        assert list(results) == pairs
+        for pair, outcomes in results.items():
+            together = [q for q in range(1, two_n + 1) if q not in pair]
+            for outcome, got in outcomes.items():
                 prob, corrected, fidelity = oracles.activation_reference(
-                    rho, x_matrix(*supports[outcome]), list(together), two_n,
+                    rho, x_matrix(*supports[outcome]), together, two_n,
                     CORRECTION_MATRICES[got.correction])
                 assert abs(got.probability - prob) <= 1e-14
                 assert np.abs(x_matrix(*got.x_parts) - corrected).max() <= 1e-14
@@ -351,8 +357,8 @@ class TestActivation:
         noise = oracles.random_x_state(two_n, np.random.default_rng(10 + two_n))
         rho = 0.9 * build_family(two_n, label).entries + 0.1 * noise
         together = list(range(3, two_n + 1))
-        for outcome, got in activation_distill(oracles.x_density(rho), label, together,
-                                               supports).items():
+        for outcome, got in activation_distill(oracles.x_density(rho), label, [(1, 2)],
+                                               supports)[1, 2].items():
             prob, corrected, fidelity = oracles.activation_reference(
                 rho, dense[outcome], together, two_n, CORRECTION_MATRICES[got.correction])
             assert abs(got.probability - prob) <= 1e-14
@@ -364,7 +370,7 @@ class TestActivation:
         noise = oracles.random_density(16, np.random.default_rng(4))
         rho = DensityMatrix(4, 0.9 * build_family(4, FamilyLabel.RHO_PLUS).entries + 0.1 * noise)
         with pytest.raises(ValueError, match="not an X-state"):
-            activation_distill(rho, FamilyLabel.RHO_PLUS, [3, 4], _supports(2))
+            activation_distill(rho, FamilyLabel.RHO_PLUS, [(1, 2)], _supports(2))
 
     @pytest.mark.parametrize("support", [
         x_matrix(*family_support_projector(2, FamilyLabel.SIGMA_MINUS)),  # a dense matrix
@@ -376,7 +382,7 @@ class TestActivation:
         supports = _supports(2) | {FamilyLabel.SIGMA_MINUS: support}
         with pytest.raises(ValueError, match="two vectors of length 4"):
             activation_distill(build_family(4, FamilyLabel.RHO_PLUS), FamilyLabel.RHO_PLUS,
-                               [3, 4], supports)
+                               [(1, 2)], supports)
 
     def test_corrections_derived_independently(self):
         # search over single-qubit Paulis for the unique fix of each raw residual
@@ -384,7 +390,7 @@ class TestActivation:
         x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         candidates = {"I": np.eye(2, dtype=complex), "Z": z, "X": x, "ZX": z @ x}
         phi_plus = bell_state(BellLabel.PHI_PLUS)
-        outcomes = _distill(4, FamilyLabel.RHO_MINUS, [3, 4])
+        outcomes = _distill(4, FamilyLabel.RHO_MINUS, (1, 2))
         for outcome in outcomes.values():
             raw = apply_unitary_on_subset(DensityMatrix(2, x_parts=outcome.x_parts),
                                           candidates[outcome.correction].conj().T, [1])
@@ -398,28 +404,35 @@ class TestActivation:
         zero = {f: (np.zeros(4), np.zeros(4)) for f in FamilyLabel}
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
             activation_distill(build_family(4, FamilyLabel.RHO_PLUS), FamilyLabel.RHO_PLUS,
-                               [3, 4], zero)
+                               [(1, 2)], zero)
 
     def test_outcomes_compare_without_raising(self):
-        first = _distill(4, FamilyLabel.RHO_PLUS, [1, 2])
-        again = _distill(4, FamilyLabel.RHO_PLUS, [1, 2])
+        first = _distill(4, FamilyLabel.RHO_PLUS, (3, 4))
+        again = _distill(4, FamilyLabel.RHO_PLUS, (3, 4))
         outcome = first[FamilyLabel.RHO_PLUS]
         assert outcome == outcome
         # outcomes, like the states they hold, compare by identity
         assert (outcome == again[FamilyLabel.RHO_PLUS]) is False
         assert len(set(first.values())) == 4
 
+    def test_no_pairs(self):
+        rho = build_family(4, FamilyLabel.RHO_PLUS)
+        assert activation_distill(rho, FamilyLabel.RHO_PLUS, [], _supports(2)) == {}
+
     def test_bad_gather_sets(self):
-        with pytest.raises(ValueError):
-            _distill(4, FamilyLabel.RHO_PLUS, [3])        # too few
-        with pytest.raises(ValueError):
-            _distill(4, FamilyLabel.RHO_PLUS, [2, 3, 4])  # too many
+        for pair in [(3,), (2, 3, 4), (1, 5)]:  # too few, too many, out of range
+            with pytest.raises(ValueError, match=r"two qubits of 1\.\.4"):
+                _distill(4, FamilyLabel.RHO_PLUS, pair)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            _distill(4, FamilyLabel.RHO_PLUS, (2, 1))
+        with pytest.raises(ValueError, match="1-based"):
+            _distill(4, FamilyLabel.RHO_PLUS, (0, 1))
         odd = DensityMatrix(3, np.eye(8) / 8)
         with pytest.raises(ValueError):
-            activation_distill(odd, FamilyLabel.RHO_PLUS, [3], _supports(2))  # odd size
+            activation_distill(odd, FamilyLabel.RHO_PLUS, [(1, 2)], _supports(2))  # odd size
         with pytest.raises(ValueError):  # supports on 4 qubits, not the 2 gathered
             activation_distill(build_family(4, FamilyLabel.RHO_PLUS), FamilyLabel.RHO_PLUS,
-                               [3, 4], _supports(4))
+                               [(1, 2)], _supports(4))
 
 
 class TestEdgeWeights:
@@ -430,6 +443,12 @@ class TestEdgeWeights:
             EdgeWeights(4, {(1, 5): 1.0})   # out of range
         with pytest.raises(ValueError):
             EdgeWeights(4, {(1, 2): -0.5})  # negative
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight_rejected(self, weight):
+        # a NaN passes every comparison test and would make total() NaN
+        with pytest.raises(ValueError, match=r"non-finite weight .* on pair \(2, 3\)"):
+            EdgeWeights(4, {(1, 2): 1.0, (2, 3): weight})
 
     def test_crossing_sum(self):
         ew = EdgeWeights(4, {(1, 2): 1.0, (3, 4): 1.0})
@@ -497,20 +516,20 @@ class TestCostCertificate:
 
     def test_one_activation_per_protocol_pair(self, monkeypatch):
         # each pair's activation leaves a Bell pair across both of its parties'
-        # single-party cuts, so the N pairs the protocol spends cover all 2N cuts
-        gathers = []
+        # single-party cuts, so the N pairs the protocol spends cover all 2N cuts;
+        # one call distills across all of them
+        calls = []
         genuine = certify.activation_distill
 
-        def spy(rho, label, together, supports):
-            gathers.append(tuple(together))
-            return genuine(rho, label, together, supports)
+        def spy(rho, label, pairs, supports):
+            calls.append(list(pairs))
+            return genuine(rho, label, pairs, supports)
 
         monkeypatch.setattr(certify, "activation_distill", spy)
         _, _, transcript = cost_certificate(6, FamilyLabel.RHO_PLUS)
-        assert gathers == [(3, 4, 5, 6), (1, 2, 5, 6), (1, 2, 3, 4)]
-        residuals = [tuple(q for q in range(1, 7) if q not in g) for g in gathers]
-        assert all(pair in transcript.pairing for pair in residuals)
-        assert sorted(q for pair in residuals for q in pair) == list(range(1, 7))
+        assert calls == [[(1, 2), (3, 4), (5, 6)]]
+        assert tuple(calls[0]) == transcript.pairing
+        assert sorted(q for pair in calls[0] for q in pair) == list(range(1, 7))
 
     def test_sampled_mode_still_counts_singlets(self):
         certificate, _, _ = cost_certificate(4, FamilyLabel.RHO_MINUS, mode="sampled",

@@ -29,6 +29,7 @@ from bcabe.states import (
     BellLabel,
     FamilyLabel,
     bell_product_state,
+    _class_members,
     bell_tuple_decomposition,
     build_family,
 )
@@ -51,21 +52,22 @@ EXACT_TRANSCRIPT_IDS = [
     (6, FamilyLabel.SIGMA_MINUS, "370580cf4ee63994"),
 ]
 
-# the tapes' Bell products mixed in one matrix product; the per-branch engines before it
-# gave other last bits, within 4e-16 in trace distance
+# the tapes' sign rows mixed in integers and divided once: each exact mixture is its
+# family's ideal dyadic X, 2^-(2N-1) on the class members, whatever the BLAS; the float
+# mix of the Bell products before it left rounding residues off the X
 EXACT_MIXTURE_SHA256 = [
-    (4, FamilyLabel.RHO_PLUS, "bfd295434f295f8ddb4a311d5ca4ae838a8f515fe3c31e84f5ea65c0f10b0963"),
-    (4, FamilyLabel.RHO_MINUS, "bcb3d89d23b7f4510bc9f69ddaec2eed7dad2404c563158ba51637062085be24"),
-    (4, FamilyLabel.SIGMA_PLUS, "05ef98574ef3a4ec7a6434394da85b195ed763244823d4531de3cdc6b833cb20"),
-    (4, FamilyLabel.SIGMA_MINUS, "21fb8d444928af9aa7ea28da01c2d518df538952af7827f98fa014965aa80880"),
-    (6, FamilyLabel.RHO_PLUS, "f642c643aab3c731137dc5a8decb20d65059a42e2384f41c2298f8887ee8fb65"),
-    (6, FamilyLabel.RHO_MINUS, "7aa7d5e223f0045d7c0a838ebcba11dcded7ac3a2f0ea1c64f38e91b761d4def"),
-    (6, FamilyLabel.SIGMA_PLUS, "11b3f9c25ccda152446ac349b66d22c5cae1bd2454f4a04df82406d25e2bf05c"),
-    (6, FamilyLabel.SIGMA_MINUS, "d76aee057203e3329ccc0ff99b6d86e3702350a949a10362bfd81b0265988748"),
-    (8, FamilyLabel.RHO_PLUS, "970643378de9c28e9d27f84c24e063f3422c85d865411d8b5410146e2a54813d"),
-    (8, FamilyLabel.RHO_MINUS, "93ec7068d582140c0f9409c476e5faa1f7c19f22c91a62f90e47096bf8c342f8"),
-    (8, FamilyLabel.SIGMA_PLUS, "b85e326004e94562e2e8b435f1d8ccdd5783eee6145064b44a98a446db437edd"),
-    (8, FamilyLabel.SIGMA_MINUS, "94d2f835e65221f50cbfe05bfc7b005ccfc403dd8d8b881160bd51da6a215137"),
+    (4, FamilyLabel.RHO_PLUS, "73ba2a7cb54b83750a89a82ff16cd6c6af53fd78fe6306a6bf2ba55b6e2d05da"),
+    (4, FamilyLabel.RHO_MINUS, "f2167c2a5f1303677369ced28c5f54f7e547fcb0dd896dbaf82a016687df9634"),
+    (4, FamilyLabel.SIGMA_PLUS, "ccab86d70ff917b2ee54341a5b32445cb4a5abf8997fa391d27ebf2daf6d7a42"),
+    (4, FamilyLabel.SIGMA_MINUS, "6db0604c4f5dcb3d034508e8d75ba0f091ad09d9ef6e517641dd7e5a139d35c0"),
+    (6, FamilyLabel.RHO_PLUS, "d1d8654e0bba312d969c58009d6a731cba9f366be1120992fd12ead2dab34eec"),
+    (6, FamilyLabel.RHO_MINUS, "c8158a31b08d4aef38db5eb2fde000590ff80d569dce29431e369d8e16bac8c1"),
+    (6, FamilyLabel.SIGMA_PLUS, "ff41bc3c1f8a8f69f4b097106a62f8b9a6882be8c01ae95cc59cd6fb95e55461"),
+    (6, FamilyLabel.SIGMA_MINUS, "8551a761d7ca506854cd03858986965f12669665006aab21c09fecf1d2581535"),
+    (8, FamilyLabel.RHO_PLUS, "77e106410ac7191101dd79d326423ddeed945e24101fa246140746db35cb4b68"),
+    (8, FamilyLabel.RHO_MINUS, "caf2e571c4de5fdc3f403bdd24989f5691a67e8d183668778640134975f9fdbb"),
+    (8, FamilyLabel.SIGMA_PLUS, "02b742815af0a11e26b00670bdcc9da53f15151cc4da1f5d917a190abd3dcee1"),
+    (8, FamilyLabel.SIGMA_MINUS, "5ba7767684ce751880f3a173fa127299ffbd3b6d44c1018e069298aed846398a"),
 ]
 
 
@@ -350,7 +352,7 @@ class TestPreparation:
 
     @pytest.mark.parametrize("size, label, seed, transcript_id, distance", [
         (4, FamilyLabel.RHO_PLUS, 7, "dcfec776e530cbfa", 0.02700000000000001),
-        (6, FamilyLabel.SIGMA_MINUS, 3, "c9327b616e2e8cf3", 0.02850000000000006),
+        (6, FamilyLabel.SIGMA_MINUS, 3, "c9327b616e2e8cf3", 0.028499999999999973),
     ])
     def test_sampled_payload_pinned(self, size, label, seed, transcript_id, distance):
         # the transcript ids were recorded from the per-sample engine, whose generator
@@ -359,6 +361,18 @@ class TestPreparation:
                                              seed=seed, samples=2000)
         assert transcript.transcript_id == transcript_id
         assert trace_distance(ensemble.mixed, build_family(size, label)) == distance
+
+    @pytest.mark.parametrize("size", [4, 6, 8])
+    @pytest.mark.parametrize("label", ALL_FAMILIES)
+    def test_exact_mixture_is_the_dyadic_x(self, size, label):
+        # an integer sum divided by a power of two is exact: the mixture is the family's
+        # ideal X, 2^-(2N-1) (times the sign on the anti-diagonal) on the class members and
+        # zero elsewhere, bit for bit, and is kept on its two diagonals
+        ensemble, _ = prepare_bcabe(size, label, mode="exact")
+        members, step = _class_members(size, label.parity_class), 2.0 ** -(size - 1)
+        diagonal, anti = ensemble.mixed.x_parts
+        assert diagonal.tobytes() == np.where(members, step, 0.0).astype(complex).tobytes()
+        assert anti.tobytes() == np.where(members, label.sign * step, 0.0).astype(complex).tobytes()
 
     @pytest.mark.parametrize("size, label, digest", EXACT_MIXTURE_SHA256)
     def test_exact_mixture_pinned(self, size, label, digest):
@@ -436,10 +450,10 @@ class TestPreparation:
     @pytest.mark.parametrize("outcome", [BellLabel.PHI_MINUS, BellLabel.PSI_PLUS,
                                          BellLabel.PSI_MINUS])
     def test_doctored_correction_raises(self, outcome, monkeypatch):
-        # one outcome left unfixed: that branch differs from the other three
-        fixes = list(protocol._CORRECTIONS)
-        fixes[outcome.index] = np.eye(2, dtype=complex)
-        monkeypatch.setattr(protocol, "_CORRECTIONS", fixes)
+        # one outcome left unfixed (no flip, no sign): that branch differs from the other three
+        fixes = list(protocol._FIXES)
+        fixes[outcome.index] = (0, 0)
+        monkeypatch.setattr(protocol, "_FIXES", fixes)
         with pytest.raises(ProtocolError, match=r"teleport branches of pair \(1, 2\) differ"):
             prepare_bcabe(6, FamilyLabel.SIGMA_PLUS, mode="exact")
 
