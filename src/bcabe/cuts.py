@@ -3,7 +3,9 @@
 A cut splits the 2N parties (one qubit each) into side_a / side_b; canonical
 form keeps party 1 in side_a.  For each cut the partial transpose spectrum
 decides PPT vs NPT; analyze_cut reads the spectra of a whole cut list in
-one pass off the state's two diagonals (x_parts).  The family states are NPT
+one pass off the state's two diagonals (x_parts), sorting only each 2x2
+block's lower eigenvalue; enumerate_cuts builds each layer of cuts once, on
+first use.  The family states are NPT
 across every 1:(2N-1) cut and PPT across every 2:(2N-2) cut; one
 activation_distill pass, which takes the four family supports as (diagonal,
 anti) pairs, leaves an ebit across each protocol pair, so across both its
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -27,8 +29,8 @@ from .tensor import (
     OPERATOR_ATOL,
     DensityMatrix,
     QubitSubset,
+    x_blocks,
     x_parts_of,
-    x_spectrum,
     x_validate,
 )
 
@@ -68,6 +70,11 @@ class Cut:
     def side_b(self) -> tuple[int, ...]:
         return tuple(q for q in range(1, self.num_parties + 1) if q not in self.side_a)
 
+    @cached_property
+    def mask(self) -> int:
+        """side_a's bits in a basis index: party q of n sets bit 1 << (n - q)."""
+        return sum(1 << (self.num_parties - q) for q in self.side_a)
+
     def crossing_pairs(self) -> list[tuple[int, int]]:
         """Unordered party pairs with one endpoint on each side."""
         a = set(self.side_a)
@@ -75,6 +82,10 @@ class Cut:
                 if (i in a) != (j in a)]
 
     def label(self) -> str:
+        return self._label
+
+    @cached_property
+    def _label(self) -> str:
         return "{" + ",".join(map(str, self.side_a)) + "}|{" + ",".join(map(str, self.side_b)) + "}"
 
 
@@ -113,20 +124,24 @@ def enumerate_cuts(num_parties: int, side_size: int | None = None) -> list[Cut]:
     """All canonical cuts, ordered by |side_a| then lexicographically.
 
     With side_size given, only the layers where either side has that many
-    parties.  Complements of equal-size sets come in reverse lexicographic
-    order, so side_b too comes from combinations; no side needs Cut's checks.
+    parties.  Each layer's frozen Cuts are built on first use and shared;
+    every call returns a new list.
     """
     if num_parties < 2:
         raise ValueError(f"need at least 2 parties, got {num_parties}")
     sizes = range(1, num_parties) if side_size is None else sorted(
         {side_size, num_parties - side_size} & set(range(1, num_parties)))
+    return [cut for size in sizes for cut in _cut_layer(num_parties, size)]
+
+
+@cache  # Cut is frozen, so every caller may share a layer
+def _cut_layer(num_parties: int, size: int) -> tuple[Cut, ...]:
+    # complements of equal-size sets come in reverse lexicographic order, so side_b too
+    # comes from combinations; no side needs Cut's checks
     rest = range(2, num_parties + 1)
-    out = []
-    for size in sizes:
-        sides_b = reversed(list(itertools.combinations(rest, num_parties - size)))
-        out += [Cut._canonical(num_parties, (1,) + extra, side_b)
-                for extra, side_b in zip(itertools.combinations(rest, size - 1), sides_b)]
-    return out
+    sides_b = reversed(list(itertools.combinations(rest, num_parties - size)))
+    return tuple(Cut._canonical(num_parties, (1,) + extra, side_b)
+                 for extra, side_b in zip(itertools.combinations(rest, size - 1), sides_b))
 
 
 def analyze_cut(rho: DensityMatrix, cuts: Sequence[Cut]) -> list[CutReport]:
@@ -135,9 +150,12 @@ def analyze_cut(rho: DensityMatrix, cuts: Sequence[Cut]) -> list[CutReport]:
     Returns one report per cut, in order.  rho must be an X-state built on
     its two diagonals, DensityMatrix(n, x_parts=...), as build_family builds
     the families: every nonzero entry sits at rho[k, k] or rho[k, ~k], with ~k
-    the bitwise complement of k.  One tensor.x_spectrum call reads every cut's
-    spectrum off x_parts, with side_a as the transposed bits, in O(2^n) per
-    cut and without scanning rho, instead of a 2^n x 2^n eigensolve per cut.
+    the bitwise complement of k.  One tensor.x_blocks call reads every cut's
+    2x2 blocks off x_parts, with cut.mask transposed, in O(2^n) per cut and
+    without scanning rho, instead of a 2^n x 2^n eigensolve per cut.  Only
+    the blocks' lower eigenvalues are sorted: an upper one is at least its
+    block's mean, which x_validate held above -NPT_ATOL, so the sorted lower
+    half has the full spectrum's minimum and negative prefix, bit for bit.
 
     Raises ValueError (tensor.x_parts_of) on a state built from a matrix,
     whatever its zero pattern.
@@ -145,13 +163,13 @@ def analyze_cut(rho: DensityMatrix, cuts: Sequence[Cut]) -> list[CutReport]:
     n = rho.num_qubits
     if any(cut.num_parties != n for cut in cuts):
         raise ValueError("state size does not match cut")
-    masks = np.array([sum(1 << (n - q) for q in cut.side_a) for cut in cuts], dtype=np.int64)
-    spectra = x_spectrum(*x_parts_of(rho), masks)
-    counts = (spectra < -NPT_ATOL).sum(axis=1)  # the negatives lead each ascending row
+    mid, radius = x_blocks(*x_parts_of(rho), np.array([cut.mask for cut in cuts], dtype=np.int64))
+    lower = np.sort(mid - radius, axis=1)
+    counts = (lower < -NPT_ATOL).sum(axis=1)  # the negatives lead each ascending row
     return [CutReport(cut=cut, min_eigenvalue=float(row[0]),
                       negativity=float(-row[:k].sum()) if k else 0.0,
                       classification="NPT" if k else "PPT")
-            for cut, row, k in zip(cuts, spectra, counts)]
+            for cut, row, k in zip(cuts, lower, counts)]
 
 
 def npt_one_vs_rest_scan(rho: DensityMatrix) -> list[CutReport]:

@@ -12,8 +12,9 @@ them as x_parts, is validated on them alone and forms its dense entries when
 first read; a DensityMatrix built from a matrix is checked densely and has no
 x_parts, whatever its zero pattern.  x_spectrum gives the spectrum of an
 X-shaped matrix and those of its partial transposes in closed form, for one or
-a stack of transposed subsets, and is its PSD check.  x_trace_distance
-compares two on their diagonals.
+a stack of transposed subsets; x_blocks gives its 2x2 blocks, whose lower
+eigenvalues are its PSD check.  x_trace_distance compares two on their
+diagonals.
 
 All operations are pure functions: inputs are never mutated and the wrapped
 numpy arrays are marked read-only on construction.
@@ -237,11 +238,22 @@ def x_spectrum(diagonal: np.ndarray, anti: np.ndarray, mask: int | np.ndarray = 
     axis, row i bit-equal to the spectrum for mask[i] alone.  With mask = 0,
     diagonal and anti may instead stack states along leading axes.
     """
+    mid, radius = x_blocks(diagonal, anti, mask)
+    return np.sort(np.concatenate([mid - radius, mid + radius], axis=-1), axis=-1)
+
+
+def x_blocks(diagonal: np.ndarray, anti: np.ndarray,
+             mask: int | np.ndarray = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(mid, radius) of each block {k, ~k}, k < dim / 2: its eigenvalues are mid -/+ radius.
+
+    mid reads the diagonal alone, so x_validate holds it at or above the PSD
+    floor for every mask, and only the lower eigenvalues can fall below it.
+    """
     half = diagonal.shape[-1] // 2
     d1, d2 = diagonal[..., :half].real, diagonal[..., ::-1][..., :half].real  # k and ~k = dim - 1 - k
     mid = (d1 + d2) / 2
     radius = np.hypot((d1 - d2) / 2, np.abs(anti[..., np.arange(half) ^ np.asarray(mask)[..., None]]))
-    return np.sort(np.concatenate([mid - radius, mid + radius], axis=-1), axis=-1)
+    return mid, radius
 
 
 def x_validate(diagonal: np.ndarray, anti: np.ndarray) -> None:
@@ -252,7 +264,8 @@ def x_validate(diagonal: np.ndarray, anti: np.ndarray) -> None:
         raise ValueError(_NOT_FINITE)
     if max(2 * np.abs(diagonal.imag).max(), np.abs(anti - anti[..., ::-1].conj()).max()) > STATE_ATOL:
         raise ValueError(_NOT_HERMITIAN)
-    _check_trace_and_floor(diagonal.sum(axis=-1), lambda: x_spectrum(diagonal, anti)[..., 0])
+    # each state's least lower block eigenvalue is x_spectrum(...)[..., 0], read without a sort
+    _check_trace_and_floor(diagonal.sum(axis=-1), lambda: np.subtract(*x_blocks(diagonal, anti)))
 
 
 def x_matrix(diagonal: np.ndarray, anti: np.ndarray) -> np.ndarray:

@@ -222,6 +222,26 @@ class TestCutsCommand:
         assert main(["cuts", "--size", str(size), "--family", family, "--out", str(out)]) == 0
         assert _digest(out) == CUTS_PAYLOAD_SHA256[size, family]
 
+    def test_repeated_op_reads_the_shared_table(self, tmp_path):
+        # the second op in a process takes its cuts from the table the first one built
+        cuts._cut_layer.cache_clear()
+        payloads = []
+        for run in ("first", "second"):
+            out = tmp_path / f"{run}.json"
+            assert main(["cuts", "--size", "8", "--family", "sigma-", "--out", str(out)]) == 0
+            payloads.append(_payload(_load(out)))
+        assert payloads[0] == payloads[1]
+        assert cuts._cut_layer.cache_info().hits == 7
+
+    def test_import_builds_no_cut_table(self):
+        # the table is built on first use, so a fresh interpreter's import pays nothing for it
+        env = os.environ | {"PYTHONPATH": os.pathsep.join(
+            [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        probe = "import bcabe.cli, bcabe.cuts; print(bcabe.cuts._cut_layer.cache_info().currsize)"
+        run = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True)
+        assert run.stdout.strip() == "0"
+
     def test_reads_every_cut_in_one_call(self, tmp_path, monkeypatch):
         # one analyze_cut call for all 31 cuts, which the benchmark's cuts span counts
         calls = _count_calls(monkeypatch, ["analyze_cut", "build_family"])

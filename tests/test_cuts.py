@@ -109,6 +109,26 @@ class TestCutEnumeration:
             assert [(c.side_a, c.side_b, c.label()) for c in got] == \
                 [(c.side_a, c.side_b, c.label()) for c in want]
 
+    def test_each_call_returns_a_new_list(self):
+        first = enumerate_cuts(6)
+        assert enumerate_cuts(6) is not first
+        want = list(first)
+        first.clear()
+        assert enumerate_cuts(6) == want
+        singles = enumerate_cuts(6, side_size=1)
+        singles.append(Cut(6, (1, 2)))
+        assert enumerate_cuts(6, side_size=1) == want[:1] + want[-5:]
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_masks_and_labels(self, n):
+        # a shared Cut keeps the mask and label its sides give
+        for cut in enumerate_cuts(n):
+            side_b = [q for q in range(1, n + 1) if q not in cut.side_a]
+            assert cut.mask == sum(1 << (n - q) for q in cut.side_a)
+            assert cut.label() == "{%s}|{%s}" % (",".join(map(str, cut.side_a)),
+                                                 ",".join(map(str, side_b)))
+            assert cut.label() is cut.label()
+
     def test_canonical_validation(self):
         with pytest.raises(ValueError):
             Cut(4, (2, 3))          # party 1 missing
@@ -140,6 +160,30 @@ def single_cut_report(rho, cut) -> CutReport:
     return CutReport(cut=cut, min_eigenvalue=lo,
                      negativity=float(-negative.sum()) if negative.size else 0.0,
                      classification="NPT" if lo < -NPT_ATOL else "PPT")
+
+
+def _bits(report: CutReport):
+    return report.cut, report.min_eigenvalue.hex(), report.negativity.hex(), report.classification
+
+
+def boundary_x_parts(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """X-states at the PSD boundary, as (diagonal, anti) pairs.
+
+    A block {0, ~0} with |c|^2 = d_0 d_~0 exactly (1/32, 1/8 and 1/16, a 3-4-5
+    block whose lower eigenvalue is exactly 0); the n-qubit GHZ state, which
+    is phi+ at n = 2; and the first random_x_state with every odd block zeroed.
+    """
+    dim = 2 ** n
+    diagonal = np.full(dim, (1 - 5 / 32) / (dim - 2), dtype=complex)
+    diagonal[0], diagonal[-1] = 1 / 32, 1 / 8
+    anti = np.zeros(dim, dtype=complex)
+    anti[0], anti[-1] = 1j / 16, -1j / 16
+    ghz = np.zeros(dim, dtype=complex)
+    ghz[0] = ghz[-1] = 0.5
+    diagonal_r, anti_r = oracles.x_parts_from(oracles.random_x_state(n, np.random.default_rng(0)))
+    odd = (np.arange(dim) % 2 == 1) ^ (np.arange(dim) >= dim // 2)  # k odd, or ~k odd for k's pair
+    diagonal_r, anti_r = np.where(odd, 0, diagonal_r), np.where(odd, 0, anti_r)
+    return [(diagonal, anti), (ghz, ghz), (diagonal_r / diagonal_r.sum(), anti_r / diagonal_r.sum())]
 
 
 def assert_matches_dense(rho, cut, report, dense_pt):
@@ -247,15 +291,19 @@ class TestCutSpectra:
             analyze_cut(rho, [Cut(4, (1,))])
 
 
-    @pytest.mark.parametrize("size", [4, 6, 8])
+    @pytest.mark.parametrize("size", [2, 4, 6, 8])
     def test_reports_equal_single_cut_readout(self, size):
-        # one stacked readout of every cut gives the fields each cut gives alone
+        # one stacked readout of every cut, sorting only the blocks' lower eigenvalues, gives
+        # the bits each cut's full sorted spectrum gives alone, signed zeros included
         states = [build_family(size, label) for label in ALL_FAMILIES]
-        states.append(oracles.x_density(oracles.random_x_state(size, np.random.default_rng(size))))
+        states += [oracles.x_density(oracles.random_x_state(size, np.random.default_rng(seed)))
+                   for seed in range(20)]
+        states += [DensityMatrix(size, x_parts=parts) for parts in boundary_x_parts(size)]
         cuts = enumerate_cuts(size)
         for rho in states:
-            assert analyze_cut(rho, cuts) == [single_cut_report(rho, cut) for cut in cuts]
-        assert any(r.classification == "NPT" for r in analyze_cut(states[-1], cuts))
+            assert [_bits(r) for r in analyze_cut(rho, cuts)] == \
+                [_bits(single_cut_report(rho, cut)) for cut in cuts]
+        assert any(r.classification == "NPT" for rho in states[4:24] for r in analyze_cut(rho, cuts))
 
     def test_empty_cut_list(self):
         assert analyze_cut(build_family(4, FamilyLabel.RHO_PLUS), []) == []

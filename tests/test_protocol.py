@@ -70,6 +70,13 @@ EXACT_MIXTURE_SHA256 = [
     (8, FamilyLabel.SIGMA_MINUS, "5ba7767684ce751880f3a173fa127299ffbd3b6d44c1018e069298aed846398a"),
 ]
 
+# (size, family, seed, transcript id, distance) of sampled runs at 2,000 samples; the ids
+# name size, family and seed alone, so a declared pin move keeps each test's name
+SAMPLED_PAYLOADS = [
+    (4, FamilyLabel.RHO_PLUS, 7, "dcfec776e530cbfa", 0.02700000000000001),
+    (6, FamilyLabel.SIGMA_MINUS, 3, "c9327b616e2e8cf3", 0.028499999999999973),
+]
+
 
 def _teleport_roundtrip(payload: np.ndarray) -> list[tuple[float, np.ndarray]]:
     """Send a fresh local qubit in state `payload` from party 1 to party 2."""
@@ -350,10 +357,9 @@ class TestPreparation:
         _, transcript = prepare_bcabe(size, label, mode="exact")
         assert transcript.transcript_id == transcript_id
 
-    @pytest.mark.parametrize("size, label, seed, transcript_id, distance", [
-        (4, FamilyLabel.RHO_PLUS, 7, "dcfec776e530cbfa", 0.02700000000000001),
-        (6, FamilyLabel.SIGMA_MINUS, 3, "c9327b616e2e8cf3", 0.028499999999999973),
-    ])
+    @pytest.mark.parametrize("size, label, seed, transcript_id, distance", SAMPLED_PAYLOADS,
+                             ids=[f"size{size}-{label.value}-seed{seed}"
+                                  for size, label, seed, *_ in SAMPLED_PAYLOADS])
     def test_sampled_payload_pinned(self, size, label, seed, transcript_id, distance):
         # the transcript ids were recorded from the per-sample engine, whose generator
         # stream (tape bits, then one choice per pair step) every later engine keeps

@@ -507,6 +507,18 @@ class TestStackedXValidation:
             x_validate(*self._stack([good, other, bad, good]))
         assert str(stacked.value) == str(single.value)
 
+    def test_floor_message_names_the_full_spectrum_minimum(self):
+        # the floor is read off the blocks' lower eigenvalues unsorted, yet names the value the
+        # full sorted spectrum gives
+        states = [x_parts_from(random_x_state(3, np.random.default_rng(3))),
+                  x_parts_from(_set(mixed_x_state(), self.CASES["negative-eigenvalue"]))]
+        diagonal, anti = self._stack(states)
+        lo = float(x_spectrum(diagonal, anti)[..., 0].min())
+        assert lo < -OPERATOR_ATOL
+        with pytest.raises(ValueError) as exc:
+            x_validate(diagonal, anti)
+        assert str(exc.value) == f"matrix has eigenvalue {lo} below the -{OPERATOR_ATOL} PSD floor"
+
     def test_valid_stack_passes(self):
         rng = np.random.default_rng(5)
         x_validate(*self._stack([x_parts_from(random_x_state(3, rng)) for _ in range(5)]))
