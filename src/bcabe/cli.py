@@ -178,12 +178,14 @@ def cmd_verify(args) -> int:
 
 def cmd_cuts(args) -> int:
     rho = build_family(args.size, args.family)
+    # the class asserted for each |side_a|, by the smaller side: NPT at 1 party, PPT at 2
+    asserted = {size: {1: "NPT", 2: "PPT"}.get(min(size, args.size - size))
+                for size in range(1, args.size)}
     rows = []
     failures = 0
     for report in analyze_cut(rho, enumerate_cuts(args.size)):
         cut = report.cut
-        small = min(len(cut.side_a), args.size - len(cut.side_a))
-        expected = {1: "NPT", 2: "PPT"}.get(small)
+        expected = asserted[len(cut.side_a)]
         ok = expected is None or report.classification == expected
         failures += 0 if ok else 1
         rows.append({
@@ -223,6 +225,14 @@ def cmd_certify(args) -> int:
     if given and args.mode == "exact":
         args.usage_error(f"{', '.join(given)}: only with --mode sampled")
     seed, samples = args.seed or 0, args.samples or 10000  # the defaults, also in exact payloads
+    derived = sampled_threshold(args.size, samples)
+    if args.mode == "sampled" and args.tolerance is None and derived >= 1:
+        fewest = samples  # a trace distance never exceeds 1, so such a check cannot fail
+        while sampled_threshold(args.size, fewest) >= 1:
+            fewest += 1
+        args.usage_error(f"--samples {samples}: the derived threshold {derived:.4g} at size "
+                         f"{args.size} is at least 1, so the distance check cannot fail; give "
+                         f"at least {fewest} runs or a --tolerance")
     try:
         certificate, ensemble, transcript = cost_certificate(
             args.size, args.family, mode=args.mode, seed=seed, samples=samples)
@@ -234,8 +244,7 @@ def cmd_certify(args) -> int:
     mixed, target = ensemble.mixed, certificate.target
     distance = (x_trace_distance(mixed.x_parts, target.x_parts) if mixed.x_parts and target.x_parts
                 else trace_distance(mixed, target))
-    state_tol = (STATE_ATOL if args.mode == "exact"
-                 else args.tolerance or sampled_threshold(args.size, samples))
+    state_tol = STATE_ATOL if args.mode == "exact" else args.tolerance or derived
     checks = [
         _check("lower-bound-equals-achieved",
                abs(certificate.lower_bound - certificate.achieved), LP_ATOL),

@@ -156,6 +156,9 @@ def analyze_cut(rho: DensityMatrix, cuts: Sequence[Cut]) -> list[CutReport]:
     the blocks' lower eigenvalues are sorted: an upper one is at least its
     block's mean, which x_validate held above -NPT_ATOL, so the sorted lower
     half has the full spectrum's minimum and negative prefix, bit for bit.
+    The sorted rows are read as columns: each minimum is column 0, and the
+    rows with k negatives sum their first k columns in one sum(axis=1),
+    which adds each row as row[:k].sum() does.
 
     Raises ValueError (tensor.x_parts_of) on a state built from a matrix,
     whatever its zero pattern.
@@ -166,10 +169,14 @@ def analyze_cut(rho: DensityMatrix, cuts: Sequence[Cut]) -> list[CutReport]:
     mid, radius = x_blocks(*x_parts_of(rho), np.array([cut.mask for cut in cuts], dtype=np.int64))
     lower = np.sort(mid - radius, axis=1)
     counts = (lower < -NPT_ATOL).sum(axis=1)  # the negatives lead each ascending row
-    return [CutReport(cut=cut, min_eigenvalue=float(row[0]),
-                      negativity=float(-row[:k].sum()) if k else 0.0,
+    negativity = np.zeros(len(cuts))
+    for k in set(counts.tolist()) - {0}:  # sum(axis=1) adds each row's prefix as row[:k].sum()
+        rows = counts == k
+        negativity[rows] = -lower[rows, :k].sum(axis=1)
+    return [CutReport(cut=cut, min_eigenvalue=lo, negativity=neg,
                       classification="NPT" if k else "PPT")
-            for cut, row, k in zip(cuts, lower, counts)]
+            for cut, lo, neg, k in zip(cuts, lower[:, 0].tolist(), negativity.tolist(),
+                                       counts.tolist())]
 
 
 def npt_one_vs_rest_scan(rho: DensityMatrix) -> list[CutReport]:

@@ -248,12 +248,16 @@ def x_blocks(diagonal: np.ndarray, anti: np.ndarray,
 
     mid reads the diagonal alone, so x_validate holds it at or above the PSD
     floor for every mask, and only the lower eigenvalues can fall below it.
+    radius is hypot(tilt, |c|) with tilt = (d_k - d_~k) / 2.  A GHZ-diagonal
+    state's blocks are level (every tilt 0), and hypot(0, y) is exactly |y|
+    (C99 F.9.4.3), so hypot runs only when some block is tilted: the bits
+    are the same either way.
     """
     half = diagonal.shape[-1] // 2
     d1, d2 = diagonal[..., :half].real, diagonal[..., ::-1][..., :half].real  # k and ~k = dim - 1 - k
-    mid = (d1 + d2) / 2
-    radius = np.hypot((d1 - d2) / 2, np.abs(anti[..., np.arange(half) ^ np.asarray(mask)[..., None]]))
-    return mid, radius
+    mid, tilt = (d1 + d2) / 2, (d1 - d2) / 2
+    c = np.abs(anti)[..., np.arange(half) ^ np.asarray(mask)[..., None]]
+    return mid, (np.hypot(tilt, c) if tilt.any() else c)
 
 
 def x_validate(diagonal: np.ndarray, anti: np.ndarray) -> None:

@@ -76,6 +76,24 @@ def x_parts_from(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m[k, k].copy(), m[k, k[::-1]].copy()
 
 
+def x_block_eigenvalues(diagonal: np.ndarray, anti: np.ndarray,
+                        mask: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) eigenvalues of each block {k, ~k}, k < dim / 2, one block at a time.
+
+    The X-shaped matrix with these two diagonals, partially transposed on the
+    bits in mask: mid -/+ hypot((d_k - d_~k) / 2, |anti[k ^ mask]|), hypot
+    called on every block, tilted or level.
+    """
+    dim, magnitude = len(diagonal), np.abs(anti)
+    lower, upper = [], []
+    for k in range(dim // 2):
+        d1, d2 = diagonal[k].real, diagonal[dim - 1 - k].real
+        mid, radius = (d1 + d2) / 2, np.hypot((d1 - d2) / 2, magnitude[k ^ mask])
+        lower.append(mid - radius)
+        upper.append(mid + radius)
+    return np.array(lower), np.array(upper)
+
+
 def x_density(m: np.ndarray) -> DensityMatrix:
     """The X-shaped density matrix m, built on its two diagonals (x_parts_from)."""
     return DensityMatrix(len(m).bit_length() - 1, x_parts=x_parts_from(m))
@@ -284,6 +302,26 @@ def random_x_state(n: int, rng: np.random.Generator) -> np.ndarray:
     m[k, far] = c
     m[far, k] = c.conj()
     return m
+
+
+def boundary_x_parts(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """X-states at the PSD boundary, as (diagonal, anti) pairs.
+
+    A block {0, ~0} with |c|^2 = d_0 d_~0 exactly (1/32, 1/8 and 1/16, a 3-4-5
+    block whose lower eigenvalue is exactly 0); the n-qubit GHZ state, which
+    is phi+ at n = 2; and the first random_x_state with every odd block zeroed.
+    """
+    dim = 2 ** n
+    diagonal = np.full(dim, (1 - 5 / 32) / (dim - 2), dtype=complex)
+    diagonal[0], diagonal[-1] = 1 / 32, 1 / 8
+    anti = np.zeros(dim, dtype=complex)
+    anti[0], anti[-1] = 1j / 16, -1j / 16
+    ghz = np.zeros(dim, dtype=complex)
+    ghz[0] = ghz[-1] = 0.5
+    diagonal_r, anti_r = x_parts_from(random_x_state(n, np.random.default_rng(0)))
+    odd = (np.arange(dim) % 2 == 1) ^ (np.arange(dim) >= dim // 2)  # k odd, or ~k odd for k's pair
+    diagonal_r, anti_r = np.where(odd, 0, diagonal_r), np.where(odd, 0, anti_r)
+    return [(diagonal, anti), (ghz, ghz), (diagonal_r / diagonal_r.sum(), anti_r / diagonal_r.sum())]
 
 
 # receiver's Pauli fix after each Bell outcome (identity for phi+)

@@ -242,6 +242,21 @@ class TestCutsCommand:
                              capture_output=True, text=True)
         assert run.stdout.strip() == "0"
 
+    def test_ops_import_no_numpy_module(self, tmp_path):
+        # what an op imports lazily adds to its memory peak: a cuts and an exact certify op,
+        # run after the import, must import no numpy module (np.unique's numpy.ma, say)
+        env = os.environ | {"PYTHONPATH": os.pathsep.join(
+            [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        probe = ("import sys, bcabe.cli; before = set(sys.modules); "
+                 f"cuts = bcabe.cli.main(['cuts', '--size', '8', '--out', {str(tmp_path / 'c.json')!r}]); "
+                 f"cert = bcabe.cli.main(['certify', '--size', '6', '--out', {str(tmp_path / 'e.json')!r}]); "
+                 "print(cuts, cert, *sorted(set(sys.modules) - before))")
+        run = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True)
+        codes, new = run.stdout.split()[:2], run.stdout.split()[2:]
+        assert codes == ["0", "0"]
+        assert [name for name in new if name.split(".")[0] == "numpy"] == []
+
     def test_reads_every_cut_in_one_call(self, tmp_path, monkeypatch):
         # one analyze_cut call for all 31 cuts, which the benchmark's cuts span counts
         calls = _count_calls(monkeypatch, ["analyze_cut", "build_family"])
@@ -353,6 +368,23 @@ class TestCertifyCommand:
                      "--samples", "500", "--out", str(out)]) == 1
         check = _load(out)["checks"][1]
         assert (check["measured"], check["threshold"], check["passed"]) == (2 * eps, eps, False)
+
+    @pytest.mark.parametrize("size, fewest", [(4, 9), (6, 13), (8, 30)])
+    def test_run_count_whose_check_cannot_fail_refused(self, size, fewest, tmp_path, capsys):
+        # below the fewest runs the derived threshold is at least 1, which no trace distance
+        # exceeds; an explicit --tolerance still lets such a run go ahead
+        assert cli.sampled_threshold(size, fewest - 1) >= 1 > cli.sampled_threshold(size, fewest)
+        base = ["certify", "--size", str(size), "--mode", "sampled", "--samples"]
+        with pytest.raises(SystemExit) as exc:
+            main(base + [str(fewest - 1)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"give at least {fewest} runs" in err and "Traceback" not in err
+        assert main(base + [str(fewest), "--out", str(tmp_path / "fewest.json")]) == 0
+        assert _load(tmp_path / "fewest.json")["checks"][1]["threshold"] < 1
+        assert main(base + [str(fewest - 1), "--tolerance", "0.5",
+                            "--out", str(tmp_path / "given.json")]) in (0, 1)
+        assert _load(tmp_path / "given.json")["checks"][1]["threshold"] == 0.5
 
     def test_given_tolerance_wins(self, tmp_path):
         out = tmp_path / "cert8s.json"

@@ -29,7 +29,6 @@ from bcabe.tensor import (
     partial_transpose,
     trace_distance,
     x_matrix,
-    x_spectrum,
 )
 
 import oracles
@@ -148,8 +147,13 @@ class TestCutEnumeration:
 
 
 def cut_spectrum(rho, cut):
-    """The closed-form partial-transpose spectrum across one cut, side_a's bits transposed."""
-    return x_spectrum(*rho.x_parts, sum(1 << (cut.num_parties - q) for q in cut.side_a))
+    """The closed-form partial-transpose spectrum across one cut, side_a's bits transposed.
+
+    Read block by block off oracles.x_block_eigenvalues, not off tensor.x_blocks,
+    which analyze_cut reads.
+    """
+    mask = sum(1 << (cut.num_parties - q) for q in cut.side_a)
+    return np.sort(np.concatenate(oracles.x_block_eigenvalues(*rho.x_parts, mask)))
 
 
 def single_cut_report(rho, cut) -> CutReport:
@@ -164,26 +168,6 @@ def single_cut_report(rho, cut) -> CutReport:
 
 def _bits(report: CutReport):
     return report.cut, report.min_eigenvalue.hex(), report.negativity.hex(), report.classification
-
-
-def boundary_x_parts(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """X-states at the PSD boundary, as (diagonal, anti) pairs.
-
-    A block {0, ~0} with |c|^2 = d_0 d_~0 exactly (1/32, 1/8 and 1/16, a 3-4-5
-    block whose lower eigenvalue is exactly 0); the n-qubit GHZ state, which
-    is phi+ at n = 2; and the first random_x_state with every odd block zeroed.
-    """
-    dim = 2 ** n
-    diagonal = np.full(dim, (1 - 5 / 32) / (dim - 2), dtype=complex)
-    diagonal[0], diagonal[-1] = 1 / 32, 1 / 8
-    anti = np.zeros(dim, dtype=complex)
-    anti[0], anti[-1] = 1j / 16, -1j / 16
-    ghz = np.zeros(dim, dtype=complex)
-    ghz[0] = ghz[-1] = 0.5
-    diagonal_r, anti_r = oracles.x_parts_from(oracles.random_x_state(n, np.random.default_rng(0)))
-    odd = (np.arange(dim) % 2 == 1) ^ (np.arange(dim) >= dim // 2)  # k odd, or ~k odd for k's pair
-    diagonal_r, anti_r = np.where(odd, 0, diagonal_r), np.where(odd, 0, anti_r)
-    return [(diagonal, anti), (ghz, ghz), (diagonal_r / diagonal_r.sum(), anti_r / diagonal_r.sum())]
 
 
 def assert_matches_dense(rho, cut, report, dense_pt):
@@ -298,12 +282,29 @@ class TestCutSpectra:
         states = [build_family(size, label) for label in ALL_FAMILIES]
         states += [oracles.x_density(oracles.random_x_state(size, np.random.default_rng(seed)))
                    for seed in range(20)]
-        states += [DensityMatrix(size, x_parts=parts) for parts in boundary_x_parts(size)]
+        states += [DensityMatrix(size, x_parts=parts) for parts in oracles.boundary_x_parts(size)]
         cuts = enumerate_cuts(size)
         for rho in states:
             assert [_bits(r) for r in analyze_cut(rho, cuts)] == \
                 [_bits(single_cut_report(rho, cut)) for cut in cuts]
         assert any(r.classification == "NPT" for rho in states[4:24] for r in analyze_cut(rho, cuts))
+
+    def test_level_blocks_run_no_hypot(self, monkeypatch):
+        # a family's blocks are level (d_k = d_~k), where hypot(0, |c|) is |c| exactly, so
+        # analyze_cut reads all 127 cuts at 8 without hypot; a tilted state still calls it
+        calls = []
+        hypot = np.hypot
+        monkeypatch.setattr(np, "hypot", lambda *args: calls.append(1) or hypot(*args))
+        cuts = enumerate_cuts(8)
+        families = [build_family(8, label) for label in ALL_FAMILIES]
+        calls.clear()
+        for rho in families:
+            analyze_cut(rho, cuts)
+        assert calls == []
+        tilted = oracles.x_density(oracles.random_x_state(8, np.random.default_rng(0)))
+        calls.clear()
+        analyze_cut(tilted, cuts)
+        assert len(calls) >= 1
 
     def test_empty_cut_list(self):
         assert analyze_cut(build_family(4, FamilyLabel.RHO_PLUS), []) == []

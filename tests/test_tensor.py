@@ -21,6 +21,7 @@ from bcabe.tensor import (
     partial_trace,
     partial_transpose,
     trace_distance,
+    x_blocks,
     x_parts_of,
     x_spectrum,
     x_trace_distance,
@@ -30,6 +31,7 @@ from bcabe.states import FamilyLabel, build_family
 
 from oracles import (
     BELL_VECTORS,
+    boundary_x_parts,
     dense_family_build,
     density_of,
     embed_reference,
@@ -42,6 +44,7 @@ from oracles import (
     random_unitary,
     random_x_state,
     tensor_product,
+    x_block_eigenvalues,
     x_density,
     x_parts_from,
 )
@@ -537,3 +540,42 @@ class TestStackedXSpectrum:
                 assert stacked.shape == (2 ** n, 2 ** n)
                 for i, mask in enumerate(masks):
                     assert np.array_equal(stacked[i], x_spectrum(diagonal, anti, int(mask)))
+
+
+class TestXBlocks:
+    @staticmethod
+    def _hex(values):
+        return [float(v).hex() for v in np.ravel(values)]
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_equal_blockwise_hypot_reference(self, n):
+        # x_blocks skips hypot where every block is level; the reference calls it on every
+        # block, so the two agree bit for bit only where hypot(0, |c|) is |c|
+        rng = np.random.default_rng(n)
+        states = [build_family(n, label).x_parts for label in FamilyLabel] if n > 2 else []
+        # a GHZ-diagonal state with random weights: every block level, d_k = d_~k
+        w = rng.uniform(size=(2 ** (n - 1), 2)) * (rng.uniform(size=(2 ** (n - 1), 2)) < 0.7)
+        w[0, 0] += 0.1
+        half_diagonal, half_anti = w.sum(axis=1) / 2 / w.sum(), (w[:, 0] - w[:, 1]) / 2 / w.sum()
+        ghz = DensityMatrix(n, x_parts=(np.concatenate([half_diagonal, half_diagonal[::-1]]) + 0j,
+                                        np.concatenate([half_anti, half_anti[::-1]]) + 0j))
+        states.append(ghz.x_parts)
+        states.append(x_parts_from(random_x_state(n, rng)))  # tilted blocks
+        states += boundary_x_parts(n)  # the last mixes level and tilted blocks
+        masks = rng.choice(2 ** n, size=min(2 ** n, 6), replace=False)
+        for diagonal, anti in states:
+            for mask in masks.tolist():
+                mid, radius = x_blocks(diagonal, anti, mask)
+                lower, upper = x_block_eigenvalues(diagonal, anti, mask)
+                assert self._hex(mid - radius) == self._hex(lower)
+                assert self._hex(mid + radius) == self._hex(upper)
+            mid, radius = x_blocks(diagonal, anti, masks)  # masks stacked, mid shared
+            for row, mask in enumerate(masks.tolist()):
+                lower, upper = x_block_eigenvalues(diagonal, anti, mask)
+                assert self._hex((mid - radius)[row]) == self._hex(lower)
+        diagonals, antis = (np.stack(part) for part in zip(*states))  # states stacked
+        mid, radius = x_blocks(diagonals, antis)
+        for row, (diagonal, anti) in enumerate(states):
+            lower, upper = x_block_eigenvalues(diagonal, anti)
+            assert self._hex(mid[row] - radius[row]) == self._hex(lower)
+            assert self._hex(mid[row] + radius[row]) == self._hex(upper)
