@@ -52,12 +52,10 @@ from .tensor import (
     MAX_QUBITS,
     OPERATOR_ATOL,
     STATE_ATOL,
-    ZERO_PROB_ATOL,
     DensityMatrix,
     PureState,
     QubitSubset,
     apply_unitary_on_subset,
-    fidelity_with_pure,
     hermitian_eigenvalues,
     partial_trace,
     partial_transpose,

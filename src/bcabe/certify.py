@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from .cuts import LP_ATOL, EdgeWeights, activation_distill, lp_lower_bound, npt_one_vs_rest_scan
 from .protocol import default_pairing, ebit_accounting, locc_audit, prepare_bcabe
 from .states import FamilyLabel, build_family, family_support_projector
-from .tensor import STATE_ATOL, DensityMatrix
+from .tensor import STATE_ATOL, trace_distance, x_trace_distance
 
 
 @dataclass(frozen=True)
@@ -19,7 +19,7 @@ class CostCertificate:
     exact: bool
     witness_weights: EdgeWeights
     protocol_transcript_id: str
-    target: DensityMatrix  # the family state the cuts and activations were checked on
+    prepared_state_distance: float  # trace distance of the protocol's mixture from the family
 
 
 def cost_certificate(two_n: int, label: FamilyLabel, mode: str = "exact",
@@ -31,11 +31,11 @@ def cost_certificate(two_n: int, label: FamilyLabel, mode: str = "exact",
     distills an ebit across both its parties' cuts, so
     each cut needs crossing weight 1; the covering LP, handed the scan's own
     cut list (the cuts proved NPT), has optimum N.  Achieved: on that pairing
-    the protocol consumes N singlets (audited transcript).  The family state
-    and the two diagonals of the four (2N-2)-qubit support projectors are
-    built once, for every check, and the state is kept as
-    certificate.target.  Returns (CostCertificate, EnsembleResult,
-    ProtocolTranscript).
+    the protocol consumes N singlets (audited transcript), and its mixture
+    lies at prepared_state_distance from the family state (read on the X of
+    an exact mixture: no eigensolve, the same bits under any BLAS thread
+    count).  The state and the four (2N-2)-qubit supports are built once, for
+    every check.  Returns (CostCertificate, EnsembleResult, ProtocolTranscript).
     """
     rho = build_family(two_n, label)
     supports = {f: family_support_projector(two_n - 2, f) for f in FamilyLabel}
@@ -59,6 +59,9 @@ def cost_certificate(two_n: int, label: FamilyLabel, mode: str = "exact",
     if violations:
         raise RuntimeError(f"protocol transcript failed the LOCC audit: {violations}")
     achieved, _ = ebit_accounting(transcript)
+    mixed = ensemble.mixed
+    distance = (x_trace_distance(mixed.x_parts, rho.x_parts) if mixed.x_parts and rho.x_parts
+                else trace_distance(mixed, rho))
     certificate = CostCertificate(
         two_n=two_n,
         family=label,
@@ -67,6 +70,6 @@ def cost_certificate(two_n: int, label: FamilyLabel, mode: str = "exact",
         exact=abs(lower - achieved) < LP_ATOL,
         witness_weights=witness,
         protocol_transcript_id=transcript.transcript_id,
-        target=rho,
+        prepared_state_distance=distance,
     )
     return certificate, ensemble, transcript

@@ -34,7 +34,7 @@ from .states import (
     permutation_invariance_check,
     verify_recursion,
 )
-from .tensor import STATE_ATOL, DensityMatrix, trace_distance, x_parts_of, x_trace_distance
+from .tensor import STATE_ATOL, DensityMatrix, x_parts_of, x_trace_distance
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -239,16 +239,11 @@ def cmd_certify(args) -> int:
     except (RuntimeError, ProtocolError) as exc:  # a failed step: cut, activation, LP, run, audit
         print(f"certify failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    # an exact run's mixture is kept on its X, like the target: read there, the distance
-    # needs no eigensolve and has the same bits under any BLAS thread count
-    mixed, target = ensemble.mixed, certificate.target
-    distance = (x_trace_distance(mixed.x_parts, target.x_parts) if mixed.x_parts and target.x_parts
-                else trace_distance(mixed, target))
     state_tol = STATE_ATOL if args.mode == "exact" else args.tolerance or derived
     checks = [
         _check("lower-bound-equals-achieved",
                abs(certificate.lower_bound - certificate.achieved), LP_ATOL),
-        _check("prepared-state-distance", distance, state_tol),
+        _check("prepared-state-distance", certificate.prepared_state_distance, state_tol),
     ]
     transcript_path = None
     if args.out is not None:
@@ -271,7 +266,7 @@ def cmd_certify(args) -> int:
                                 for (i, j), w in sorted(certificate.witness_weights.weights.items())},
             "transcript_id": certificate.protocol_transcript_id,
             "transcript_path": transcript_path,
-            "prepared_state_distance": distance,
+            "prepared_state_distance": certificate.prepared_state_distance,
             "singlets_used": ensemble.singlets_used,
         },
         "checks": checks,

@@ -56,7 +56,7 @@ from .states import (
     bell_state,
     ghz_basis,
 )
-from .tensor import STATE_ATOL, ZERO_PROB_ATOL, DensityMatrix
+from .tensor import STATE_ATOL, DensityMatrix
 
 PROTOCOL_SIZES = (4, 6, 8)
 
@@ -293,9 +293,9 @@ def teleport(net: NetworkState, sender: int, receiver: int, qubit: int
     Returns the four Bell-measurement branches as (probability, network)
     pairs; each branch has consumed the singlet, retired the two measured
     qubits, sent the two outcome bits, and applied the receiver's Pauli
-    correction, so the transported state is identical across branches.
-    Branches below ZERO_PROB_ATOL are dropped (they cannot occur with a
-    phi+ resource, which yields probability 1/4 each).
+    correction, so the transported state is identical across branches.  The
+    sent half is from an unspent phi+ singlet, so each outcome has
+    probability 1/4 and all four branches are kept.
     """
     if net.owner_of(qubit) != sender:
         raise ProtocolError(f"qubit {qubit} is not held by party {sender}")
@@ -305,6 +305,9 @@ def teleport(net: NetworkState, sender: int, receiver: int, qubit: int
         raise ProtocolError(f"no available singlet between parties {sender} and {receiver}")
     party_a, party_b, qubit_a, qubit_b = net.singlets[idx]
     send_half, recv_half = (qubit_a, qubit_b) if party_a == sender else (qubit_b, qubit_a)
+    if qubit == send_half:
+        raise ProtocolError(f"qubit {qubit} is party {sender}'s half of the singlet it would "
+                            f"travel through")
     gone = (qubit, send_half)
     # what every branch copies: the measured qubits retired and the singlet spent
     spent = replace(net, qubit_order=[q for q in net.qubit_order if q not in gone],
@@ -314,8 +317,6 @@ def teleport(net: NetworkState, sender: int, receiver: int, qubit: int
                              net.qubit_order.index(send_half), spent.qubit_order.index(recv_half))
     branches = []
     for m, (prob, state) in enumerate(outcomes):
-        if prob < ZERO_PROB_ATOL:
-            continue
         outcome = format(m, "02b")
         events = [{"kind": "local-measurement", "party": sender, "qubits": [qubit, send_half],
                    "basis": "bell", "outcome": outcome, "probability": prob},
@@ -392,13 +393,13 @@ def prepare_bcabe(two_n: int, label: FamilyLabel, mode: str = "exact",
     for k, ((leader, partner), bell) in enumerate(zip(net.pairing, tuples[int(tapes[0])])):
         bell_generate(net, leader, bell)
         probs, branches = zip(*teleport(net, leader, partner, net.qubit_order[-1]))
-        if len(branches) != 4 or any(np.abs(b.amplitudes - branches[0].amplitudes).max()
-                                     > STATE_ATOL for b in branches):
+        if not all(np.abs(b.amplitudes - branches[0].amplitudes).max() <= STATE_ATOL
+                   for b in branches):  # so a NaN fails it
             raise ProtocolError(f"the teleport branches of pair ({leader}, {partner}) differ")
         net = branches[0 if draws is None else _pick(np.array(probs), draws[0, k])]
     rows = bell_product_state(tuples, net.pairing, two_n)
     overlap = abs(np.vdot(rows[int(tapes[0])], _final_state(net)))
-    if abs(overlap - 1.0) > STATE_ATOL:
+    if not abs(overlap - 1.0) <= STATE_ATOL:
         raise ProtocolError(f"the run ends at overlap {overlap} with tape {net.tape}'s product")
     counts, signs = np.bincount(tapes, minlength=len(tuples)), np.sign(rows.real)
     total = (signs.T * counts) @ signs

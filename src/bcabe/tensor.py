@@ -10,11 +10,10 @@ anti-diagonal, as in every GHZ-diagonal state) is given by those two
 diagonals.  The caller chooses that form: DensityMatrix(n, x_parts=...) keeps
 them as x_parts, is validated on them alone and forms its dense entries when
 first read; a DensityMatrix built from a matrix is checked densely and has no
-x_parts, whatever its zero pattern.  x_spectrum gives the spectrum of an
-X-shaped matrix and those of its partial transposes in closed form, for one or
-a stack of transposed subsets; x_blocks gives its 2x2 blocks, whose lower
-eigenvalues are its PSD check.  x_trace_distance compares two on their
-diagonals.
+x_parts, whatever its zero pattern.  x_blocks gives the 2x2 blocks of an
+X-shaped matrix and of its partial transposes in closed form, for one or a
+stack of transposed subsets; their lower eigenvalues are its PSD check.
+x_trace_distance compares two on their diagonals.
 
 All operations are pure functions: inputs are never mutated and the wrapped
 numpy arrays are marked read-only on construction.
@@ -32,13 +31,6 @@ MAX_QUBITS = 12
 
 STATE_ATOL = 1e-12      # state equality, norms, traces
 OPERATOR_ATOL = 1e-10   # PSD floor, idempotence, unitarity, hermiticity
-ZERO_PROB_ATOL = 1e-14  # teleport drops branches below this probability
-
-PAULI_I = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 
 def _qubit_count_for(dim: int) -> int:
@@ -129,6 +121,8 @@ class DensityMatrix:
     def __init__(self, num_qubits: int, entries: np.ndarray | None = None, *,
                  x_parts: tuple[np.ndarray, np.ndarray] | None = None):
         object.__setattr__(self, "num_qubits", num_qubits)
+        if entries is not None and x_parts is not None:
+            raise ValueError("give a density matrix its entries or its x_parts, not both")
         if x_parts is None:
             m = _frozen(entries)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -223,35 +217,22 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(m)
 
 
-def x_spectrum(diagonal: np.ndarray, anti: np.ndarray, mask: int | np.ndarray = 0) -> np.ndarray:
-    """Ascending spectrum of an X-shaped matrix partially transposed on the bits in mask.
-
-    diagonal[k] = m[k, k] and anti[k] = m[k, ~k] hold every nonzero entry of
-    a Hermitian X-shaped matrix m.  Transposing the qubits in mask (qubit q
-    of n sets bit 1 << (n - q)) keeps the shape, and the result splits into
-    2x2 blocks on {k, ~k}: diagonal (m[k, k], m[~k, ~k]), off-diagonal
-    m[k ^ mask, ~k ^ mask] = anti[k ^ mask].  Each block has eigenvalues
-    mid +/- hypot((d1 - d2) / 2, |c|), mid the mean of its diagonal (Dur &
-    Cirac, PRA 61, 042314 (2000)).  mask = 0 gives the spectrum of m itself.
-
-    mask may be an integer array: the spectra then stack along a new leading
-    axis, row i bit-equal to the spectrum for mask[i] alone.  With mask = 0,
-    diagonal and anti may instead stack states along leading axes.
-    """
-    mid, radius = x_blocks(diagonal, anti, mask)
-    return np.sort(np.concatenate([mid - radius, mid + radius], axis=-1), axis=-1)
-
-
 def x_blocks(diagonal: np.ndarray, anti: np.ndarray,
              mask: int | np.ndarray = 0) -> tuple[np.ndarray, np.ndarray]:
     """(mid, radius) of each block {k, ~k}, k < dim / 2: its eigenvalues are mid -/+ radius.
 
-    mid reads the diagonal alone, so x_validate holds it at or above the PSD
-    floor for every mask, and only the lower eigenvalues can fall below it.
-    radius is hypot(tilt, |c|) with tilt = (d_k - d_~k) / 2.  A GHZ-diagonal
-    state's blocks are level (every tilt 0), and hypot(0, y) is exactly |y|
-    (C99 F.9.4.3), so hypot runs only when some block is tilted: the bits
-    are the same either way.
+    diagonal[k] = m[k, k] and anti[k] = m[k, ~k] hold every nonzero entry of a
+    Hermitian X-shaped matrix m.  Its partial transpose on the qubits in mask
+    (qubit q of n sets bit 1 << (n - q)) splits into blocks with diagonal
+    (m[k, k], m[~k, ~k]) and off-diagonal c = anti[k ^ mask] (Dur & Cirac,
+    PRA 61, 042314 (2000)).  An array of masks stacks radius along a new
+    leading axis, row i bit-equal to mask[i] alone's; with mask = 0, diagonal
+    and anti may instead stack states.  mid reads the diagonal alone, so
+    x_validate holds it at or above the PSD floor for every mask, and only
+    the lower eigenvalues can fall below it.  radius is hypot(tilt, |c|),
+    tilt = (d_k - d_~k) / 2; a GHZ-diagonal state's blocks are level (every
+    tilt 0) and hypot(0, y) is exactly |y| (C99 F.9.4.3), so hypot runs only
+    when some block is tilted, with the same bits either way.
     """
     half = diagonal.shape[-1] // 2
     d1, d2 = diagonal[..., :half].real, diagonal[..., ::-1][..., :half].real  # k and ~k = dim - 1 - k
@@ -268,7 +249,7 @@ def x_validate(diagonal: np.ndarray, anti: np.ndarray) -> None:
         raise ValueError(_NOT_FINITE)
     if max(2 * np.abs(diagonal.imag).max(), np.abs(anti - anti[..., ::-1].conj()).max()) > STATE_ATOL:
         raise ValueError(_NOT_HERMITIAN)
-    # each state's least lower block eigenvalue is x_spectrum(...)[..., 0], read without a sort
+    # each state's least lower block eigenvalue is its least eigenvalue, read without a sort
     _check_trace_and_floor(diagonal.sum(axis=-1), lambda: np.subtract(*x_blocks(diagonal, anti)))
 
 
@@ -291,17 +272,10 @@ def x_parts_of(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
 def x_trace_distance(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]) -> float:
     """Trace distance of two Hermitian X-shaped matrices given as (diagonal, anti) pairs.
 
-    Their difference is X-shaped too, so x_spectrum gives its spectrum.
+    Their difference is X-shaped too, so x_blocks gives its spectrum, summed in sorted order.
     """
-    return float(0.5 * np.abs(x_spectrum(a[0] - b[0], a[1] - b[1])).sum())
-
-
-def fidelity_with_pure(rho: DensityMatrix, psi: PureState) -> float:
-    """<psi| rho |psi> as a real number."""
-    if rho.num_qubits != psi.num_qubits:
-        raise ValueError("state sizes do not match")
-    v = psi.amplitudes
-    return float(np.real(v.conj() @ rho.entries @ v))
+    mid, radius = x_blocks(a[0] - b[0], a[1] - b[1])
+    return float(0.5 * np.abs(np.sort(np.concatenate([mid - radius, mid + radius]))).sum())
 
 
 def trace_distance(a, b) -> float:

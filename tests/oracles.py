@@ -60,6 +60,21 @@ def density_of(psi: PureState) -> DensityMatrix:
     return DensityMatrix(psi.num_qubits, proj(psi.amplitudes))
 
 
+def fidelity_with_pure(rho: DensityMatrix, psi: PureState) -> float:
+    """<psi| rho |psi> as a real number."""
+    if rho.num_qubits != psi.num_qubits:
+        raise ValueError("state sizes do not match")
+    v = psi.amplitudes
+    return float(np.real(v.conj() @ rho.entries @ v))
+
+
+PAULI_I = np.eye(2, dtype=complex)
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+PAULIS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+
+
 def x_parts_from(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """m's diagonal and anti-diagonal, anti[k] = m[k, ~k], once every other entry is checked zero.
 

@@ -362,7 +362,7 @@ class TestCertifyCommand:
 
     def test_sampled_distance_of_twice_the_threshold_fails(self, tmp_path, monkeypatch):
         eps = cli.sampled_threshold(6, 500)
-        monkeypatch.setattr(cli, "trace_distance", lambda a, b: 2 * eps)
+        monkeypatch.setattr(certify, "trace_distance", lambda a, b: 2 * eps)
         out = tmp_path / "cert6s.json"
         assert main(["certify", "--size", "6", "--family", "sigma-", "--mode", "sampled",
                      "--samples", "500", "--out", str(out)]) == 1

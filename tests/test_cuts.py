@@ -25,14 +25,13 @@ from bcabe.states import (BellLabel, FamilyLabel, bell_state, build_family,
 from bcabe.tensor import (
     DensityMatrix,
     apply_unitary_on_subset,
-    fidelity_with_pure,
     partial_transpose,
     trace_distance,
     x_matrix,
 )
 
 import oracles
-from oracles import CORRECTION_MATRICES
+from oracles import CORRECTION_MATRICES, fidelity_with_pure
 
 ALL_FAMILIES = list(FamilyLabel)
 

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+import test_bench_spans
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "bcabe"
 
 # the cut-set bound (cuts) and its achievability (protocol) meet only in certify
@@ -91,3 +93,63 @@ def test_unused_import_finder():
               "def f(m: DensityMatrix):\n"
               "    return np.trace(m.entries)\n")
     assert _unused_imports(source) == ["line 4: embed_operator", "line 3: os"]
+
+
+def _definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Each top-level function, class and constant name, with the statement defining it."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update((name.id, node) for target in targets for name in ast.walk(target)
+                           if isinstance(name, ast.Name))
+    return defined
+
+
+def _unreached(sources: dict[str, str], traced: dict[str, tuple[str, ...]]) -> list[str]:
+    """'module.name' for every top-level name of a module that nothing reaches.
+
+    A name is reached when another module imports it from its module, when its
+    own module refers to it outside the statement defining it, or when traced
+    lists it (a "Class.method" entry reaches Class) under its module.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    imported = {(node.module, alias.name) for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names}
+    out = []
+    for module, tree in trees.items():
+        for name, definition in _definitions(tree).items():
+            inside = {id(node) for node in ast.walk(definition)}
+            own = any(isinstance(node, ast.Name) and node.id == name and id(node) not in inside
+                      for node in ast.walk(tree))
+            listed = name in {entry.split(".")[0] for entry in traced.get(module, ())}
+            if not (own or listed or (module, name) in imported):
+                out.append(f"{module}.{name}")
+    return out
+
+
+def test_every_top_level_name_is_reached():
+    # __init__'s re-exports reach nothing: a name only the package root exports is dead
+    traced = test_bench_spans._traced()
+    assert _unreached({m: (SRC / f"{m}.py").read_text() for m in MODULES}, traced) == []
+
+
+def test_unreached_name_finder():
+    sources = {
+        "tensor": ("LIMIT = 3\n"
+                   "A, B = 1, 2\n"
+                   "def helper(x):\n"
+                   "    return helper(x - 1) if x else LIMIT\n"
+                   "def used():\n"
+                   "    return A\n"
+                   "class Traced:\n"
+                   "    def method(self):\n"
+                   "        return Traced\n"),
+        "cli": ("from .tensor import used\n"
+                "def main():\n"
+                "    return used()\n"),
+    }
+    traced = {"tensor": ("Traced.method",), "cli": ("main",)}
+    assert _unreached(sources, traced) == ["tensor.B", "tensor.helper"]

@@ -228,6 +228,8 @@ class TestTeleport:
             teleport(net, 1, 2, 3)   # qubit 3 belongs to party 3
         with pytest.raises(ProtocolError):
             teleport(net, 1, 2, 99)  # not live at all
+        with pytest.raises(ProtocolError, match="qubit 1 is party 1's half of the singlet"):
+            teleport(net, 1, 2, 1)   # the half of singlet (1, 2) it would travel through
 
     def test_singlet_consumed_once(self):
         net = init_network(4)

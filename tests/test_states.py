@@ -25,20 +25,17 @@ from bcabe.states import (
 )
 from bcabe.tensor import (
     OPERATOR_ATOL,
-    PAULI_Z,
     STATE_ATOL,
     DensityMatrix,
     PureState,
     apply_unitary_on_subset,
-    fidelity_with_pure,
-    PAULIS,
     partial_trace,
     trace_distance,
     x_matrix,
 )
 
 import oracles
-from oracles import enumerate_parity_strings
+from oracles import PAULI_Z, PAULIS, enumerate_parity_strings, fidelity_with_pure
 
 # Frozen expected values (derived by brute-force enumeration, see oracles.py):
 P_STRINGS_4 = ["0000", "0011", "0101", "0110"]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -10,20 +11,17 @@ import pytest
 from bcabe.tensor import (
     MAX_QUBITS,
     OPERATOR_ATOL,
-    PAULI_X,
     STATE_ATOL,
     DensityMatrix,
     PureState,
     QubitSubset,
     apply_unitary_on_subset,
-    fidelity_with_pure,
     hermitian_eigenvalues,
     partial_trace,
     partial_transpose,
     trace_distance,
     x_blocks,
     x_parts_of,
-    x_spectrum,
     x_trace_distance,
     x_validate,
 )
@@ -31,10 +29,12 @@ from bcabe.states import FamilyLabel, build_family
 
 from oracles import (
     BELL_VECTORS,
+    PAULI_X,
     boundary_x_parts,
     dense_family_build,
     density_of,
     embed_reference,
+    fidelity_with_pure,
     ket,
     permute_qubits_matrix,
     permute_qubits_vector,
@@ -330,7 +330,8 @@ class TestXShapedValidation:
             for scale in (0.0, 0.05, 0.2, 0.5, 1.0) * 4:
                 m = random_x_matrix(n, scale, rng)
                 dense = np.linalg.eigvalsh(m)
-                assert np.abs(x_spectrum(np.diagonal(m), np.fliplr(m).diagonal()) - dense).max() <= 1e-14
+                blocks = x_block_eigenvalues(np.diagonal(m), np.fliplr(m).diagonal())
+                assert np.abs(np.sort(np.concatenate(blocks)) - dense).max() <= 1e-14
                 if abs(dense[0] + OPERATOR_ATOL) < 1e-12:
                     continue
                 if dense[0] >= -OPERATOR_ATOL:
@@ -455,6 +456,12 @@ class TestXBuiltDensityMatrix:
         else:
             assert str(from_x.value) == dense_verdict(m)
 
+    def test_rejects_both_forms(self):
+        # a matrix next to x_parts is refused, not dropped
+        rho = x_density(mixed_x_state())
+        with pytest.raises(ValueError, match="not both"):
+            DensityMatrix(3, np.full((8, 8), 7.0), x_parts=rho.x_parts)
+
     def test_rejects_bad_shapes(self):
         diagonal, anti = x_parts_from(mixed_x_state())
         with pytest.raises(ValueError, match="one length"):
@@ -516,7 +523,7 @@ class TestStackedXValidation:
         states = [x_parts_from(random_x_state(3, np.random.default_rng(3))),
                   x_parts_from(_set(mixed_x_state(), self.CASES["negative-eigenvalue"]))]
         diagonal, anti = self._stack(states)
-        lo = float(x_spectrum(diagonal, anti)[..., 0].min())
+        lo = float(min(x_block_eigenvalues(*state)[0].min() for state in states))
         assert lo < -OPERATOR_ATOL
         with pytest.raises(ValueError) as exc:
             x_validate(diagonal, anti)
@@ -528,18 +535,21 @@ class TestStackedXValidation:
         x_validate(*x_parts_from(mixed_x_state()))  # a lone state, with no stack axis
 
 
-class TestStackedXSpectrum:
+class TestStackedXBlocks:
     def test_rows_bit_equal_single_masks(self):
+        # analyze_cut reads every cut of a state in one call, with its masks stacked
         rng = np.random.default_rng(11)
         for n in (4, 6, 8):
             states = [build_family(n, label) for label in FamilyLabel]
             states.append(x_density(random_x_state(n, rng)))
             masks = np.arange(2 ** n)
             for diagonal, anti in (rho.x_parts for rho in states):
-                stacked = x_spectrum(diagonal, anti, masks)
-                assert stacked.shape == (2 ** n, 2 ** n)
-                for i, mask in enumerate(masks):
-                    assert np.array_equal(stacked[i], x_spectrum(diagonal, anti, int(mask)))
+                mid, radius = x_blocks(diagonal, anti, masks)
+                assert radius.shape == (2 ** n, 2 ** (n - 1))
+                for i, mask in enumerate(masks.tolist()):
+                    single_mid, single_radius = x_blocks(diagonal, anti, mask)
+                    assert np.array_equal(mid, single_mid)
+                    assert np.array_equal(radius[i], single_radius)
 
 
 class TestXBlocks:
@@ -579,3 +589,15 @@ class TestXBlocks:
             lower, upper = x_block_eigenvalues(diagonal, anti)
             assert self._hex(mid[row] - radius[row]) == self._hex(lower)
             assert self._hex(mid[row] + radius[row]) == self._hex(upper)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_trace_distance_equals_blockwise_reference(self, n):
+        # half the sum of |eigenvalue| of the difference, its spectrum sorted off the
+        # block-by-block oracle: the same sum in the same order, so the same bits
+        rng = np.random.default_rng(n)
+        states = [build_family(n, label).x_parts for label in FamilyLabel] if n > 2 else []
+        states += [x_parts_from(random_x_state(n, rng)) for _ in range(2)]
+        states += boundary_x_parts(n)
+        for a, b in itertools.combinations(states, 2):
+            spectrum = np.sort(np.concatenate(x_block_eigenvalues(a[0] - b[0], a[1] - b[1])))
+            assert x_trace_distance(a, b).hex() == float(0.5 * np.abs(spectrum).sum()).hex()
